@@ -17,6 +17,7 @@ from chirality_lab.reporting import (
     RunReport,
     Stopwatch,
     run_parallel,
+    worst_of,
     write_csv,
     write_svg_chart,
 )
@@ -239,8 +240,8 @@ def hodge_check(config):
     seeds = [int(s) for s in
              np.random.SeedSequence(config.seed).generate_state(trials)]
     out = run_parallel(one, seeds)
-    report.add("max_reconstruction_rel_err", max(r for r, _ in out), 1e-12)
-    report.add("max_orthogonality", max(o for _, o in out), 1e-12)
+    report.add("max_reconstruction_rel_err", worst_of(r for r, _ in out), 1e-12)
+    report.add("max_orthogonality", worst_of(o for _, o in out), 1e-12)
     report.add("trials", float(trials))
     return report
 
@@ -280,13 +281,13 @@ def bb_check(config):
     out = run_parallel(one, seeds)
     errs = [e for e, _ in out]
     ratios = np.array([r for _, r in out])
-    report.add("max_recovery_rel_err", max(errs), 1e-10)
+    report.add("max_recovery_rel_err", worst_of(errs), 1e-10)
     report.add(
         "ratio_spread", (ratios.max() - ratios.min()) / ratios.mean(), 0.25
     )
 
     # rotated-potential data: the quadratic bound carries constant one
-    c_pure = 0.0
+    calibration = []
     slacks = []
     for phase, count in (("calibrate", 20), ("measure", 20)):
         for k in range(count):
@@ -301,11 +302,12 @@ def bb_check(config):
             )
             u, diag = compensation.bb_reconstruct(plan, data)
             if phase == "calibrate":
-                c_pure = max(c_pure, (l2_norm(grid, u) / max(diag.g_l1, 1e-300)) ** 2)
+                calibration.append((l2_norm(grid, u) / max(diag.g_l1, 1e-300)) ** 2)
             else:
+                c_pure = worst_of(calibration)
                 bound = l2_norm(grid, v) ** 2 + c_pure * diag.g_l1**2
                 slacks.append(l2_norm(grid, u) ** 2 / bound)
-    report.add("rotated_data_constant", max(slacks), 1.05)
+    report.add("rotated_data_constant", worst_of(slacks), 1.05)
 
     # real-part recovery: pairing identity and refinement-stable constant
     def c_at(n, seed):
@@ -328,15 +330,15 @@ def bb_check(config):
         return diag.re_sq / max(diag.im_sq + diag.g_l1**2, 1e-300), ident
 
     base_n = grid.n
-    worst_ident = 0.0
-    worst_stab = 0.0
+    idents = []
+    drifts = []
     for k in range(3):
         c1, i1 = c_at(base_n, config.seed + 77 + k)
         c2, i2 = c_at(2 * base_n, config.seed + 77 + k)
-        worst_ident = max(worst_ident, i1, i2)
-        worst_stab = max(worst_stab, abs(c1 - c2) / max(c1, c2))
-    report.add("pairing_identity_rel_err", worst_ident, 1e-8)
-    report.add("real_part_constant_refinement_drift", worst_stab, 0.10)
+        idents += [i1, i2]
+        drifts.append(abs(c1 - c2) / max(c1, c2))
+    report.add("pairing_identity_rel_err", worst_of(idents), 1e-8)
+    report.add("real_part_constant_refinement_drift", worst_of(drifts), 0.10)
     return report
 
 
@@ -370,7 +372,7 @@ def wente_check(config):
             )
         _, dd = compensation.wente_solve(plan_n, aa, bb)
         ratios.append(dd.ratio_linf)
-    drift = max(abs(r - ratios[-1]) / ratios[-1] for r in ratios)
+    drift = worst_of(abs(r - ratios[-1]) / ratios[-1] for r in ratios)
     report.add("linf_ratio_refinement_drift", drift, 0.10)
 
     trials = config.trials or 100
@@ -402,8 +404,7 @@ def gauge_sweep(config):
     )
     eps_values = (0.01, 0.05, 0.1)
     rows = []
-    worst_res = 0.0
-    worst_steps = 0
+    recs = []
     for eps in eps_values:
         rec = contraction_run(
             plan, config.seed + int(eps * 1000), eps, tol=config.tol
@@ -415,11 +416,10 @@ def gauge_sweep(config):
                 rec["steps"],
             ]
         )
-        worst_res = max(worst_res, rec["residual"])
-        worst_steps = max(worst_steps, rec["steps"])
+        recs.append(rec)
         report.add(f"theta_eps_{eps}", rec["theta"], None)
-    report.add("max_residual", worst_res, 1e-8)
-    report.add("max_continuation_steps", float(worst_steps), 64)
+    report.add("max_residual", worst_of(r["residual"] for r in recs), 1e-8)
+    report.add("max_continuation_steps", worst_of(r["steps"] for r in recs), 64)
 
     rng = np.random.default_rng(config.seed + 3)
     n = plan.grid.n
@@ -468,25 +468,26 @@ def reformulate(config):
     report.add("constant_s_div_residual", diag["div_residual"], 1e-10)
     report.add("constant_s_potential_residual", diag["lsq_residual"], 1e-10)
     r_l, r_r = systems.holo_split_residual(plan, const_sys)
-    report.add("constant_s_holo_split", max(r_l, r_r), 1e-8)
+    report.add("constant_s_holo_split", worst_of([r_l, r_r]), 1e-8)
 
-    worst = {"div": 0.0, "holo": 0.0, "n2": 0.0, "quat": 0.0, "equiv": 0.0}
+    ledger = {"div": [], "holo": [], "n2": [], "quat": [], "equiv": []}
     for mode in ("conjugated_harmonic", "adapted_frame"):
         sys = systems.manufacture_solution(
             plan, mode, rng, grad_alpha=min(config.eps0, 0.1)
         )
         validate_chirality(sys.chirality, tol=1e-9)
         _, diag = systems.conjugate_potential(plan, sys.chirality, sys.u)
-        worst["div"] = max(worst["div"], diag["div_residual"])
+        ledger["div"].append(diag["div_residual"])
         r_l, r_r = systems.holo_split_residual(plan, sys)
-        worst["holo"] = max(worst["holo"], r_l, r_r)
+        ledger["holo"] += [r_l, r_r]
         f, res_n2 = systems.n2_transform(plan, sys.alpha, sys.u, sys.v)
-        worst["n2"] = max(worst["n2"], res_n2)
+        ledger["n2"].append(res_n2)
         frak = sys.frak_f()
         rq = systems.quaternion_residual(plan, frak, sys.alpha, sign=-1)
-        worst["quat"] = max(worst["quat"], rq)
+        ledger["quat"].append(rq)
         rc = systems.complex_pair_residual(plan, f, sys.alpha, sign=-1)
-        worst["equiv"] = max(worst["equiv"], abs(rq - rc))
+        ledger["equiv"].append(abs(rq - rc))
+    worst = {key: worst_of(vals) for key, vals in ledger.items()}
     report.add("frame_div_residual", worst["div"], 1e-8)
     report.add("holo_split_residual", worst["holo"], 1e-8)
     report.add("n2_equation_residual", worst["n2"], 1e-8)
@@ -529,12 +530,12 @@ def reformulate(config):
         doubled.certificate["componentwise_match"],
         1e-10,
     )
-    closure = 0.0
+    defects = []
     for _ in range(5):
         m1 = random_asd(rng, (4, 4), 4)
         m2 = random_asd(rng, (4, 4), 4)
-        closure = max(closure, qp_dagger_defect(qp_commutator(m1, m2)))
-    report.add("hyper_unitary_closure", closure, 1e-12)
+        defects.append(qp_dagger_defect(qp_commutator(m1, m2)))
+    report.add("hyper_unitary_closure", worst_of(defects), 1e-12)
     return report
 
 
@@ -553,17 +554,20 @@ def contraction(config):
         [config.seed + k for k in range(seeds)],
     )
     factors = [r["factor"] for r in recs]
-    report.add("quaternion_factor_max", max(factors), 1.0)
-    report.add("quaternion_residual_max", max(r["residual"] for r in recs), 1e-8)
+    report.add("quaternion_factor_max", worst_of(factors), 1.0)
+    report.add("quaternion_residual_max", worst_of(r["residual"] for r in recs), 1e-8)
+    # a stalled gauge or a failed precondition is a failed trial
+    report.add("quaternion_stalled_trials", float(sum(r["stalled"] for r in recs)), 0)
+    report.add("quaternion_errored_trials", float(sum("error" in r for r in recs)), 0)
 
     m_recs = [
         matrix_contraction_run(plan, config.seed + 100 + k, level)
         for k in range(max(2, seeds // 4))
     ]
-    report.add("matrix_factor_max", max(r["factor"] for r in m_recs), 1.0)
+    report.add("matrix_factor_max", worst_of(r["factor"] for r in m_recs), 1.0)
     report.add(
         "matrix_absorbed_residual_max",
-        max(r["absorbed_residual"] for r in m_recs),
+        worst_of(r["absorbed_residual"] for r in m_recs),
         1e-7,
     )
 
@@ -718,16 +722,19 @@ def morrey_decay(config):
             for r in ladder:
                 num = lorentz_weak_l2(grid, mag, Ball((cx, cy), delta * r))
                 den = lorentz_weak_l2(grid, mag, Ball((cx, cy), r))
-                if den > 0:
+                if den != 0.0:  # a NaN norm must reach the gate
                     gammas.append(num / den)
         fit = norms.morrey_profile(grid, mag, centers[0], ladder[::-1])
-        return rec, max(gammas), fit.alpha
+        return rec, worst_of(gammas), fit.alpha
 
     results = [one(config.seed + k) for k in range(seeds)]
-    gamma_max = max(g for _, g, _ in results)
+    gamma_max = worst_of(g for _, g, _ in results)
     alphas = [a for _, _, a in results if a is not None]
     report.add("one_step_gamma_max", gamma_max, 1.0)
-    report.add("fitted_decay_exponent_min", min(alphas), 0.0, higher_is_better=True)
+    report.add(
+        "fitted_decay_exponent_min", worst_of(alphas, higher_is_better=True), 0.0,
+        higher_is_better=True,
+    )
 
     center = (grid.length / 2, grid.length / 2)
     harm = _harmonic_control(grid, center, ladder[0], delta)
@@ -790,12 +797,12 @@ def bootstrap_demo(config):
     def star(p):
         return 2 * p / (2 - p)
 
-    worst = 0.0
+    defects = []
     for p in (1.2, 1.5, 1.8):
         ps = star(p)
         back = 2 * ps / (ps + 2)
-        worst = max(worst, abs(back - p))
-    report.add("exponent_fixed_point_defect", worst, 1e-14)
+        defects.append(abs(back - p))
+    report.add("exponent_fixed_point_defect", worst_of(defects), 1e-14)
     report.add("losing_map_at_4", 2 * 4 / (4 + 2), None)  # 4/3 < 2
 
     sys = systems.manufacture_solution(
@@ -807,7 +814,7 @@ def bootstrap_demo(config):
     sx, sy = plan.dx(s), plan.dy(s)
     grad_s_l2 = np.sqrt(l2_norm(grid, sx) ** 2 + l2_norm(grid, sy) ** 2)
     rows = []
-    hoelder_worst = 0.0
+    hoelder = []
     for p in (1.2, 1.5, 1.8):
         ps = star(p)
         wx, wy = plan.dx(w), plan.dy(w)
@@ -816,9 +823,9 @@ def bootstrap_demo(config):
         tx = np.einsum("...jl,...lm,...m->...j", sx, s, w)
         ty = np.einsum("...jl,...lm,...m->...j", sy, s, w)
         term_p = norms.lp_norm(grid, np.sqrt(np.sum(tx**2 + ty**2, axis=-1)), p)
-        hoelder_worst = max(hoelder_worst, term_p / (grad_s_l2 * w_ps))
+        hoelder.append(term_p / (grad_s_l2 * w_ps))
         rows.append([float(p), float(ps), float(grad_w_p), float(w_ps), float(term_p)])
-    report.add("hoelder_ratio_max", hoelder_worst, 1.0)
+    report.add("hoelder_ratio_max", worst_of(hoelder), 1.0)
     write_csv(
         os.path.join(config.out, "bootstrap_demo.csv"),
         ["p", "p_star", "grad_w_lp", "w_lpstar", "coupling_lp"],
@@ -833,7 +840,8 @@ def jms_experiment(config):
 
     study = jms.jms_residual_study(params, grids=(128, 256, 512), excision=0.1)
     report.add(
-        "weak_residual_order_min", min(study["orders"]["weak_residual"]), 2.0,
+        "weak_residual_order_min",
+        worst_of(study["orders"]["weak_residual"], higher_is_better=True), 2.0,
         higher_is_better=True,
     )
     report.add("parity_defect", study["parity_defect"], 1e-12)
@@ -844,22 +852,19 @@ def jms_experiment(config):
     grad = jms.jms_solution_gradient(x, params)
     agrad = jms.jms_matrix_gradient(x, params)
     h = 1e-6
-    worst_u = 0.0
-    worst_a = 0.0
+    errs_u = []
+    errs_a = []
     for k in range(2):
         xp = x.copy()
         xp[:, k] += h
         xm = x.copy()
         xm[:, k] -= h
         fd = (jms.jms_solution(xp, params) - jms.jms_solution(xm, params)) / (2 * h)
-        worst_u = max(worst_u, float(np.max(np.abs(fd - grad[:, k])) / np.max(np.abs(fd))))
+        errs_u.append(np.max(np.abs(fd - grad[:, k])) / np.max(np.abs(fd)))
         fda = (jms.jms_matrix(xp, params) - jms.jms_matrix(xm, params)) / (2 * h)
-        worst_a = max(
-            worst_a,
-            float(np.max(np.abs(fda - agrad[..., k])) / np.max(np.abs(fda))),
-        )
-    report.add("solution_gradient_fd_rel_err", worst_u, 1e-6)
-    report.add("matrix_gradient_fd_rel_err", worst_a, 1e-6)
+        errs_a.append(np.max(np.abs(fda - agrad[..., k])) / np.max(np.abs(fda)))
+    report.add("solution_gradient_fd_rel_err", worst_of(errs_u), 1e-6)
+    report.add("matrix_gradient_fd_rel_err", worst_of(errs_a), 1e-6)
 
     table = jms.jms_norm_divergence(params, p_values=(1.0, 1.5))
     rows = []

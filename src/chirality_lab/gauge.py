@@ -103,7 +103,8 @@ def _check_unit(q, tol=1e-10):
 def connection(plan, q):
     """The pure-quaternion pair X_l = q^-1 d_l q."""
     qc = qconj(q)
-    return qmul(qc, plan.dx(q)), qmul(qc, plan.dy(q))
+    qx, qy = plan.grad(q)
+    return qmul(qc, qx), qmul(qc, qy)
 
 
 def n_apply(plan, q, check=True):
@@ -111,9 +112,8 @@ def n_apply(plan, q, check=True):
     if check:
         _check_unit(q)
     x1, x2 = connection(plan, q)
-    div = plan.dx(x1) + plan.dy(x2)
     y = x1 - right_i(x2)
-    return div[..., 1], y[..., 2] + 1j * y[..., 3]
+    return plan.div(x1[..., 1], x2[..., 1]), y[..., 2] + 1j * y[..., 3]
 
 
 def _jk_of(x1, x2):
@@ -143,8 +143,7 @@ def _perturbation(plan, x1, x2, u):
     """L_q0(u) - L_1(u): commutator terms of the frozen connection."""
     c1 = qmul(x1, u) - qmul(u, x1)
     c2 = qmul(x2, u) - qmul(u, x2)
-    w = (plan.dx(c1) + plan.dy(c2))[..., 1]
-    return w, _jk_of(c1, c2)
+    return plan.div(c1[..., 1], c2[..., 1]), _jk_of(c1, c2)
 
 
 
@@ -317,7 +316,7 @@ def linearization_order(plan, u, ts=(0.1, 0.05, 0.025)):
 
 
 def grad_l2(plan, q):
-    gx, gy = plan.dx(q), plan.dy(q)
+    gx, gy = plan.grad(q)
     mag = qnorm(gx) ** 2 + qnorm(gy) ** 2
     return float(np.sqrt(np.sum(mag) * plan.grid.cell_measure))
 
@@ -333,13 +332,13 @@ def zeta_potential(plan, q, precondition_tol=1e-6):
     x1, x2 = connection(plan, q)
     a1 = x1[..., 1]
     a2 = x2[..., 1]
-    div = plan.dx(a1) + plan.dy(a2)
+    div = plan.div(a1, a2)
     gq = grad_l2(plan, q)
     scale = max(gq**2, 1e-300)
     dres = l2_norm(grid, div)
     if dres > precondition_tol * scale:
         raise PreconditionError("i-line of the connection is not divergence free", dres)
-    zeta = plan.inv_laplacian(plan.dx(a2) - plan.dy(a1))
+    zeta = plan.inv_laplacian(plan.curl(a1, a2))
     zx, zy = plan.grad(zeta)
     # a = mean(a) + grad_perp(zeta) when the divergence vanishes
     rel_res = np.sqrt(
@@ -389,30 +388,29 @@ def contraction_chain(plan, frak_f, omega, q, zeta, pre_tol=1e-6,
     a_field = plan.inv_laplacian(rhs)
 
     # identity check: d1[qf] - d2[q i f] = rhs up to the gauge residual
-    transport_res = l2_qfield(plan, plan.dx(qf) - plan.dy(qif) - rhs)
+    transport_res = l2_qfield(plan, plan.curl(qif, qf) - rhs)
 
     w = qmul(qmul(q, np.broadcast_to(I_UNIT, q.shape)), qconj(q))
-    ax, ay = plan.dx(a_field), plan.dy(a_field)
+    ax, ay = plan.grad(a_field)
     b = np.zeros_like(a_field)
     converged = False
     for it in range(b_max_iter):
-        bx, by = plan.dx(b), plan.dy(b)
+        bx, by = plan.grad(b)
         term1 = qmul(w, ax - by)
         term2 = qmul(w, ay + bx)
-        b_new = plan.inv_laplacian(-(plan.dx(term1) + plan.dy(term2)))
+        b_new = plan.inv_laplacian(-plan.div(term1, term2))
         change = float(np.max(qnorm(b_new - b)))
         b = b_new
         if change < b_tol * max(float(np.max(qnorm(b))), 1e-300):
             converged = True
             break
 
-    def weak_grad(field):
-        gx, gy = plan.dx(field), plan.dy(field)
+    def weak_grad(gx, gy):
         return lorentz_weak_l2(grid, np.sqrt(qnorm(gx) ** 2 + qnorm(gy) ** 2))
 
     weak_qf = lorentz_weak_l2(grid, qnorm(qf))
-    factor = (weak_grad(a_field) + weak_grad(b)) / max(weak_qf, 1e-300)
-    by = plan.dy(b)
+    bx, by = plan.grad(b)
+    factor = (weak_grad(ax, ay) + weak_grad(bx, by)) / max(weak_qf, 1e-300)
     recon = qf - (ax - by)
     harmonic_defect = float(qnorm(np.mean(recon, axis=(0, 1))))
     return {

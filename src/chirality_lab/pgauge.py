@@ -61,15 +61,16 @@ class PGaugeResult:
         )
 
 
-def _dpair(plan, m, deriv):
-    return deriv(m[0]), deriv(m[1])
+def _grad_pair(plan, m):
+    """Gradient of a complex-pair table as (d1 pair, d2 pair)."""
+    (x1, x2), (y1, y2) = plan.grad(m[0]), plan.grad(m[1])
+    return (x1, y1), (x2, y2)
 
 
 def p_connection(plan, p):
     pct = qp_conj_t(p)
-    x1 = qp_matmul(pct, _dpair(plan, p, plan.dx))
-    x2 = qp_matmul(pct, _dpair(plan, p, plan.dy))
-    return x1, x2
+    g1, g2 = _grad_pair(plan, p)
+    return qp_matmul(pct, g1), qp_matmul(pct, g2)
 
 
 def _jk_of(x1, x2):
@@ -88,8 +89,7 @@ def pn_apply(plan, p, check=True):
         if defect > 1e-9:
             raise ValueError(f"field is not hyper-unitary (defect {defect:.3e})")
     x1, x2 = p_connection(plan, p)
-    v = plan.dx(x1[0]) + plan.dy(x2[0])
-    return v, _jk_of(x1, x2)
+    return plan.div(x1[0], x2[0]), _jk_of(x1, x2)
 
 
 def pl1_solve(plan, v_rhs, t_rhs):
@@ -102,8 +102,7 @@ def pl1_solve(plan, v_rhs, t_rhs):
 def _perturbation(plan, x1, x2, u):
     c1x = _comm(x1, u)
     c2x = _comm(x2, u)
-    v = plan.dx(c1x[0]) + plan.dy(c2x[0])
-    return v, _jk_of(c1x, c2x)
+    return plan.div(c1x[0], c2x[0]), _jk_of(c1x, c2x)
 
 
 def _comm(x, u):
@@ -113,17 +112,9 @@ def _comm(x, u):
 
 
 def _entrywise_sobolev(plan, v):
-    total = 0.0
-    dim = v.shape[-1]
-    for i in range(dim):
-        for j in range(dim):
-            entry = v[..., i, j]
-            entry = entry - entry.mean()
-            total += (
-                sobolev_neg_1_2(plan, entry.real) ** 2
-                + sobolev_neg_1_2(plan, entry.imag) ** 2
-            )
-    return np.sqrt(total)
+    """Root sum of squares of the negative Sobolev norms of the real and
+    imaginary parts of each mean-removed entry of v."""
+    return sobolev_neg_1_2(plan, v - v.mean(axis=(0, 1)))
 
 
 def _residual_norms(plan, v, t):
@@ -171,8 +162,7 @@ def _projected_solve(plan, x1, x2, v_rhs, t_rhs, tol, max_iter):
 
 
 def p_grad_l2(plan, p):
-    gx = _dpair(plan, p, plan.dx)
-    gy = _dpair(plan, p, plan.dy)
+    gx, gy = _grad_pair(plan, p)
     mag = qp_frobenius(gx) ** 2 + qp_frobenius(gy) ** 2
     return float(np.sqrt(np.sum(mag) * plan.grid.cell_measure))
 
@@ -270,7 +260,7 @@ def chi_potential(plan, p, precondition_tol=1e-6):
     x1, x2 = p_connection(plan, p)
     a1 = x1[0]
     a2 = x2[0]
-    div = plan.dx(a1) + plan.dy(a2)
+    div = plan.div(a1, a2)
     gp = p_grad_l2(plan, p)
     scale = max(gp**2, 1e-300)
     dres = l2_norm(grid, div)
@@ -278,8 +268,8 @@ def chi_potential(plan, p, precondition_tol=1e-6):
         raise ValueError(
             f"1i-line of the connection is not divergence free ({dres:.3e})"
         )
-    chi = plan.inv_laplacian(plan.dx(a2) - plan.dy(a1))
-    cx, cy = plan.dx(chi), plan.dy(chi)
+    chi = plan.inv_laplacian(plan.curl(a1, a2))
+    cx, cy = plan.grad(chi)
     rel_res = np.sqrt(
         l2_norm(grid, (a1 - a1.mean(axis=(0, 1))) + cy) ** 2
         + l2_norm(grid, (a2 - a2.mean(axis=(0, 1))) - cx) ** 2
@@ -307,10 +297,9 @@ def absorbed_residual(plan, p, chi, gamma1, g_pair):
     pg = qp_matvec(p, g_pair)
     ig = (1j * g_pair[0], 1j * g_pair[1])
     pig = qp_matvec(p, ig)
-    lhs = tuple(
-        plan.dx(c1) - plan.dy(c2) for c1, c2 in zip(pg, pig)
-    )
-    dchi = 0.5 * (plan.dx(chi) - 1j * plan.dy(chi))
+    lhs = tuple(plan.curl(c2, c1) for c1, c2 in zip(pg, pig))
+    chi_x, chi_y = plan.grad(chi)
+    dchi = 0.5 * (chi_x - 1j * chi_y)
     m_tot = (-1j * dchi + gamma1[0], gamma1[1])
     rhs_inner = qp_matvec(m_tot, g_pair)
     rhs = qp_matvec(p, rhs_inner)
@@ -338,17 +327,15 @@ def p_contraction_chain(plan, p, chi, gamma1, g_pair, b_tol=1e-11, b_max_iter=40
     )
     w = qp_matmul(qp_matmul(p, i_eye), qp_conj_t(p))
 
-    ax = tuple(plan.dx(c) for c in a_pair)
-    ay = tuple(plan.dy(c) for c in a_pair)
+    ax, ay = _grad_pair(plan, a_pair)
     b = (np.zeros_like(a1), np.zeros_like(a2))
     converged = False
     for it in range(b_max_iter):
-        bx = tuple(plan.dx(c) for c in b)
-        by = tuple(plan.dy(c) for c in b)
+        bx, by = _grad_pair(plan, b)
         t1 = qp_matvec(w, (ax[0] - by[0], ax[1] - by[1]))
         t2 = qp_matvec(w, (ay[0] + bx[0], ay[1] + bx[1]))
         b_new = tuple(
-            plan.inv_laplacian(-(plan.dx(u1) + plan.dy(u2)))
+            plan.inv_laplacian(-plan.div(u1, u2))
             for u1, u2 in zip(t1, t2)
         )
         change = max(
@@ -361,15 +348,14 @@ def p_contraction_chain(plan, p, chi, gamma1, g_pair, b_tol=1e-11, b_max_iter=40
             converged = True
             break
 
-    def weak_grad(pair):
-        gx = tuple(plan.dx(c) for c in pair)
-        gy = tuple(plan.dy(c) for c in pair)
+    def weak_grad(gx, gy):
         return lorentz_weak_l2(
             grid, np.sqrt(_vec_mag(gx) ** 2 + _vec_mag(gy) ** 2)
         )
 
     weak_pg = lorentz_weak_l2(grid, _vec_mag(pg))
-    factor = (weak_grad(a_pair) + weak_grad(b)) / max(weak_pg, 1e-300)
+    bx, by = _grad_pair(plan, b)
+    factor = (weak_grad(ax, ay) + weak_grad(bx, by)) / max(weak_pg, 1e-300)
     return {
         "factor": float(factor),
         "absorbed_residual": res,

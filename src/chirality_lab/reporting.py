@@ -20,6 +20,7 @@ __all__ = [
     "ExperimentConfig",
     "Metric",
     "RunReport",
+    "worst_of",
     "atomic_write",
     "write_csv",
     "write_svg_chart",
@@ -136,6 +137,19 @@ class ExperimentConfig:
 
     def echo(self):
         return asdict(self)
+
+
+def worst_of(values, higher_is_better=False):
+    """The value a gate judges a batch by: the largest of values, or the
+    smallest when higher is better; NaN when any value is NaN or infinite.
+
+    Builtin max and min drop a NaN that does not come first
+    (max([0.5, nan]) == 0.5), so a failed trial could pass by its position.
+    """
+    vals = [float(v) for v in values]
+    if not all(np.isfinite(vals)):
+        return float("nan")
+    return min(vals) if higher_is_better else max(vals)
 
 
 @dataclass

@@ -12,6 +12,23 @@ Conventions, fixed once:
     grad_perp f = (-d2 f, d1 f)
 Odd symbols (single derivatives and the inverse of d_zbar) zero the Nyquist
 row/column so real fields stay real through round trips.
+
+Real tables go through the half spectrum: ``numpy.fft.rfft2`` over the grid
+axes keeps wavenumber columns 0..n//2 of the second axis, the symbol table is
+cut to the same columns, and ``irfft2`` with ``s=(n, n)`` returns a real
+table.  This equals the real part of the full-spectrum product because every
+symbol applied to real input (derivatives, Laplacian and its inverse, the
+dealiasing mask) is Hermitian, sym(-k) = conj(sym(k)), which the Nyquist
+policy above guarantees for the odd ones.  Complex tables, and the complex
+symbols d_z, d_zbar and their inverses, keep the full spectrum.  Operators
+that need several multipliers of the same input (grad, div, curl,
+hodge_decompose) transform each input once.  numpy.fft is used rather than
+scipy.fft: importing scipy.fft costs start-up time and memory that a run of
+the gauge chain otherwise never pays.
+
+``random_band_limited`` keeps its full-spectrum draw: it takes the real part
+of a spectrum that is not Hermitian, and a half-spectrum draw would change
+every seeded input.
 """
 
 import numpy as np
@@ -68,40 +85,78 @@ class SpectralPlan:
         self._inv_dzbar[ok] = 1.0 / self._sym_dzbar[ok]
         self._inv_dzbar_sq = self._inv_dzbar**2
 
+        kmax = np.pi * n / grid.length
+        self._keep = (np.abs(self.k1) < 2.0 / 3.0 * kmax) & (
+            np.abs(self.k2) < 2.0 / 3.0 * kmax
+        )
+
     # -- multiplier application ------------------------------------------
 
-    def _apply(self, sym, f):
-        f = np.asarray(f)
-        if f.ndim > 2:
-            sym = sym.reshape(sym.shape + (1,) * (f.ndim - 2))
-        return _ifft(sym * _fft(f))
+    def _spectra(self, *fs):
+        """Forward transforms of the tables fs and whether all are real;
+        half spectra when they are, full spectra otherwise."""
+        fs = [np.asarray(f) for f in fs]
+        real = all(np.isrealobj(f) for f in fs)
+        if real:
+            return [np.fft.rfft2(f, axes=(0, 1)) for f in fs], real
+        return [_fft(f) for f in fs], real
 
-    def _apply_real_op(self, sym, f):
-        out = self._apply(sym, f)
-        return out.real if np.isrealobj(f) else out
+    def _inverse(self, F, real):
+        if real:
+            return np.fft.irfft2(F, s=(self.grid.n, self.grid.n), axes=(0, 1))
+        return _ifft(F)
+
+    def _sym(self, sym, F):
+        """sym cut to the columns of the spectrum F and shaped to broadcast
+        over its trailing axes."""
+        sym = sym[:, : F.shape[1]]
+        return sym.reshape(sym.shape + (1,) * (F.ndim - 2))
+
+    # the spectra are fresh arrays, so multipliers are applied in place:
+    # fewer full-size temporaries, the same products
+
+    def _apply(self, sym, f):
+        """Multiplier sym applied to f; real f needs a Hermitian sym."""
+        (F,), real = self._spectra(f)
+        F *= self._sym(sym, F)
+        return self._inverse(F, real)
 
     # -- derivatives ------------------------------------------------------
 
     def dx(self, f):
-        return self._apply_real_op(self._sym_d1, f)
+        return self._apply(self._sym_d1, f)
 
     def dy(self, f):
-        return self._apply_real_op(self._sym_d2, f)
+        return self._apply(self._sym_d2, f)
 
     def grad(self, f):
-        return self.dx(f), self.dy(f)
+        (F,), real = self._spectra(f)
+        fx = self._inverse(self._sym(self._sym_d1, F) * F, real)
+        F *= self._sym(self._sym_d2, F)
+        return fx, self._inverse(F, real)
 
     def grad_perp(self, f):
-        return -self.dy(f), self.dx(f)
+        fx, fy = self.grad(f)
+        return -fy, fx
 
     def div(self, a1, a2):
-        return self.dx(a1) + self.dy(a2)
+        """d1 a1 + d2 a2 for component tables of one shape."""
+        (F1, F2), real = self._spectra(a1, a2)
+        F1 *= self._sym(self._sym_d1, F1)
+        F2 *= self._sym(self._sym_d2, F2)
+        F1 += F2
+        return self._inverse(F1, real)
 
     def curl(self, a1, a2):
-        return self.dx(a2) - self.dy(a1)
+        """d1 a2 - d2 a1 for component tables of one shape."""
+        (F1, F2), real = self._spectra(a1, a2)
+        F2 *= self._sym(self._sym_d1, F2)
+        F1 *= self._sym(self._sym_d2, F1)
+        F2 -= F1
+        return self._inverse(F2, real)
 
     def laplacian(self, f):
-        return self._apply_real_op(-self.k2abs, f)
+        return self._apply(-self.k2abs, f)
 
     def d_z(self, f):
         """(d1 - i d2)/2 on complex tables."""
@@ -112,22 +167,26 @@ class SpectralPlan:
 
     # quaternion Cauchy-Riemann-Fueter operators; i acts by component shuffle
     def d_left(self, q):
-        return 0.5 * (self.dx(q) - left_i(self.dy(q)))
+        qx, qy = self.grad(q)
+        return 0.5 * (qx - left_i(qy))
 
     def d_right(self, q):
-        return 0.5 * (self.dx(q) - right_i(self.dy(q)))
+        qx, qy = self.grad(q)
+        return 0.5 * (qx - right_i(qy))
 
     def d_left_bar(self, q):
-        return 0.5 * (self.dx(q) + left_i(self.dy(q)))
+        qx, qy = self.grad(q)
+        return 0.5 * (qx + left_i(qy))
 
     def d_right_bar(self, q):
-        return 0.5 * (self.dx(q) + right_i(self.dy(q)))
+        qx, qy = self.grad(q)
+        return 0.5 * (qx + right_i(qy))
 
     # -- inverses ---------------------------------------------------------
 
     def inv_laplacian(self, f):
         """Mean-zero g with Lap g = f - mean(f)."""
-        return self._apply_real_op(self._inv_lap, f)
+        return self._apply(self._inv_lap, f)
 
     def cauchy_solve(self, g):
         """Mean-zero h with d_zbar h = g - mean(g).
@@ -149,8 +208,12 @@ class SpectralPlan:
 
     def hodge_decompose(self, a1, a2):
         """Split a = grad(alpha) + grad_perp(beta) + constant mean vector."""
-        alpha = self.inv_laplacian(self.div(a1, a2))
-        beta = self.inv_laplacian(self.curl(a1, a2))
+        (F1, F2), real = self._spectra(a1, a2)
+        d1, d2, inv = (
+            self._sym(sym, F1) for sym in (self._sym_d1, self._sym_d2, self._inv_lap)
+        )
+        alpha = self._inverse(inv * (d1 * F1 + d2 * F2), real)
+        beta = self._inverse(inv * (d1 * F2 - d2 * F1), real)
         mean = np.array([np.mean(a1), np.mean(a2)])
         return alpha, beta, mean
 
@@ -177,15 +240,7 @@ class SpectralPlan:
         Standard product-dealiasing rule; iterative solvers apply it to
         their increments so pointwise products do not compound tails.
         """
-        f = np.asarray(f)
-        kmax = np.pi * self.grid.n / self.grid.length
-        keep = (np.abs(self.k1) < 2.0 / 3.0 * kmax) & (
-            np.abs(self.k2) < 2.0 / 3.0 * kmax
-        )
-        if f.ndim > 2:
-            keep = keep.reshape(keep.shape + (1,) * (f.ndim - 2))
-        out = _ifft(keep * _fft(f))
-        return out.real if np.isrealobj(f) else out
+        return self._apply(self._keep, f)
 
 
 def random_band_limited(plan, rng, kmax=None, rms=1.0, mean_zero=True):

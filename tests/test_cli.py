@@ -11,6 +11,7 @@ from chirality_lab.reporting import (
     ExperimentConfig,
     Metric,
     RunReport,
+    worst_of,
     write_svg_chart,
 )
 
@@ -48,6 +49,46 @@ def test_metric_pass_semantics():
     assert Metric("a", 0.99, 0.95, higher_is_better=True).passed is True
     assert Metric("a", 0.5, None).passed is None
     assert Metric("a", float("nan"), 1.0).passed is False
+
+
+def test_worst_of_propagates_non_finite_values():
+    nan = float("nan")
+    assert max([0.5, nan]) == 0.5  # the builtin hides a NaN that comes later
+    assert np.isnan(worst_of([0.5, nan]))
+    assert np.isnan(worst_of([nan, 0.5]))
+    assert np.isnan(worst_of([0.5, float("inf")]))
+    assert np.isnan(worst_of([2.0, -float("inf")], higher_is_better=True))
+    assert worst_of([0.5, 2.0, 1.0]) == 2.0
+    assert worst_of(iter([0.5, 2.0, 1.0]), higher_is_better=True) == 0.5
+
+
+def test_contraction_gates_fail_on_failed_trials(tmp_path, monkeypatch):
+    import chirality_lab.experiments as experiments
+
+    def quaternion_run(plan, seed, grad_alpha, tol=1e-8, eps0=None, perturb=0.0):
+        rec = {"seed": seed, "grad_alpha": grad_alpha, "grid_n": plan.grid.n,
+               "residual": 1e-10, "theta": 0.1, "steps": 16, "t_reached": 1.0,
+               "stalled": seed == 1, "factor": 0.5}
+        if seed == 2:  # a failed precondition records a NaN factor
+            rec.update(factor=float("nan"), error="precondition")
+        return rec
+
+    def matrix_run(plan, seed, grad_alpha, tol=1e-8):
+        return {"seed": seed, "grad_alpha": grad_alpha, "grid_n": plan.grid.n,
+                "residual": 1e-10, "theta": 0.1, "steps": 16,
+                "absorbed_residual": 1e-9, "factor": 0.5}
+
+    monkeypatch.setattr(experiments, "contraction_run", quaternion_run)
+    monkeypatch.setattr(experiments, "matrix_contraction_run", matrix_run)
+    report = run_experiment(ExperimentConfig(
+        experiment="contraction", grid_n=8, seed=0, trials=4, out=str(tmp_path)
+    ))
+    failed = {m.name for m in report.metrics if m.passed is False}
+    assert failed == {
+        "quaternion_factor_max", "quaternion_stalled_trials",
+        "quaternion_errored_trials",
+    }
+    assert not report.all_passed
 
 
 def test_report_round_trip():

@@ -11,8 +11,9 @@ from chirality_lab.hyperunitary import (
     qp_matmul,
     random_asd,
 )
-from chirality_lab.norms import l2_norm
+from chirality_lab.norms import l2_norm, sobolev_neg_1_2
 from chirality_lab.pgauge import (
+    _entrywise_sobolev,
     absorbed_residual,
     chi_potential,
     p_gauge_solve,
@@ -43,6 +44,22 @@ def smooth_asd_field(plan, rng, dim, scale):
                 + 1j * random_band_limited(plan, rng, kmax=2)
             )
     return project_asd((x, y))
+
+
+def test_entrywise_sobolev_batched_matches_entry_loop(plan):
+    rng = np.random.default_rng(20)
+    n = plan.grid.n
+    v = rng.standard_normal((n, n, 4, 4)) + 1j * rng.standard_normal((n, n, 4, 4))
+    v += rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    total = 0.0
+    for i in range(4):
+        for j in range(4):
+            entry = v[..., i, j] - v[..., i, j].mean()
+            total += (
+                sobolev_neg_1_2(plan, entry.real) ** 2
+                + sobolev_neg_1_2(plan, entry.imag) ** 2
+            )
+    assert _entrywise_sobolev(plan, v) == pytest.approx(np.sqrt(total), rel=1e-12)
 
 
 def test_exp_asd_is_unitary(plan):

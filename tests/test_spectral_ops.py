@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chirality_lab.field_core import (
     Grid2,
@@ -223,3 +224,90 @@ def test_nyquist_policy_keeps_real_fields_real(plan):
     F[:, 32] = 0.0
     target = np.fft.ifft2(F)
     assert l2_norm(plan.grid, res - target) < 1e-12 * l2_norm(plan.grid, f)
+
+
+# -- half-spectrum path against a full-spectrum reference ------------------
+
+half_spectrum_cases = given(
+    n=st.integers(4, 32).map(lambda k: 2 * k),
+    length=st.one_of(st.just(2.0 * np.pi), st.floats(0.5, 50.0)),
+    trailing=st.sampled_from([(), (4,), (2, 2)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+property_settings = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+def reference_symbols(n, length):
+    """Derivative and inverse-Laplacian symbols built apart from the plan: odd
+    symbols drop the Nyquist row/column, the inverse drops the zero mode."""
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=length / n)
+    k1, k2 = np.meshgrid(k, k, indexing="ij")
+    d1 = 1j * k1
+    d1[n // 2, :] = 0.0
+    d2 = 1j * k2
+    d2[:, n // 2] = 0.0
+    k2abs = k1**2 + k2**2
+    inv = np.zeros((n, n))
+    inv[k2abs > 0] = -1.0 / k2abs[k2abs > 0]
+    kmax = np.pi * n / length
+    keep = ((np.abs(k1) < 2 / 3 * kmax) & (np.abs(k2) < 2 / 3 * kmax)).astype(float)
+    return {"d1": d1, "d2": d2, "lap": -k2abs, "inv": inv, "keep": keep}
+
+
+def full_spectrum(terms):
+    """Real part of ifft2(sum sym * fft2(f)) over the grid axes."""
+    total = 0.0
+    for sym, f in terms:
+        sym = sym.reshape(sym.shape + (1,) * (f.ndim - 2))
+        total = total + sym * np.fft.fft2(f, axes=(0, 1))
+    return np.fft.ifft2(total, axes=(0, 1)).real
+
+
+def assert_matches(out, ref):
+    assert isinstance(out, np.ndarray) and out.dtype == np.float64
+    assert out.shape == ref.shape
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@half_spectrum_cases
+@property_settings
+def test_real_operators_match_full_spectrum(n, length, trailing, seed):
+    plan = SpectralPlan(Grid2(n, length=length))
+    s = reference_symbols(n, length)
+    rng = np.random.default_rng(seed)
+    # white noise carries every mode, Nyquist row and column included
+    f, a1, a2 = (rng.standard_normal((n, n) + trailing) for _ in range(3))
+    assert_matches(plan.dx(f), full_spectrum([(s["d1"], f)]))
+    assert_matches(plan.dy(f), full_spectrum([(s["d2"], f)]))
+    gx, gy = plan.grad(f)
+    assert_matches(gx, full_spectrum([(s["d1"], f)]))
+    assert_matches(gy, full_spectrum([(s["d2"], f)]))
+    assert_matches(plan.div(a1, a2), full_spectrum([(s["d1"], a1), (s["d2"], a2)]))
+    assert_matches(plan.curl(a1, a2), full_spectrum([(s["d1"], a2), (-s["d2"], a1)]))
+    assert_matches(plan.laplacian(f), full_spectrum([(s["lap"], f)]))
+    assert_matches(plan.inv_laplacian(f), full_spectrum([(s["inv"], f)]))
+    assert_matches(plan.dealias(f), full_spectrum([(s["keep"], f)]))
+    alpha, beta, _ = plan.hodge_decompose(a1, a2)
+    assert_matches(
+        alpha, full_spectrum([(s["inv"] * s["d1"], a1), (s["inv"] * s["d2"], a2)])
+    )
+    assert_matches(
+        beta, full_spectrum([(s["inv"] * s["d1"], a2), (-s["inv"] * s["d2"], a1)])
+    )
+
+
+@half_spectrum_cases
+@property_settings
+def test_shared_transforms_equal_separate_derivatives(n, length, trailing, seed):
+    plan = SpectralPlan(Grid2(n, length=length))
+    rng = np.random.default_rng(seed)
+    f, a1, a2 = (rng.standard_normal((n, n) + trailing) for _ in range(3))
+    gx, gy = plan.grad(f)
+    assert np.array_equal(gx, plan.dx(f)) and np.array_equal(gy, plan.dy(f))
+    assert rel_err(plan.div(a1, a2), plan.dx(a1) + plan.dy(a2)) < 1e-13
+    assert rel_err(plan.curl(a1, a2), plan.dx(a2) - plan.dy(a1)) < 1e-13
+    # complex tables keep the full spectrum and act on both parts
+    c = a1 + 1j * a2
+    assert np.iscomplexobj(plan.dx(c))
+    assert rel_err(plan.dx(c), plan.dx(a1) + 1j * plan.dx(a2)) < 1e-13
+    assert rel_err(plan.div(c, f), plan.div(a1, f) + 1j * plan.dx(a2)) < 1e-13
