@@ -13,10 +13,6 @@ import numpy as np
 __all__ = [
     "Grid2",
     "Quaternion",
-    "Field",
-    "field_map",
-    "field_zip",
-    "field_mean",
     "qmul",
     "qconj",
     "qinv",
@@ -34,10 +30,6 @@ __all__ = [
     "complex_pair_to_quat",
     "HAVE_COMPILED_KERNELS",
 ]
-
-
-class GridMismatchError(ValueError):
-    """Two fields on different grids were combined."""
 
 
 class Grid2:
@@ -300,48 +292,3 @@ def quat_exp(u, tol=1e-12):
     if abs(u.re) > tol:
         raise ValueError(f"quat_exp needs a pure quaternion, got re={u.re}")
     return Quaternion.from_array(qexp_pure(u.to_array()[None])[0])
-
-
-# ---------------------------------------------------------------------------
-# fields
-# ---------------------------------------------------------------------------
-
-
-class Field:
-    """A grid-indexed table of values.
-
-    data has shape (n, n, ...) with trailing axes for components; real,
-    complex, quaternion (..., 4) and matrix (..., m, m) tables all fit.
-    """
-
-    __slots__ = ("grid", "data")
-
-    def __init__(self, grid, data):
-        data = np.asarray(data)
-        if data.shape[:2] != (grid.n, grid.n):
-            raise ValueError(f"data shape {data.shape} does not match grid n={grid.n}")
-        self.grid = grid
-        self.data = data
-
-    def __repr__(self):
-        return f"Field(grid={self.grid!r}, shape={self.data.shape}, dtype={self.data.dtype})"
-
-
-def _check_grids(a, b):
-    if a.grid != b.grid:
-        raise GridMismatchError(f"grids differ: {a.grid!r} vs {b.grid!r}")
-
-
-def field_map(fn, field):
-    return Field(field.grid, fn(field.data))
-
-
-def field_zip(fn, a, b):
-    _check_grids(a, b)
-    return Field(a.grid, fn(a.data, b.data))
-
-
-def field_mean(field):
-    """Cell-measure weighted sum divided by total measure (a plain average)."""
-    data = field.data if isinstance(field, Field) else np.asarray(field)
-    return data.mean(axis=(0, 1))

@@ -1,4 +1,5 @@
-"""Coulomb-type gauge construction over the unit quaternions.
+"""Coulomb-type gauge construction over the unit quaternions, and the
+continuation loop it shares with the hyper-unitary gauge of pgauge.py.
 
 The nonlinear operator sends a unit-quaternion field q to
 
@@ -16,6 +17,17 @@ mean structurally, so targets must be mean-zero there.  The jk-plane mean
 of the image is quadratic near q = 1, so linear solves project it out;
 intermediate continuation levels track the path to basin accuracy and the
 endpoint Newton closes the mean where a solution exists.
+
+The quaternion and the hyper-unitary gauge are one algorithm over two
+algebras.  ``_continue`` (levels, damped Newton, line search, step halving,
+GaugeStall), ``_projected_solve`` and ``_residual_norms`` exist once and see
+the field only through an algebra object: ``_Quaternions`` here,
+``_HyperUnitary`` in pgauge.py.  Its members are the identity field and the
+zero increment, N, the perturbation L_p - L_1 of the frozen connection, the
+base solve L_1^-1, the Newton linear solve, the sup norm of an increment,
+dealiasing, the retraction p exp(s u), grad_l2 and the result type.
+Residual tables reduce over the grid axes (0, 1) and contract trailing
+axes, so the same norms serve (n, n) and (n, n, d, d) tables.
 """
 
 from dataclasses import dataclass
@@ -53,6 +65,12 @@ __all__ = [
 
 I_UNIT = np.array([0.0, 1.0, 0.0, 0.0])
 
+# continuation budget: smallest step before a stall, Newton steps per level,
+# inner iterations per Newton step
+DT_MIN = 1e-4
+MAX_NEWTON = 20
+MAX_INNER = 120
+
 
 class GaugeDivergence(RuntimeError):
     def __init__(self, message, contraction_estimate):
@@ -72,10 +90,6 @@ class GaugeConfig:
     eps0: float = 0.1
     tol: float = 1e-8
     dt: float = 1.0 / 16.0
-    dt_min: float = 1e-4
-    max_newton: int = 20
-    max_inner: int = 120
-    enforce_smallness: bool = True
 
 
 @dataclass
@@ -112,8 +126,7 @@ def n_apply(plan, q, check=True):
     if check:
         _check_unit(q)
     x1, x2 = connection(plan, q)
-    y = x1 - right_i(x2)
-    return plan.div(x1[..., 1], x2[..., 1]), y[..., 2] + 1j * y[..., 3]
+    return plan.div(x1[..., 1], x2[..., 1]), _jk_of(x1, x2)
 
 
 def _jk_of(x1, x2):
@@ -139,41 +152,32 @@ def l1_solve(plan, w_rhs, g_rhs):
     return u
 
 
-def _perturbation(plan, x1, x2, u):
-    """L_q0(u) - L_1(u): commutator terms of the frozen connection."""
-    c1 = qmul(x1, u) - qmul(u, x1)
-    c2 = qmul(x2, u) - qmul(u, x2)
-    return plan.div(c1[..., 1], c2[..., 1]), _jk_of(c1, c2)
-
-
-
-
 def _residual_norms(plan, w, g):
     """(negative-Sobolev norm of the i-part, L2 of the oscillatory jk-part,
-    L2 carried by the jk mean)."""
-    w0 = w - w.mean()
-    g_mean = g.mean()
-    g0 = g - g_mean
-    mean_l2 = abs(g_mean) * plan.grid.length
-    return sobolev_neg_1_2(plan, w0), l2_norm(plan.grid, g0), mean_l2
+    L2 carried by the jk mean); trailing matrix axes are contracted."""
+    w0 = w - w.mean(axis=(0, 1))
+    g_mean = g.mean(axis=(0, 1))
+    # builtin abs of a scalar mean: np.abs can differ from it in the last bit
+    mean_abs = abs(g_mean) if g_mean.ndim == 0 else np.sqrt(np.sum(np.abs(g_mean) ** 2))
+    mean_l2 = float(mean_abs * plan.grid.length)
+    return sobolev_neg_1_2(plan, w0), l2_norm(plan.grid, g - g_mean), mean_l2
 
 
-def _projected_solve(plan, x1, x2, w_rhs, g_rhs, tol, max_iter):
+def _projected_solve(alg, plan, x1, x2, w_rhs, g_rhs, tol, max_iter):
     """Mean-projected stationary iteration u <- L1^-1(rhs - pert(u));
     converges geometrically while the frozen connection is small."""
-    n = plan.grid.n
-    u = np.zeros((n, n, 4))
+    u = alg.zero(w_rhs)
     scale = max(np.abs(w_rhs).max(), np.abs(g_rhs).max(), 1e-300)
     prev = np.inf
     bad = 0
     change = np.inf
     for it in range(max_iter):
-        pw, pg = _perturbation(plan, x1, x2, u)
+        pw, pg = alg.perturbation(plan, x1, x2, u)
         rw = w_rhs - pw
-        u_new = l1_solve(plan, rw - rw.mean(), g_rhs - pg)
-        change = float(np.max(qnorm(u_new - u)))
+        u_new = alg.base_solve(plan, rw - rw.mean(axis=(0, 1)), g_rhs - pg)
+        change = alg.sup(u_new, u)
         u = u_new
-        if change < tol * max(scale, float(np.max(qnorm(u)))):
+        if change < tol * max(scale, alg.sup(u)):
             return u, it + 1
         if change > prev * 1.0001:
             bad += 1
@@ -187,7 +191,7 @@ def _projected_solve(plan, x1, x2, w_rhs, g_rhs, tol, max_iter):
     raise GaugeDivergence("iteration budget exhausted", change / max(prev, 1e-300))
 
 
-def lq_solve(plan, q0, w_rhs, g_rhs, tol=1e-11, max_iter=120):
+def lq_solve(plan, q0, w_rhs, g_rhs, tol=1e-11, max_iter=MAX_INNER):
     """Solve the mean-projected L_q0(u) = (w, g).
 
     The jk-plane mean is a 2-dimensional harmonic sector reachable only at
@@ -199,51 +203,94 @@ def lq_solve(plan, q0, w_rhs, g_rhs, tol=1e-11, max_iter=120):
     iteration stops contracting.
     """
     x1, x2 = connection(plan, q0)
-    return _projected_solve(plan, x1, x2, w_rhs, g_rhs, tol, max_iter)
+    return _projected_solve(_QUATERNIONS, plan, x1, x2, w_rhs, g_rhs, tol, max_iter)
 
 
-def _product_residual(plan, q, w_target, g_target, t):
-    """Returns (rw, rg, oscillatory residual, i-part, jk-part, jk-mean)."""
-    nw, ng = n_apply(plan, q, check=False)
-    rw = t * w_target - nw
-    rg = t * g_target - ng
-    ri, rjk, rmean = _residual_norms(plan, rw, rg)
-    return rw, rg, ri + rjk, ri, rjk, rmean
+class _Quaternions:
+    """Unit-quaternion fields (n, n, 4), pure-quaternion increments."""
+
+    line = "i-line"
+    w_dtype = float
+    result = GaugeResult
+
+    def identity(self, w):
+        q = self.zero(w)
+        q[..., 0] = 1.0
+        return q
+
+    def zero(self, w):
+        return np.zeros(w.shape + (4,))
+
+    def n_apply(self, plan, q):
+        return n_apply(plan, q, check=False)
+
+    def perturbation(self, plan, x1, x2, u):
+        """L_q0(u) - L_1(u): commutator terms of the frozen connection."""
+        c1 = qmul(x1, u) - qmul(u, x1)
+        c2 = qmul(x2, u) - qmul(u, x2)
+        return plan.div(c1[..., 1], c2[..., 1]), _jk_of(c1, c2)
+
+    def base_solve(self, plan, w, g):
+        return l1_solve(plan, w, g)
+
+    def linear_solve(self, plan, q, w, g, tol, max_iter):
+        return lq_solve(plan, q, w, g, tol=tol, max_iter=max_iter)
+
+    def sup(self, u, v=None):
+        """Sup norm of u, or of u - v."""
+        return float(np.max(qnorm(u if v is None else u - v)))
+
+    def dealias(self, plan, u):
+        return plan.dealias(u)
+
+    def retract(self, q, u, s):
+        return qnormalize(qmul(q, qexp_pure(s * u)))
+
+    def grad_l2(self, plan, q):
+        return grad_l2(plan, q)
 
 
-def gauge_solve(plan, w_target, g_target, config=None):
-    """Numerical continuation for N(q) = (w, g).
+_QUATERNIONS = _Quaternions()
 
-    Targets must have a mean-zero i-line part (structural on the torus).
-    Raises GaugeStall (carrying the partial result) when step halving
-    drops below config.dt_min.
+
+def _continue(alg, plan, w_target, g_target, config):
+    """Continuation for N(p) = (w, g) over the algebra alg: the levels t*(w, g)
+    are solved by damped Newton from the previous level's field.
+
+    A level that fails is retried at half the step; GaugeStall (carrying the
+    partial result at the last accepted t) is raised once the step drops
+    below DT_MIN.
     """
     cfg = config or GaugeConfig()
-    grid = plan.grid
-    w_target = np.asarray(w_target, dtype=float)
+    w_target = np.asarray(w_target, dtype=alg.w_dtype)
     g_target = np.asarray(g_target, dtype=complex)
+    w_mean = w_target.mean(axis=(0, 1))
     w_scale = max(float(np.max(np.abs(w_target))), 1e-300)
-    if abs(w_target.mean()) > 1e-10 * w_scale:
-        raise ValueError("the i-line target must be mean-zero on the torus")
-    target_size = sobolev_neg_1_2(plan, w_target - w_target.mean()) + l2_norm(
-        grid, g_target
+    if np.max(np.abs(w_mean)) > 1e-10 * w_scale:
+        raise ValueError(f"the {alg.line} target must be mean-zero on the torus")
+    target_size = sobolev_neg_1_2(plan, w_target - w_mean) + l2_norm(
+        plan.grid, g_target
     )
-    if cfg.enforce_smallness and target_size > cfg.eps0:
-        raise ValueError(
-            f"target norm {target_size:.3e} exceeds eps0 = {cfg.eps0}; "
-            "raise eps0 or disable enforce_smallness"
-        )
+    if target_size > cfg.eps0:
+        raise ValueError(f"target norm {target_size:.3e} exceeds eps0 = {cfg.eps0}")
 
-    q = np.zeros((grid.n, grid.n, 4))
-    q[..., 0] = 1.0
+    p = alg.identity(w_target)
     t = 0.0
     dt = cfg.dt
     steps = 0
 
+    def residual(p_now, t_now):
+        """(rw, rg, oscillatory residual, i-part, jk-part, jk-mean)."""
+        nw, ng = alg.n_apply(plan, p_now)
+        rw = t_now * w_target - nw
+        rg = t_now * g_target - ng
+        ri, rjk, rmean = _residual_norms(plan, rw, rg)
+        return rw, rg, ri + rjk, ri, rjk, rmean
+
     def finish(t_now):
-        _, _, _, ri, rjk, rmean = _product_residual(plan, q, w_target, g_target, t_now)
-        theta = grad_l2(plan, q) / target_size if target_size > 0 else 0.0
-        return GaugeResult(q, ri + rjk + rmean, ri, rjk, rmean, theta, steps, t_now)
+        _, _, _, ri, rjk, rmean = residual(p, t_now)
+        theta = alg.grad_l2(plan, p) / target_size if target_size > 0 else 0.0
+        return alg.result(p, ri + rjk + rmean, ri, rjk, rmean, theta, steps, t_now)
 
     tol_floor = max(cfg.tol, 1e-13 * max(target_size, 1.0))
 
@@ -257,47 +304,50 @@ def gauge_solve(plan, w_target, g_target, config=None):
 
     while t < 1.0 - 1e-12:
         t_next = min(t + dt, 1.0)
-        q_save = q.copy()
-        ok = False
-        rw, rg, res, _, _, rmean = _product_residual(plan, q, w_target, g_target, t_next)
-        for _ in range(cfg.max_newton):
+        p_level = p
+        rw, rg, res, _, _, rmean = residual(p, t_next)
+        for _ in range(MAX_NEWTON):
             if level_converged(res, rmean, t_next, dt):
-                ok = True
                 break
             try:
-                u, _ = lq_solve(
-                    plan, q, rw, rg, tol=1e-3 * res / max(target_size, 1e-300),
-                    max_iter=cfg.max_inner,
+                u, _ = alg.linear_solve(
+                    plan, p, rw, rg, 1e-3 * res / max(target_size, 1e-300), MAX_INNER
                 )
             except GaugeDivergence:
                 break
-            u = plan.dealias(u)
+            u = alg.dealias(plan, u)
             s = 1.0
-            improved = False
             while s >= 1.0 / 32.0:
-                q_try = qnormalize(qmul(q, qexp_pure(s * u)))
-                rw2, rg2, res2, _, _, rmean2 = _product_residual(
-                    plan, q_try, w_target, g_target, t_next
-                )
+                p_try = alg.retract(p, u, s)
+                rw2, rg2, res2, _, _, rmean2 = residual(p_try, t_next)
                 if res2 < res * (1.0 - 0.25 * s) or level_converged(
                     res2, rmean2, t_next, dt
                 ):
-                    q, rw, rg, res, rmean = q_try, rw2, rg2, res2, rmean2
-                    improved = True
+                    p, rw, rg, res, rmean = p_try, rw2, rg2, res2, rmean2
                     break
                 s *= 0.5
-            if not improved:
+            else:
                 break
-        if ok or level_converged(res, rmean, t_next, dt):
+        if level_converged(res, rmean, t_next, dt):
             t = t_next
             steps += 1
             dt = cfg.dt
         else:
-            q = q_save
+            p = p_level
             dt *= 0.5
-            if dt < cfg.dt_min:
+            if dt < DT_MIN:
                 raise GaugeStall(t, finish(t))
     return finish(1.0)
+
+
+def gauge_solve(plan, w_target, g_target, config=None):
+    """Numerical continuation for N(q) = (w, g) over unit quaternions.
+
+    Targets must have a mean-zero i-line part (structural on the torus).
+    Raises GaugeStall (carrying the partial result) when step halving
+    drops below DT_MIN.
+    """
+    return _continue(_QUATERNIONS, plan, w_target, g_target, config)
 
 
 def linearization_order(plan, u, ts=(0.1, 0.05, 0.025)):

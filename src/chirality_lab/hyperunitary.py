@@ -20,10 +20,7 @@ __all__ = [
     "qp_matvec",
     "qp_conj_t",
     "qp_dagger_defect",
-    "qp_left_i",
-    "qp_right_i",
     "qp_exp_asd",
-    "qp_identity_like",
     "qp_frobenius",
     "qp_commutator",
     "project_asd",
@@ -66,22 +63,6 @@ def qp_dagger_defect(m):
     return max(
         float(np.max(np.abs(ct[0] + m[0]))), float(np.max(np.abs(ct[1] + m[1])))
     )
-
-
-def qp_left_i(m):
-    x, y = m
-    return 1j * x, 1j * y
-
-
-def qp_right_i(m):
-    x, y = m
-    return 1j * x, -1j * y
-
-
-def qp_identity_like(m):
-    x, _ = m
-    eye = np.eye(x.shape[-1], dtype=complex)
-    return np.broadcast_to(eye, x.shape).copy(), np.zeros_like(x)
 
 
 def qp_frobenius(m):

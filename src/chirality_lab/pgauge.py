@@ -1,26 +1,28 @@
 """Gauge construction over quaternion-unitary matrix fields.
 
-Mirror of the scalar gauge layer for fields P with conj(P)^t P = I,
-acting on the doubled 2n-component systems.  Matrices are carried in the
-complex-pair representation (X, Y) of hyperunitary.py: the 1i-plane of a
-quaternion matrix is its X part, the jk-plane its Y part.
+Fields P with conj(P)^t P = I act on the doubled 2n-component systems.
+Matrices are carried in the complex-pair representation (X, Y) of
+hyperunitary.py: the 1i-plane of a quaternion matrix is its X part, the
+jk-plane its Y part.
 
 The operator is
 
     N(P) = ( 1i-part of div(P^-1 grad P),
              jk-part of P^-1 d1 P - (P^-1 d2 P) i )
 
-with the same torus mean bookkeeping as the scalar case: intermediate
-continuation levels converge the mean-projected residual, the jk mean is
-closed at the endpoint.
+and p_gauge_solve runs the continuation of gauge.py over the hyper-unitary
+algebra below, with the same torus mean bookkeeping as the quaternion
+gauge: intermediate levels converge the mean-projected residual, the jk
+mean is closed at the endpoint.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from chirality_lab.gauge import GaugeConfig, GaugeDivergence, GaugeStall
+from chirality_lab.gauge import GaugeStall, _continue, _projected_solve
 from chirality_lab.hyperunitary import (
+    qp_commutator,
     qp_conj_t,
     qp_dagger_defect,
     qp_exp_asd,
@@ -28,7 +30,7 @@ from chirality_lab.hyperunitary import (
     qp_matmul,
     qp_matvec,
 )
-from chirality_lab.norms import l2_norm, lorentz_l21, lorentz_weak_l2, sobolev_neg_1_2
+from chirality_lab.norms import l2_norm, lorentz_l21, lorentz_weak_l2
 
 __all__ = [
     "PGaugeResult",
@@ -53,12 +55,15 @@ class PGaugeResult:
 
     @property
     def unitarity_defect(self):
-        prod = qp_matmul(qp_conj_t(self.p), self.p)
-        dim = prod[0].shape[-1]
-        eye = np.eye(dim)
-        return max(
-            float(np.max(np.abs(prod[0] - eye))), float(np.max(np.abs(prod[1])))
-        )
+        return _unitarity_defect(self.p)
+
+
+def _unitarity_defect(p):
+    """max |conj(P)^t P - I| over both parts of the pair."""
+    x, y = qp_matmul(qp_conj_t(p), p)
+    return max(
+        float(np.max(np.abs(x - np.eye(x.shape[-1])))), float(np.max(np.abs(y)))
+    )
 
 
 def _grad_pair(plan, m):
@@ -81,11 +86,7 @@ def _jk_of(x1, x2):
 def pn_apply(plan, p, check=True):
     """N(P) as (complex skew-Hermitian table V, complex symmetric table T)."""
     if check:
-        prod = qp_matmul(qp_conj_t(p), p)
-        eye = np.eye(prod[0].shape[-1])
-        defect = max(
-            float(np.max(np.abs(prod[0] - eye))), float(np.max(np.abs(prod[1])))
-        )
+        defect = _unitarity_defect(p)
         if defect > 1e-9:
             raise ValueError(f"field is not hyper-unitary (defect {defect:.3e})")
     x1, x2 = p_connection(plan, p)
@@ -94,71 +95,7 @@ def pn_apply(plan, p, check=True):
 
 def pl1_solve(plan, v_rhs, t_rhs):
     """Invert the base linearization: Lap X_u = V, 2 d_zbar Y_u = T."""
-    xu = plan.inv_laplacian(v_rhs)
-    yu = plan.cauchy_solve(0.5 * t_rhs)
-    return xu, yu
-
-
-def _perturbation(plan, x1, x2, u):
-    c1x = _comm(x1, u)
-    c2x = _comm(x2, u)
-    return plan.div(c1x[0], c2x[0]), _jk_of(c1x, c2x)
-
-
-def _comm(x, u):
-    a = qp_matmul(x, u)
-    b = qp_matmul(u, x)
-    return a[0] - b[0], a[1] - b[1]
-
-
-def _entrywise_sobolev(plan, v):
-    """Root sum of squares of the negative Sobolev norms of the real and
-    imaginary parts of each mean-removed entry of v."""
-    return sobolev_neg_1_2(plan, v - v.mean(axis=(0, 1)))
-
-
-def _residual_norms(plan, v, t):
-    v0 = v - v.mean(axis=(0, 1))
-    t_mean = t.mean(axis=(0, 1))
-    t0 = t - t_mean
-    r1 = _entrywise_sobolev(plan, v0)
-    rjk = l2_norm(plan.grid, t0)
-    rmean = float(np.sqrt(np.sum(np.abs(t_mean) ** 2)) * plan.grid.length)
-    return r1, rjk, rmean
-
-
-def _projected_solve(plan, x1, x2, v_rhs, t_rhs, tol, max_iter):
-    shape = v_rhs.shape
-    u = (np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex))
-    scale = max(np.abs(v_rhs).max(), np.abs(t_rhs).max(), 1e-300)
-    prev = np.inf
-    bad = 0
-    for it in range(max_iter):
-        pv, pt = _perturbation(plan, x1, x2, u)
-        rv = v_rhs - pv
-        rv = rv - rv.mean(axis=(0, 1))
-        u_new = pl1_solve(plan, rv, t_rhs - pt)
-        change = max(
-            float(np.max(np.abs(u_new[0] - u[0]))),
-            float(np.max(np.abs(u_new[1] - u[1]))),
-        )
-        u = u_new
-        size = max(float(np.max(np.abs(u[0]))), float(np.max(np.abs(u[1]))))
-        if change < tol * max(scale, size):
-            return u, it + 1
-        if change > prev * 1.0001:
-            bad += 1
-            if bad >= 4:
-                raise GaugeDivergence(
-                    "matrix preconditioned iteration diverges",
-                    change / max(prev, 1e-300),
-                )
-        else:
-            bad = 0
-        prev = change
-    raise GaugeDivergence(
-        "matrix iteration budget exhausted", change / max(prev, 1e-300)
-    )
+    return plan.inv_laplacian(v_rhs), plan.cauchy_solve(0.5 * t_rhs)
 
 
 def p_grad_l2(plan, p):
@@ -167,91 +104,58 @@ def p_grad_l2(plan, p):
     return float(np.sqrt(np.sum(mag) * plan.grid.cell_measure))
 
 
+class _HyperUnitary:
+    """Hyper-unitary fields and anti-self-dual increments as (X, Y) pairs
+    of (n, n, d, d) tables."""
+
+    line = "1i-line"
+    w_dtype = complex
+    result = PGaugeResult
+
+    def identity(self, v):
+        eye = np.broadcast_to(np.eye(v.shape[-1], dtype=complex), v.shape)
+        return eye.copy(), np.zeros_like(eye)
+
+    def zero(self, v):
+        return np.zeros(v.shape, dtype=complex), np.zeros(v.shape, dtype=complex)
+
+    def n_apply(self, plan, p):
+        return pn_apply(plan, p, check=False)
+
+    def perturbation(self, plan, x1, x2, u):
+        c1 = qp_commutator(x1, u)
+        c2 = qp_commutator(x2, u)
+        return plan.div(c1[0], c2[0]), _jk_of(c1, c2)
+
+    def base_solve(self, plan, v, t):
+        return pl1_solve(plan, v, t)
+
+    def linear_solve(self, plan, p, v, t, tol, max_iter):
+        x1, x2 = p_connection(plan, p)
+        return _projected_solve(self, plan, x1, x2, v, t, tol, max_iter)
+
+    def sup(self, u, v=None):
+        """Sup norm of u, or of u - v."""
+        if v is not None:
+            u = (u[0] - v[0], u[1] - v[1])
+        return max(float(np.max(np.abs(u[0]))), float(np.max(np.abs(u[1]))))
+
+    def dealias(self, plan, u):
+        return plan.dealias(u[0]), plan.dealias(u[1])
+
+    def retract(self, p, u, s):
+        return qp_matmul(p, qp_exp_asd((s * u[0], s * u[1])))
+
+    def grad_l2(self, plan, p):
+        return p_grad_l2(plan, p)
+
+
+_HYPER_UNITARY = _HyperUnitary()
+
+
 def p_gauge_solve(plan, v_target, t_target, config=None):
     """Continuation solve of N(P) = (V, T) over hyper-unitary fields."""
-    cfg = config or GaugeConfig()
-    grid = plan.grid
-    v_target = np.asarray(v_target, dtype=complex)
-    t_target = np.asarray(t_target, dtype=complex)
-    dim = v_target.shape[-1]
-    v_scale = max(float(np.max(np.abs(v_target))), 1e-300)
-    if np.max(np.abs(v_target.mean(axis=(0, 1)))) > 1e-10 * v_scale:
-        raise ValueError("the 1i-line target must be mean-zero on the torus")
-    target_size = _entrywise_sobolev(plan, v_target) + l2_norm(grid, t_target)
-    if cfg.enforce_smallness and target_size > cfg.eps0:
-        raise ValueError(
-            f"target norm {target_size:.3e} exceeds eps0 = {cfg.eps0}"
-        )
-
-    eye = np.broadcast_to(np.eye(dim, dtype=complex), (grid.n, grid.n, dim, dim))
-    p = (eye.copy(), np.zeros_like(eye))
-    t = 0.0
-    dt = cfg.dt
-    steps = 0
-
-    def residual_at(p_now, t_now):
-        nv, nt = pn_apply(plan, p_now, check=False)
-        rv = t_now * v_target - nv
-        rt = t_now * t_target - nt
-        r1, rjk, rmean = _residual_norms(plan, rv, rt)
-        return rv, rt, r1 + rjk, rmean
-
-    def finish(t_now):
-        rv, rt, _, _ = residual_at(p, t_now)
-        r1, rjk, rm = _residual_norms(plan, rv, rt)
-        theta = p_grad_l2(plan, p) / target_size if target_size > 0 else 0.0
-        return PGaugeResult(p, r1 + rjk + rm, r1, rjk, rm, theta, steps, t_now)
-
-    tol_floor = max(cfg.tol, 1e-13 * max(target_size, 1.0))
-
-    def converged(res_osc, rmean, t_now, dt_now):
-        if t_now >= 1.0 - 1e-12:
-            return res_osc + rmean <= tol_floor
-        return res_osc <= max(tol_floor, 0.02 * dt_now * target_size)
-
-    while t < 1.0 - 1e-12:
-        t_next = min(t + dt, 1.0)
-        p_save = (p[0].copy(), p[1].copy())
-        ok = False
-        rv, rt, res, rmean = residual_at(p, t_next)
-        for _ in range(cfg.max_newton):
-            if converged(res, rmean, t_next, dt):
-                ok = True
-                break
-            x1, x2 = p_connection(plan, p)
-            try:
-                u, _ = _projected_solve(
-                    plan, x1, x2, rv, rt,
-                    1e-3 * res / max(target_size, 1e-300), cfg.max_inner,
-                )
-            except GaugeDivergence:
-                break
-            u = (plan.dealias(u[0]), plan.dealias(u[1]))
-            s = 1.0
-            improved = False
-            while s >= 1.0 / 32.0:
-                step = qp_exp_asd((s * u[0], s * u[1]))
-                p_try = qp_matmul(p, step)
-                rv2, rt2, res2, rmean2 = residual_at(p_try, t_next)
-                if res2 < res * (1.0 - 0.25 * s) or converged(
-                    res2, rmean2, t_next, dt
-                ):
-                    p, rv, rt, res, rmean = p_try, rv2, rt2, res2, rmean2
-                    improved = True
-                    break
-                s *= 0.5
-            if not improved:
-                break
-        if ok or converged(res, rmean, t_next, dt):
-            t = t_next
-            steps += 1
-            dt = cfg.dt
-        else:
-            p = p_save
-            dt *= 0.5
-            if dt < cfg.dt_min:
-                raise GaugeStall(t, finish(t))
-    return finish(1.0)
+    return _continue(_HYPER_UNITARY, plan, v_target, t_target, config)
 
 
 def chi_potential(plan, p, precondition_tol=1e-6):

@@ -202,25 +202,30 @@ def test_criterion_7_gauge_solver(tmp_path):
 def test_criterion_8_contraction_chain(tmp_path):
     plan = SpectralPlan(Grid2(64))
     factors = []
+    t_reached = []  # a stalled gauge of either path is a failed trial
     for k in range(20):
         rec = experiments.contraction_run(plan, 5000 + k, 0.1)
         factors.append(rec["factor"])
+        t_reached.append(rec["t_reached"])
     m_factors = []
     m_gammas = []
     for k in range(20):
         rec = experiments.matrix_contraction_run(plan, 6000 + k, 0.1)
         m_factors.append(rec["factor"])
         m_gammas.append(rec["gamma_l2"])
-    neg = experiments.contraction_run(plan, 7000, 2.0, tol=1e-6, eps0=10.0)
+        t_reached.append(rec["t_reached"])
     worst_q, worst_m, worst_gamma = (
         worst_of(v) for v in (factors, m_factors, m_gammas)
     )
     print(
         f"    quaternion factors max {worst_q:.2e}; matrix max "
         f"{worst_m:.2e} at ||Gamma||_2 ~ {worst_gamma:.3f}; "
-        f"negative control factor {neg.get('factor', float('nan')):.3f} (recorded)"
+        f"t reached min {min(t_reached)}"
     )
-    ok = worst_q < 1.0 and worst_m < 1.0 and worst_gamma <= 0.11
+    ok = (
+        worst_q < 1.0 and worst_m < 1.0 and worst_gamma <= 0.11
+        and all(t == 1.0 for t in t_reached)
+    )
     announce(8, "contraction factor < 1 over 20 seeds, both paths", ok)
 
 

@@ -74,8 +74,10 @@ def test_contraction_gates_fail_on_failed_trials(tmp_path, monkeypatch):
         return rec
 
     def matrix_run(plan, seed, grad_alpha, tol=1e-8):
+        # the second matrix trial is a partial gauge that stalled before t = 1
         return {"seed": seed, "grad_alpha": grad_alpha, "grid_n": plan.grid.n,
                 "residual": 1e-10, "theta": 0.1, "steps": 16,
+                "t_reached": 0.99 if seed == 101 else 1.0,
                 "absorbed_residual": 1e-9, "factor": 0.5}
 
     monkeypatch.setattr(experiments, "contraction_run", quaternion_run)
@@ -86,7 +88,7 @@ def test_contraction_gates_fail_on_failed_trials(tmp_path, monkeypatch):
     failed = {m.name for m in report.metrics if m.passed is False}
     assert failed == {
         "quaternion_factor_max", "quaternion_stalled_trials",
-        "quaternion_errored_trials",
+        "quaternion_errored_trials", "matrix_partial_trials",
     }
     assert not report.all_passed
 

@@ -2,14 +2,9 @@ import numpy as np
 import pytest
 
 from chirality_lab.field_core import (
-    Field,
     Grid2,
-    GridMismatchError,
     Quaternion,
     complex_left,
-    field_map,
-    field_mean,
-    field_zip,
     left_i,
     left_j,
     qconj,
@@ -139,19 +134,6 @@ def test_grid_invariants():
     gs = Grid2(16, length=2.0, origin_singular=True)
     assert gs.offset == pytest.approx(g.spacing / 2)
     assert np.min(gs.x1**2 + gs.x2**2) > 0.0
-
-
-def test_field_ops_and_grid_identity():
-    g = Grid2(16)
-    other = Grid2(32)
-    f = Field(g, np.sin(2 * np.pi * g.x1 / g.length))
-    c = Field(g, np.full((16, 16), 2.5))
-    assert field_mean(c) == pytest.approx(2.5)
-    assert field_mean(f) == pytest.approx(0.0, abs=1e-14)
-    s = field_zip(lambda a, b: a + b, f, field_map(np.negative, f))
-    assert np.max(np.abs(s.data)) == 0.0
-    with pytest.raises(GridMismatchError):
-        field_zip(lambda a, b: a + b, f, Field(other, np.zeros((32, 32))))
 
 
 def test_compiled_and_numpy_kernels_agree():

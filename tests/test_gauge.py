@@ -153,11 +153,11 @@ def test_lq_solve_converges_small_q0(plan):
     u, iters = lq_solve(plan, q0, w, g)
     assert iters <= 20
     # forward-apply: L1(u) + commutator terms reproduce the right side
-    from chirality_lab.gauge import _perturbation
+    from chirality_lab.gauge import _QUATERNIONS
 
     x1, x2 = connection(plan, q0)
     lw, lg = l1_apply(plan, u)
-    pw, pg = _perturbation(plan, x1, x2, u)
+    pw, pg = _QUATERNIONS.perturbation(plan, x1, x2, u)
     res_w = l2_norm(plan.grid, lw + pw - w)
     res_g = l2_norm(plan.grid, (lg + pg) - g)
     scale = l2_norm(plan.grid, w) + l2_norm(plan.grid, g)

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from chirality_lab.field_core import Grid2
-from chirality_lab.gauge import GaugeConfig
+from chirality_lab.field_core import (
+    Grid2,
+    qconj,
+    qexp_pure,
+    qmul,
+    qnorm,
+    quat_to_complex_pair,
+)
+from chirality_lab.gauge import _QUATERNIONS, GaugeConfig, GaugeStall
 from chirality_lab.hyperunitary import (
     project_asd,
     qp_conj_t,
@@ -13,7 +21,8 @@ from chirality_lab.hyperunitary import (
 )
 from chirality_lab.norms import l2_norm, sobolev_neg_1_2
 from chirality_lab.pgauge import (
-    _entrywise_sobolev,
+    _HYPER_UNITARY,
+    _unitarity_defect,
     absorbed_residual,
     chi_potential,
     p_gauge_solve,
@@ -59,7 +68,8 @@ def test_entrywise_sobolev_batched_matches_entry_loop(plan):
                 sobolev_neg_1_2(plan, entry.real) ** 2
                 + sobolev_neg_1_2(plan, entry.imag) ** 2
             )
-    assert _entrywise_sobolev(plan, v) == pytest.approx(np.sqrt(total), rel=1e-12)
+    batched = sobolev_neg_1_2(plan, v - v.mean(axis=(0, 1)))
+    assert batched == pytest.approx(np.sqrt(total), rel=1e-12)
 
 
 def test_exp_asd_is_unitary(plan):
@@ -171,3 +181,76 @@ def test_chi_potential_identity(plan):
     p = (eye, np.zeros_like(eye))
     chi, diag = chi_potential(plan, p, precondition_tol=1.0)
     assert np.max(np.abs(chi)) == 0.0
+
+
+# -- the two algebras of the shared continuation ---------------------------
+
+algebra_settings = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+def as_pair(q):
+    """A quaternion table as a table of 1 x 1 quaternion matrices."""
+    z1, z2 = quat_to_complex_pair(q)
+    return z1[..., None, None], z2[..., None, None]
+
+
+def assert_pair_close(pair, q):
+    ref = as_pair(q)
+    scale = max(1.0, float(np.max(np.abs(q))))
+    for part, ref_part in zip(pair, ref):
+        assert part.shape == ref_part.shape
+        assert np.max(np.abs(part - ref_part)) <= 1e-13 * scale
+
+
+@given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 3.0))
+@algebra_settings
+def test_hyper_unitary_algebra_at_d1_is_the_quaternion_algebra(seed, scale):
+    rng = np.random.default_rng(seed)
+    a, b = (scale * rng.standard_normal((64, 4)) for _ in range(2))
+    assert_pair_close(qp_matmul(as_pair(a), as_pair(b)), qmul(a, b))
+    assert_pair_close(qp_conj_t(as_pair(a)), qconj(a))
+    u = a.copy()
+    u[:, 0] = 0.0  # pure quaternions are the 1 x 1 anti-self-dual matrices
+    assert qp_dagger_defect(as_pair(u)) == 0.0
+    assert_pair_close(qp_exp_asd(as_pair(u)), qexp_pure(u))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.sampled_from([1, 2, 4]),
+    scale=st.floats(1e-3, 2.0),
+    s=st.sampled_from([1.0, 0.5, 1.0 / 32.0]),
+)
+@algebra_settings
+def test_retractions_land_in_the_group(seed, dim, scale, s):
+    rng = np.random.default_rng(seed)
+    q = _QUATERNIONS.retract(
+        _QUATERNIONS.identity(np.zeros((8, 8))),
+        scale * np.insert(rng.standard_normal((8, 8, 3)), 0, 0.0, axis=-1), 1.0,
+    )
+    u = scale * np.insert(rng.standard_normal((8, 8, 3)), 0, 0.0, axis=-1)
+    assert np.max(np.abs(qnorm(_QUATERNIONS.retract(q, u, s)) - 1.0)) <= 1e-13
+    p = _HYPER_UNITARY.retract(
+        _HYPER_UNITARY.identity(np.zeros((8, 8, dim, dim))),
+        random_asd(rng, (8, 8), dim), scale,
+    )
+    w = random_asd(rng, (8, 8), dim)
+    w = (scale * w[0], scale * w[1])
+    assert _unitarity_defect(_HYPER_UNITARY.retract(p, w, s)) <= 1e-12
+
+
+def test_p_gauge_stall_carries_the_partial_gauge():
+    # generic doubled data at n = 16 stalls just short of t = 1; the stall
+    # carries the gauge of the last accepted level
+    plan16 = SpectralPlan(Grid2(16))
+    g, a, b = manufacture_doubled(plan16, 2, np.random.default_rng(0), b_norm=0.04)
+    doubled = double_system(plan16, g, a, b)
+    v_target = np.zeros_like(doubled.gamma[1])
+    with pytest.raises(GaugeStall) as err:
+        p_gauge_solve(
+            plan16, v_target, -2.0 * doubled.gamma[1], GaugeConfig(eps0=0.2, tol=1e-8)
+        )
+    stall = err.value
+    assert stall.t_reached == 0.9921875
+    assert stall.result.t_reached == stall.t_reached
+    assert stall.result.unitarity_defect <= 1e-9
