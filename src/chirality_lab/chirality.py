@@ -7,7 +7,6 @@ eigendecomposition followed by a breadth-first gauge alignment sweep that
 minimizes nearest-neighbor frame jumps.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +22,6 @@ __all__ = [
     "ChiralityField",
     "AlignmentError",
     "rotation2",
-    "save_chirality",
-    "load_chirality",
     "dirichlet_energy",
 ]
 
@@ -233,28 +230,3 @@ def extract_frame(plan, s, m_plus, energy_limit=0.5, jump_threshold=np.pi / 2):
         "energy_ratio": energy_q / energy_s if energy_s > 0 else 0.0,
     }
     return q, info
-
-
-def save_chirality(field, path):
-    """JSON header line + raw row-major float64 matrices."""
-    header = {
-        "n": field.dim,
-        "m": field.m_plus,
-        "grid_n": field.grid.n,
-        "length": field.grid.length,
-    }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        fh.write(np.ascontiguousarray(field.s, dtype=np.float64).tobytes())
-
-
-def load_chirality(path, grid_factory=None):
-    from chirality_lab.field_core import Grid2
-
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
-        raw = fh.read()
-    gn, n = header["grid_n"], header["n"]
-    s = np.frombuffer(raw, dtype=np.float64).reshape(gn, gn, n, n).copy()
-    grid = (grid_factory or Grid2)(gn, length=header["length"])
-    return ChiralityField(grid, s, header["m"])

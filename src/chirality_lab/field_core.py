@@ -24,8 +24,6 @@ __all__ = [
     "left_j",
     "right_j",
     "complex_left",
-    "quat_proj",
-    "quat_exp",
     "quat_to_complex_pair",
     "complex_pair_to_quat",
     "HAVE_COMPILED_KERNELS",
@@ -278,17 +276,3 @@ class Quaternion:
             f"Quaternion({self.re:.6g}, {self.i_part:.6g}, "
             f"{self.j_part:.6g}, {self.k_part:.6g})"
         )
-
-
-def quat_proj(q):
-    """Split off the i component and the (j, k) component of q."""
-    pi_i = Quaternion(0.0, q.i_part, 0.0, 0.0)
-    pi_jk = Quaternion(0.0, 0.0, q.j_part, q.k_part)
-    return pi_i, pi_jk
-
-
-def quat_exp(u, tol=1e-12):
-    """Exponential of a pure quaternion; the result is a unit quaternion."""
-    if abs(u.re) > tol:
-        raise ValueError(f"quat_exp needs a pure quaternion, got re={u.re}")
-    return Quaternion.from_array(qexp_pure(u.to_array()[None])[0])

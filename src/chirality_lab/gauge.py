@@ -25,9 +25,14 @@ the field only through an algebra object: ``_Quaternions`` here,
 ``_HyperUnitary`` in pgauge.py.  Its members are the identity field and the
 zero increment, N, the perturbation L_p - L_1 of the frozen connection, the
 base solve L_1^-1, the Newton linear solve, the sup norm of an increment,
-dealiasing, the retraction p exp(s u), grad_l2 and the result type.
+the retraction p exp(s u), grad_l2 and the result type.
 Residual tables reduce over the grid axes (0, 1) and contract trailing
 axes, so the same norms serve (n, n) and (n, n, d, d) tables.
+
+The contraction measurement is shared the same way: ``_stream_potential``
+and ``_closure_factor`` (the B fixed point and the weak-L^{2,inf} factor)
+see the field through the algebra's ``grad``, ``parts`` (a map over whole
+tables or part by part), ``act`` on the transported field and ``mag``.
 """
 
 from dataclasses import dataclass
@@ -240,14 +245,24 @@ class _Quaternions:
         """Sup norm of u, or of u - v."""
         return float(np.max(qnorm(u if v is None else u - v)))
 
-    def dealias(self, plan, u):
-        return plan.dealias(u)
-
     def retract(self, q, u, s):
         return qnormalize(qmul(q, qexp_pure(s * u)))
 
     def grad_l2(self, plan, q):
         return grad_l2(plan, q)
+
+    def grad(self, plan, f):
+        return plan.grad(f)
+
+    def parts(self, fn, *tables):
+        """fn applied to whole tables."""
+        return fn(*tables)
+
+    def act(self, w, f):
+        return qmul(w, f)
+
+    def mag(self, f):
+        return qnorm(f)
 
 
 _QUATERNIONS = _Quaternions()
@@ -315,7 +330,7 @@ def _continue(alg, plan, w_target, g_target, config):
                 )
             except GaugeDivergence:
                 break
-            u = alg.dealias(plan, u)
+            u = alg.parts(plan.dealias, u)
             s = 1.0
             while s >= 1.0 / 32.0:
                 p_try = alg.retract(p, u, s)
@@ -371,6 +386,38 @@ def grad_l2(plan, q):
     return float(np.sqrt(np.sum(mag) * plan.grid.cell_measure))
 
 
+def _stream_potential(plan, a1, a2, grad_p_l2, line, precondition_tol):
+    """Stream potential psi of a divergence-free line connection (a1, a2),
+    a = mean(a) + grad_perp(psi), on (n, n) or (n, n, d, d) tables.
+
+    grad_p_l2 is ||grad p||_2 of the gauge.  Returns (psi, diagnostics) with
+    the compensation ratio ||grad psi||_{2,1} / ||grad p||_2^2; raises
+    PreconditionError when the divergence does not vanish.
+    """
+    grid = plan.grid
+    scale = max(grad_p_l2**2, 1e-300)
+    dres = l2_norm(grid, plan.div(a1, a2))
+    if dres > precondition_tol * scale:
+        raise PreconditionError(f"{line} of the connection is not divergence free", dres)
+    psi = plan.inv_laplacian(plan.curl(a1, a2))
+    px, py = plan.grad(psi)
+    rel_res = np.sqrt(
+        l2_norm(grid, (a1 - a1.mean(axis=(0, 1))) + py) ** 2
+        + l2_norm(grid, (a2 - a2.mean(axis=(0, 1))) - px) ** 2
+    )
+    mag = np.sqrt(
+        np.sum(np.abs(px) ** 2 + np.abs(py) ** 2, axis=tuple(range(2, px.ndim)))
+    )
+    l21 = lorentz_l21(grid, mag)
+    return psi, {
+        "divergence_residual": dres,
+        "stream_residual": float(rel_res),
+        "grad_potential_l21": l21,
+        "grad_gauge_l2": grad_p_l2,
+        "wente_ratio": l21 / scale,
+    }
+
+
 def zeta_potential(plan, q, precondition_tol=1e-6):
     """Stream potential of the i-line of the connection.
 
@@ -378,32 +425,66 @@ def zeta_potential(plan, q, precondition_tol=1e-6):
     (zeta, diagnostics) with the compensation ratio
     ||grad zeta||_{2,1} / ||grad q||_2^2.
     """
-    grid = plan.grid
     x1, x2 = connection(plan, q)
-    a1 = x1[..., 1]
-    a2 = x2[..., 1]
-    div = plan.div(a1, a2)
-    gq = grad_l2(plan, q)
-    scale = max(gq**2, 1e-300)
-    dres = l2_norm(grid, div)
-    if dres > precondition_tol * scale:
-        raise PreconditionError("i-line of the connection is not divergence free", dres)
-    zeta = plan.inv_laplacian(plan.curl(a1, a2))
-    zx, zy = plan.grad(zeta)
-    # a = mean(a) + grad_perp(zeta) when the divergence vanishes
-    rel_res = np.sqrt(
-        l2_norm(grid, (a1 - a1.mean()) + zy) ** 2
-        + l2_norm(grid, (a2 - a2.mean()) - zx) ** 2
+    return _stream_potential(
+        plan, x1[..., 1], x2[..., 1], grad_l2(plan, q), _QUATERNIONS.line,
+        precondition_tol,
     )
-    l21 = lorentz_l21(grid, np.sqrt(zx**2 + zy**2))
-    diag = {
-        "divergence_residual": dres,
-        "stream_residual": float(rel_res),
-        "grad_zeta_l21": l21,
-        "grad_q_l2": gq,
-        "wente_ratio": l21 / scale,
+
+
+def _transported(plan, q, frak_f, zeta):
+    """(q f, q i f, 2 q (d_z zeta) f): the transported field, its i-turn and
+    the right side of d1[q f] - d2[q i f]."""
+    qf = qmul(q, frak_f)
+    qif = qmul(q, qmul(np.broadcast_to(I_UNIT, q.shape), frak_f))
+    zx, zy = plan.grad(zeta)
+    rhs = 2.0 * qmul(q, complex_left(0.5 * (zx - 1j * zy), frak_f))
+    return qf, qif, rhs
+
+
+def _closure_factor(alg, plan, w, pf, a, b_tol, b_max_iter):
+    """Split the transported field pf over the algebra alg into the
+    potential part A (given) and the closing part B, which solves
+    Lap B = -div(w (grad A + grad_perp B)) by fixed point; w = p i p^-1.
+
+    Returns the record of the measurement with the factor
+    (||grad A||_{2,inf} + ||grad B||_{2,inf}) / ||pf||_{2,inf}, NaN (and
+    degenerate) for zero data.
+    """
+    if alg.sup(pf) == 0.0:
+        return {"degenerate": True, "factor": np.nan, "b_converged": False,
+                "b_iterations": 0}
+    grid = plan.grid
+    ax, ay = alg.grad(plan, a)
+    b = alg.parts(np.zeros_like, a)
+    converged = False
+    for it in range(b_max_iter):
+        bx, by = alg.grad(plan, b)
+        t1 = alg.act(w, alg.parts(np.subtract, ax, by))
+        t2 = alg.act(w, alg.parts(np.add, ay, bx))
+        b_new = alg.parts(lambda u1, u2: plan.inv_laplacian(-plan.div(u1, u2)), t1, t2)
+        change = alg.sup(b_new, b)
+        b = b_new
+        if change < b_tol * max(alg.sup(b), 1e-300):
+            converged = True
+            break
+
+    def weak_grad(gx, gy):
+        return lorentz_weak_l2(grid, np.sqrt(alg.mag(gx) ** 2 + alg.mag(gy) ** 2))
+
+    weak_pf = lorentz_weak_l2(grid, alg.mag(pf))
+    bx, by = alg.grad(plan, b)
+    factor = (weak_grad(ax, ay) + weak_grad(bx, by)) / max(weak_pf, 1e-300)
+    # pf = d1 A - d2 B up to a constant, the torus-harmonic part
+    harmonic = alg.parts(lambda f, x, y: np.mean(f - (x - y), axis=(0, 1)), pf, ax, by)
+    return {
+        "degenerate": False,
+        "factor": float(factor),
+        "b_converged": converged,
+        "b_iterations": it + 1,
+        "weak_transported": weak_pf,
+        "harmonic_defect": float(alg.mag(harmonic)),
     }
-    return zeta, diag
 
 
 def contraction_chain(plan, frak_f, omega, q, zeta, pre_tol=1e-6,
@@ -421,58 +502,19 @@ def contraction_chain(plan, frak_f, omega, q, zeta, pre_tol=1e-6,
 
     which is below one exactly when the chain contracts at this scale.
     """
-    grid = plan.grid
-    f_scale = float(np.max(qnorm(frak_f)))
-    if f_scale == 0.0:
-        return {"degenerate": True, "factor": np.nan}
     eq_res = l2_qfield(plan, plan.d_left(frak_f) - complex_left(omega, left_j(frak_f)))
     f_l2 = l2_qfield(plan, frak_f)
     if eq_res > pre_tol * max(f_l2, 1e-300):
         raise PreconditionError("frak_f does not near-solve the equation", eq_res)
 
-    qf = qmul(q, frak_f)
-    qif = qmul(q, qmul(np.broadcast_to(I_UNIT, q.shape), frak_f))
-    zx, zy = plan.grad(zeta)
-    dz_zeta = 0.5 * (zx - 1j * zy)
-    rhs = 2.0 * qmul(q, complex_left(dz_zeta, frak_f))
-    a_field = plan.inv_laplacian(rhs)
-
+    qf, qif, rhs = _transported(plan, q, frak_f, zeta)
     # identity check: d1[qf] - d2[q i f] = rhs up to the gauge residual
     transport_res = l2_qfield(plan, plan.curl(qif, qf) - rhs)
-
     w = qmul(qmul(q, np.broadcast_to(I_UNIT, q.shape)), qconj(q))
-    ax, ay = plan.grad(a_field)
-    b = np.zeros_like(a_field)
-    converged = False
-    for it in range(b_max_iter):
-        bx, by = plan.grad(b)
-        term1 = qmul(w, ax - by)
-        term2 = qmul(w, ay + bx)
-        b_new = plan.inv_laplacian(-plan.div(term1, term2))
-        change = float(np.max(qnorm(b_new - b)))
-        b = b_new
-        if change < b_tol * max(float(np.max(qnorm(b))), 1e-300):
-            converged = True
-            break
-
-    def weak_grad(gx, gy):
-        return lorentz_weak_l2(grid, np.sqrt(qnorm(gx) ** 2 + qnorm(gy) ** 2))
-
-    weak_qf = lorentz_weak_l2(grid, qnorm(qf))
-    bx, by = plan.grad(b)
-    factor = (weak_grad(ax, ay) + weak_grad(bx, by)) / max(weak_qf, 1e-300)
-    recon = qf - (ax - by)
-    harmonic_defect = float(qnorm(np.mean(recon, axis=(0, 1))))
-    return {
-        "degenerate": False,
-        "factor": float(factor),
-        "transport_residual": transport_res,
-        "equation_residual": eq_res,
-        "b_converged": converged,
-        "b_iterations": it + 1,
-        "weak_qf": weak_qf,
-        "harmonic_defect": harmonic_defect,
-    }
+    out = _closure_factor(
+        _QUATERNIONS, plan, w, qf, plan.inv_laplacian(rhs), b_tol, b_max_iter
+    )
+    return {**out, "transport_residual": transport_res, "equation_residual": eq_res}
 
 
 def l2_qfield(plan, f):

@@ -12,7 +12,6 @@ import numpy as np
 
 __all__ = [
     "Ball",
-    "NormReport",
     "lp_norm",
     "linf_norm",
     "l2_norm",
@@ -29,22 +28,6 @@ __all__ = [
 class Ball:
     center: tuple
     radius: float
-
-
-@dataclass
-class NormReport:
-    name: str
-    value: float
-    grid_n: int
-    region: Ball | None = None
-
-    def csv_row(self):
-        if self.region is None:
-            cx = cy = r = ""
-        else:
-            cx, cy = (f"{c!r}" for c in self.region.center)
-            r = f"{self.region.radius!r}"
-        return f"{self.name},{self.grid_n},{cx},{cy},{r},{self.value!r}"
 
 
 def pointwise_abs(f):
@@ -150,22 +133,22 @@ def sobolev_neg_1_2(plan, f):
 
 @dataclass
 class MorreyFit:
-    alpha: float | None
+    alpha: float
     radii: list
     values: list
-    fit_residual: float | None
+    fit_residual: float
     degenerate: bool
 
 
-def morrey_profile(grid, f, center, radii, norm="weak_l2"):
-    """Least-squares slope of log ||f||_{L^{2,inf}(B(x,r))} against log r."""
+def morrey_profile(grid, f, center, radii):
+    """Least-squares slope of log ||f||_{L^{2,inf}(B(x,r))} against log r.
+    A degenerate fit (some ball norm is zero) has NaN alpha, which fails
+    any gate on it."""
     if len(radii) < 4:
         raise ValueError("need at least 4 radii for a decay fit")
-    if norm != "weak_l2":
-        raise ValueError(f"unsupported norm {norm!r}")
     values = [lorentz_weak_l2(grid, f, Ball(center, r)) for r in radii]
     if any(v <= 0.0 for v in values):
-        return MorreyFit(None, list(radii), values, None, True)
+        return MorreyFit(np.nan, list(radii), values, np.nan, True)
     logs_r = np.log(np.asarray(radii, dtype=float))
     logs_v = np.log(np.asarray(values))
     coeffs, res, *_ = np.polyfit(logs_r, logs_v, 1, full=True)

@@ -13,14 +13,22 @@ The operator is
 and p_gauge_solve runs the continuation of gauge.py over the hyper-unitary
 algebra below, with the same torus mean bookkeeping as the quaternion
 gauge: intermediate levels converge the mean-projected residual, the jk
-mean is closed at the endpoint.
+mean is closed at the endpoint.  The stream potential chi and the
+contraction measurement run the shared code of gauge.py over the same
+algebra.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from chirality_lab.gauge import GaugeStall, _continue, _projected_solve
+from chirality_lab.gauge import (
+    GaugeStall,
+    _closure_factor,
+    _continue,
+    _projected_solve,
+    _stream_potential,
+)
 from chirality_lab.hyperunitary import (
     qp_commutator,
     qp_conj_t,
@@ -30,7 +38,7 @@ from chirality_lab.hyperunitary import (
     qp_matmul,
     qp_matvec,
 )
-from chirality_lab.norms import l2_norm, lorentz_l21, lorentz_weak_l2
+from chirality_lab.norms import l2_norm
 
 __all__ = [
     "PGaugeResult",
@@ -137,17 +145,28 @@ class _HyperUnitary:
     def sup(self, u, v=None):
         """Sup norm of u, or of u - v."""
         if v is not None:
-            u = (u[0] - v[0], u[1] - v[1])
+            u = self.parts(np.subtract, u, v)
         return max(float(np.max(np.abs(u[0]))), float(np.max(np.abs(u[1]))))
-
-    def dealias(self, plan, u):
-        return plan.dealias(u[0]), plan.dealias(u[1])
 
     def retract(self, p, u, s):
         return qp_matmul(p, qp_exp_asd((s * u[0], s * u[1])))
 
     def grad_l2(self, plan, p):
         return p_grad_l2(plan, p)
+
+    def grad(self, plan, m):
+        return _grad_pair(plan, m)
+
+    def parts(self, fn, *pairs):
+        """fn applied part by part: to the X parts, then to the Y parts."""
+        return tuple(fn(*part) for part in zip(*pairs))
+
+    def act(self, w, v):
+        return qp_matvec(w, v)
+
+    def mag(self, v):
+        """Pointwise magnitude of a pair of (n, n, d) vector tables."""
+        return np.sqrt(np.sum(np.abs(v[0]) ** 2 + np.abs(v[1]) ** 2, axis=-1))
 
 
 _HYPER_UNITARY = _HyperUnitary()
@@ -159,40 +178,12 @@ def p_gauge_solve(plan, v_target, t_target, config=None):
 
 
 def chi_potential(plan, p, precondition_tol=1e-6):
-    """Stream potential of the 1i-line of the matrix connection."""
-    grid = plan.grid
+    """Stream potential of the 1i-line of the matrix connection; see
+    gauge.zeta_potential."""
     x1, x2 = p_connection(plan, p)
-    a1 = x1[0]
-    a2 = x2[0]
-    div = plan.div(a1, a2)
-    gp = p_grad_l2(plan, p)
-    scale = max(gp**2, 1e-300)
-    dres = l2_norm(grid, div)
-    if dres > precondition_tol * scale:
-        raise ValueError(
-            f"1i-line of the connection is not divergence free ({dres:.3e})"
-        )
-    chi = plan.inv_laplacian(plan.curl(a1, a2))
-    cx, cy = plan.grad(chi)
-    rel_res = np.sqrt(
-        l2_norm(grid, (a1 - a1.mean(axis=(0, 1))) + cy) ** 2
-        + l2_norm(grid, (a2 - a2.mean(axis=(0, 1))) - cx) ** 2
+    return _stream_potential(
+        plan, x1[0], x2[0], p_grad_l2(plan, p), _HYPER_UNITARY.line, precondition_tol
     )
-    mag = np.sqrt(
-        np.sum(np.abs(cx) ** 2 + np.abs(cy) ** 2, axis=(-1, -2))
-    )
-    l21 = lorentz_l21(grid, mag)
-    return chi, {
-        "divergence_residual": dres,
-        "stream_residual": float(rel_res),
-        "grad_chi_l21": l21,
-        "grad_p_l2": gp,
-        "wente_ratio": l21 / scale,
-    }
-
-
-def _vec_mag(v):
-    return np.sqrt(np.sum(np.abs(v[0]) ** 2 + np.abs(v[1]) ** 2, axis=-1))
 
 
 def absorbed_residual(plan, p, chi, gamma1, g_pair):
@@ -215,58 +206,15 @@ def absorbed_residual(plan, p, chi, gamma1, g_pair):
 
 
 def p_contraction_chain(plan, p, chi, gamma1, g_pair, b_tol=1e-11, b_max_iter=400):
-    """Mirror of the scalar contraction measurement for the doubled system."""
-    grid = plan.grid
-    res, (lhs, rhs, pg, pig) = absorbed_residual(plan, p, chi, gamma1, g_pair)
-
-    a1 = plan.inv_laplacian(rhs[0])
-    a2 = plan.inv_laplacian(rhs[1])
-    a_pair = (a1, a2)
-
-    i_eye = (
-        1j * np.broadcast_to(
-            np.eye(p[0].shape[-1], dtype=complex), p[0].shape
-        ).copy(),
-        np.zeros_like(p[0]),
-    )
-    w = qp_matmul(qp_matmul(p, i_eye), qp_conj_t(p))
-
-    ax, ay = _grad_pair(plan, a_pair)
-    b = (np.zeros_like(a1), np.zeros_like(a2))
-    converged = False
-    for it in range(b_max_iter):
-        bx, by = _grad_pair(plan, b)
-        t1 = qp_matvec(w, (ax[0] - by[0], ax[1] - by[1]))
-        t2 = qp_matvec(w, (ay[0] + bx[0], ay[1] + bx[1]))
-        b_new = tuple(
-            plan.inv_laplacian(-plan.div(u1, u2))
-            for u1, u2 in zip(t1, t2)
-        )
-        change = max(
-            float(np.max(np.abs(b_new[0] - b[0]))),
-            float(np.max(np.abs(b_new[1] - b[1]))),
-        )
-        b = b_new
-        size = max(float(np.max(np.abs(b[0]))), float(np.max(np.abs(b[1]))), 1e-300)
-        if change < b_tol * size:
-            converged = True
-            break
-
-    def weak_grad(gx, gy):
-        return lorentz_weak_l2(
-            grid, np.sqrt(_vec_mag(gx) ** 2 + _vec_mag(gy) ** 2)
-        )
-
-    weak_pg = lorentz_weak_l2(grid, _vec_mag(pg))
-    bx, by = _grad_pair(plan, b)
-    factor = (weak_grad(ax, ay) + weak_grad(bx, by)) / max(weak_pg, 1e-300)
-    return {
-        "factor": float(factor),
-        "absorbed_residual": res,
-        "b_converged": converged,
-        "b_iterations": it + 1,
-        "weak_pg": weak_pg,
-    }
+    """The contraction measurement of gauge.contraction_chain for the doubled
+    system: A is the potential of the absorbed right side, and the factor
+    is taken against ||P G||_{2,inf}."""
+    res, (_, rhs, pg, _) = absorbed_residual(plan, p, chi, gamma1, g_pair)
+    eye, zero = _HYPER_UNITARY.identity(p[0])
+    w = qp_matmul(qp_matmul(p, (1j * eye, zero)), qp_conj_t(p))
+    a = _HYPER_UNITARY.parts(plan.inv_laplacian, rhs)
+    out = _closure_factor(_HYPER_UNITARY, plan, w, pg, a, b_tol, b_max_iter)
+    return {**out, "absorbed_residual": res}
 
 
 def p_gauge_structures(plan, gamma, gamma1, g_pair, config=None, partial_ok=False):

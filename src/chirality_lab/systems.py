@@ -43,8 +43,6 @@ __all__ = [
     "double_system",
     "manufacture_solution",
     "manufacture_doubled",
-    "save_system",
-    "load_system",
     "energy_identity",
     "rewrite_identity_residual",
 ]
@@ -514,65 +512,6 @@ def manufacture_doubled(plan, m, rng, b_norm=0.05, tol_floor=0.25):
 # ---------------------------------------------------------------------------
 # identities
 # ---------------------------------------------------------------------------
-
-
-def save_system(system, path):
-    """Single-file serialization: manifest JSON line, then concatenated
-    row-major float64 blobs in manifest order."""
-    import json
-
-    blobs = {
-        "s": system.chirality.s,
-        "u_periodic": system.u.periodic,
-        "v_periodic": system.v.periodic,
-    }
-    if system.u.affine is not None:
-        blobs["u_affine"] = system.u.affine
-    if system.v.affine is not None:
-        blobs["v_affine"] = system.v.affine
-    if system.alpha is not None:
-        blobs["alpha"] = system.alpha
-    manifest = {
-        "grid_n": system.grid.n,
-        "length": system.grid.length,
-        "m_plus": system.chirality.m_plus,
-        "mode": system.mode,
-        "fields": {k: list(v.shape) for k, v in blobs.items()},
-    }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(manifest, sort_keys=True).encode() + b"\n")
-        for key in sorted(blobs):
-            fh.write(np.ascontiguousarray(blobs[key], dtype=np.float64).tobytes())
-
-
-def load_system(path):
-    import json
-
-    from chirality_lab.field_core import Grid2
-
-    with open(path, "rb") as fh:
-        manifest = json.loads(fh.readline().decode())
-        raw = fh.read()
-    fields = {}
-    offset = 0
-    for key in sorted(manifest["fields"]):
-        shape = tuple(manifest["fields"][key])
-        count = int(np.prod(shape))
-        fields[key] = np.frombuffer(
-            raw, dtype=np.float64, count=count, offset=offset
-        ).reshape(shape).copy()
-        offset += count * 8
-    grid = Grid2(manifest["grid_n"], length=manifest["length"])
-    chir = ChiralityField(
-        grid, fields["s"], manifest["m_plus"], alpha=fields.get("alpha")
-    )
-    u = VectorField(fields["u_periodic"], fields.get("u_affine"))
-    v = VectorField(fields["v_periodic"], fields.get("v_affine"))
-    alpha = fields.get("alpha")
-    return ChiralitySystem(
-        grid, chir, u, v, manifest["mode"], alpha=alpha,
-        q_frame=rotation2(alpha) if alpha is not None else None,
-    )
 
 
 def energy_identity(plan, s_field, u):

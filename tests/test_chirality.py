@@ -6,12 +6,10 @@ from chirality_lab.chirality import (
     ChiralityField,
     dirichlet_energy,
     extract_frame,
-    load_chirality,
     make_chirality,
     projections,
     rotation2,
     s0_matrix,
-    save_chirality,
     validate_chirality,
 )
 from chirality_lab.field_core import Grid2
@@ -190,15 +188,3 @@ def test_extract_frame_even_winding_succeeds(plan):
     field = make_chirality(g, rotation2(alpha), 1)
     q, info = extract_frame(plan, field.s, 1, energy_limit=None)
     assert info["residual"] < 1e-8
-
-
-def test_serialization_round_trip(tmp_path, plan):
-    rng = np.random.default_rng(5)
-    alpha = 0.2 * random_band_limited(plan, rng, kmax=4)
-    field = make_chirality(plan.grid, rotation2(alpha), 1)
-    path = tmp_path / "field.chir"
-    save_chirality(field, path)
-    loaded = load_chirality(path)
-    assert loaded.grid == field.grid
-    assert loaded.m_plus == 1
-    assert np.array_equal(loaded.s, field.s)

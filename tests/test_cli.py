@@ -66,19 +66,23 @@ def test_contraction_gates_fail_on_failed_trials(tmp_path, monkeypatch):
     import chirality_lab.experiments as experiments
 
     def quaternion_run(plan, seed, grad_alpha, tol=1e-8, eps0=None, perturb=0.0):
+        # the fourth quaternion trial's B fixed point did not converge
         rec = {"seed": seed, "grad_alpha": grad_alpha, "grid_n": plan.grid.n,
                "residual": 1e-10, "theta": 0.1, "steps": 16, "t_reached": 1.0,
-               "stalled": seed == 1, "factor": 0.5}
+               "stalled": seed == 1, "factor": 0.5, "b_converged": seed != 3}
         if seed == 2:  # a failed precondition records a NaN factor
             rec.update(factor=float("nan"), error="precondition")
+            del rec["b_converged"]
         return rec
 
     def matrix_run(plan, seed, grad_alpha, tol=1e-8):
-        # the second matrix trial is a partial gauge that stalled before t = 1
+        # the first matrix trial's B fixed point did not converge; the
+        # second is a partial gauge that stalled before t = 1
         return {"seed": seed, "grad_alpha": grad_alpha, "grid_n": plan.grid.n,
                 "residual": 1e-10, "theta": 0.1, "steps": 16,
                 "t_reached": 0.99 if seed == 101 else 1.0,
-                "absorbed_residual": 1e-9, "factor": 0.5}
+                "absorbed_residual": 1e-9, "factor": 0.5,
+                "b_converged": seed != 100}
 
     monkeypatch.setattr(experiments, "contraction_run", quaternion_run)
     monkeypatch.setattr(experiments, "matrix_contraction_run", matrix_run)
@@ -88,7 +92,8 @@ def test_contraction_gates_fail_on_failed_trials(tmp_path, monkeypatch):
     failed = {m.name for m in report.metrics if m.passed is False}
     assert failed == {
         "quaternion_factor_max", "quaternion_stalled_trials",
-        "quaternion_errored_trials", "matrix_partial_trials",
+        "quaternion_errored_trials", "quaternion_b_unconverged_trials",
+        "matrix_partial_trials", "matrix_b_unconverged_trials",
     }
     assert not report.all_passed
 
@@ -174,6 +179,19 @@ def test_determinism_byte_identical(tmp_path):
     a = (tmp_path / "one" / "gauge_sweep.svg").read_bytes()
     b = (tmp_path / "two" / "gauge_sweep.svg").read_bytes()
     assert a == b
+
+
+def test_contraction_report_independent_of_thread_count(tmp_path, monkeypatch):
+    reports = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("CHIRALITY_LAB_THREADS", threads)
+        out = tmp_path / threads
+        out.mkdir()
+        cfg = ExperimentConfig(
+            experiment="contraction", grid_n=16, seed=0, trials=2, out=str(out)
+        )
+        reports.append(run_experiment(cfg).canonical_json())
+    assert reports[0] == reports[1]
 
 
 def test_seed_changes_seeded_fields_only(tmp_path):

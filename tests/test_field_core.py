@@ -12,8 +12,6 @@ from chirality_lab.field_core import (
     qinv,
     qmul,
     qnorm,
-    quat_exp,
-    quat_proj,
     right_i,
     right_j,
 )
@@ -74,28 +72,6 @@ def test_norm_via_conjugate_and_inverse():
     prod = qmul(a, qinv(a))
     prod[:, 0] -= 1.0
     assert np.max(qnorm(prod)) < 1e-12
-
-
-def test_quat_proj():
-    q = Quaternion(3, 2, 1, 0)
-    pi_i, pi_jk = quat_proj(q)
-    assert pi_i == Quaternion(0, 2, 0, 0)
-    assert pi_jk == Quaternion(0, 0, 1, 0)
-    pi_i2, pi_jk2 = quat_proj(Quaternion(3, 2, 1, -1))
-    assert pi_jk2 == Quaternion(0, 0, 1, -1)
-    assert quat_proj(Quaternion(5)) == (Quaternion(0), Quaternion(0))
-
-
-def test_quat_exp():
-    assert quat_exp(Quaternion(0)) == ONE
-    e = quat_exp(Quaternion(0, np.pi / 2))
-    assert abs(e - I) < 1e-15
-    theta = 0.7
-    e = quat_exp(Quaternion(0, 0, theta))
-    assert abs(e - Quaternion(np.cos(theta), 0, np.sin(theta))) < 1e-15
-    assert abs(e) == pytest.approx(1.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        quat_exp(Quaternion(0.1, 1.0))
 
 
 def test_exp_inverse_pairing():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chirality_lab.compensation import PreconditionError
 from chirality_lab.field_core import (
     Grid2,
     qconj,
@@ -25,6 +26,7 @@ from chirality_lab.pgauge import (
     _unitarity_defect,
     absorbed_residual,
     chi_potential,
+    p_contraction_chain,
     p_gauge_solve,
     p_gauge_structures,
     pn_apply,
@@ -181,6 +183,25 @@ def test_chi_potential_identity(plan):
     p = (eye, np.zeros_like(eye))
     chi, diag = chi_potential(plan, p, precondition_tol=1.0)
     assert np.max(np.abs(chi)) == 0.0
+
+
+def test_chi_potential_precondition(plan):
+    # a generic hyper-unitary field: its 1i-line connection has divergence
+    p = qp_exp_asd(smooth_asd_field(plan, np.random.default_rng(21), 2, 0.3))
+    with pytest.raises(PreconditionError):
+        chi_potential(plan, p, precondition_tol=1e-10)
+
+
+def test_p_contraction_chain_zero_data_gives_nan_factor(plan):
+    n = plan.grid.n
+    eye = np.broadcast_to(np.eye(2, dtype=complex), (n, n, 2, 2)).copy()
+    zero = np.zeros_like(eye)
+    g_zero = (np.zeros((n, n, 2), dtype=complex), np.zeros((n, n, 2), dtype=complex))
+    out = p_contraction_chain(
+        plan, (eye, zero), np.zeros((n, n, 2, 2), dtype=complex), (zero, zero), g_zero
+    )
+    assert np.isnan(out["factor"])
+    assert out["degenerate"]
 
 
 # -- the two algebras of the shared continuation ---------------------------

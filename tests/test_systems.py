@@ -275,30 +275,6 @@ def test_energy_identity(plan):
     assert abs(e_proj - e_s) < 1e-12 * scale
 
 
-def test_system_serialization_round_trip(tmp_path, plan):
-    for mode, kwargs in (
-        ("adapted_frame", {"grad_alpha": 0.1}),
-        ("constant_S", {"theta0": 0.3}),
-    ):
-        sys = manufacture_solution(plan, mode, np.random.default_rng(20), **kwargs)
-        path = tmp_path / f"{mode}.sys"
-        from chirality_lab.systems import load_system, save_system
-
-        save_system(sys, path)
-        loaded = load_system(path)
-        assert loaded.grid == sys.grid
-        assert loaded.mode == sys.mode
-        assert np.array_equal(loaded.chirality.s, sys.chirality.s)
-        assert np.array_equal(loaded.u.periodic, sys.u.periodic)
-        if sys.u.affine is None:
-            assert loaded.u.affine is None
-        else:
-            assert np.array_equal(loaded.u.affine, sys.u.affine)
-        r_l1, r_r1 = holo_split_residual(plan, sys)
-        r_l2, r_r2 = holo_split_residual(plan, loaded)
-        assert r_l1 == pytest.approx(r_l2, abs=1e-15)
-
-
 def test_rewrite_identity(plan):
     sys = manufacture_solution(
         plan, "adapted_frame", np.random.default_rng(18), grad_alpha=0.1
