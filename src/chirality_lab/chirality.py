@@ -112,9 +112,7 @@ def projections(field_or_s):
 
 def dirichlet_energy(plan, s):
     """|| grad S ||_2 with spectral derivatives, all entries aggregated."""
-    gx = plan.dx(s)
-    gy = plan.dy(s)
-    return np.sqrt(l2_norm(plan.grid, gx) ** 2 + l2_norm(plan.grid, gy) ** 2)
+    return l2_norm(plan.grid, *plan.grad(s))
 
 
 def _align_blocks(q_cur, q_ref, m_plus):

@@ -17,9 +17,7 @@ Three estimators live here:
   norm diagnostics that exhibit the compensation gain.
 """
 
-import hashlib
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +27,7 @@ from chirality_lab.norms import (
     lorentz_l21,
     lorentz_weak_l2,
     lp_norm,
+    pointwise_abs,
     sobolev_neg_1_2,
 )
 
@@ -52,13 +51,6 @@ class PreconditionError(ValueError):
     def __init__(self, message, residual):
         super().__init__(f"{message} (residual {residual:.3e})")
         self.residual = residual
-
-
-def _inputs_hash(*arrays):
-    h = hashlib.sha256()
-    for a in arrays:
-        h.update(np.ascontiguousarray(a).tobytes())
-    return h.hexdigest()[:12]
 
 
 @dataclass
@@ -101,20 +93,6 @@ class BBDiagnostics:
     ratio: float
     grad_residual: float
     imag_mismatch: float
-    inputs_hash: str
-
-    def json_record(self, grid_n, seed=None):
-        return json.dumps(
-            {
-                "lemma": "bb-l2",
-                "inputs_hash": self.inputs_hash,
-                "lhs": self.l2_u,
-                "rhs": self.f_neg_sobolev + self.g_l1,
-                "constant": self.ratio,
-                "grid_n": grid_n,
-                "seed": seed,
-            }
-        )
 
 
 def bb_reconstruct(plan, data):
@@ -143,7 +121,7 @@ def bb_reconstruct(plan, data):
     f1, f2 = data.f(plan)
     rx = plan.dx(u) - (f1 + data.g[0] - np.mean(data.g[0]))
     ry = plan.dy(u) - (f2 + data.g[1] - np.mean(data.g[1]))
-    grad_residual = np.sqrt(l2_norm(grid, rx) ** 2 + l2_norm(grid, ry) ** 2)
+    grad_residual = l2_norm(grid, rx, ry)
 
     mismatch = w2 + v.imag
     mismatch -= mismatch.mean()
@@ -162,7 +140,6 @@ def bb_reconstruct(plan, data):
         ratio=l2_u / denom if denom > 0 else np.inf,
         grad_residual=grad_residual,
         imag_mismatch=l2_norm(grid, mismatch),
-        inputs_hash=_inputs_hash(data.a, data.g),
     )
     return u, diag
 
@@ -177,24 +154,6 @@ class RealFromImagDiagnostics:
     identity_rhs: float   # -Re int g T
     identity_residual: float
     empirical_c: float    # max(re_sq - im_sq, 0) / ||g||_1^2
-    inputs_hash: str
-
-    @property
-    def inequality_holds(self):
-        return self.re_sq <= self.im_sq + max(self.empirical_c, 0.0) * self.g_l1**2 + 1e-12
-
-    def json_record(self, grid_n, seed=None):
-        return json.dumps(
-            {
-                "lemma": "real-from-imag",
-                "inputs_hash": self.inputs_hash,
-                "lhs": self.re_sq,
-                "rhs": self.im_sq,
-                "constant": self.empirical_c,
-                "grid_n": grid_n,
-                "seed": seed,
-            }
-        )
 
 
 def real_from_imag_bound(plan, h, g, precondition_tol=1e-10):
@@ -231,7 +190,6 @@ def real_from_imag_bound(plan, h, g, precondition_tol=1e-10):
         identity_rhs=rhs,
         identity_residual=abs(lhs - rhs),
         empirical_c=max(emp_c, 0.0) if np.isfinite(emp_c) else emp_c,
-        inputs_hash=_inputs_hash(h, g),
     )
 
 
@@ -246,12 +204,6 @@ class WenteDiagnostics:
     ratio_linf: float        # ||phi||_inf / (||grad a||_2 ||grad b||_2)
     ratio_l21: float         # ||grad phi||_{2,1} / (||grad a||_2 ||grad b||_2)
     ratio_weak_strong: float  # ||grad phi||_{2,1} / (||grad a||_{2,inf} ||grad b||_2)
-    inputs_hash: str = field(default="")
-
-
-def _grad_mag(plan, f):
-    gx, gy = plan.grad(f)
-    return np.sqrt(gx**2 + gy**2)
 
 
 def wente_solve(plan, a, b):
@@ -262,9 +214,9 @@ def wente_solve(plan, a, b):
     px, py = plan.grad_perp(b)
     rhs = ax * px + ay * py
     phi = -plan.inv_laplacian(rhs)
-    grad_phi = _grad_mag(plan, phi)
-    ga = _grad_mag(plan, a)
-    gb = _grad_mag(plan, b)
+    grad_phi = pointwise_abs(*plan.grad(phi))
+    ga = pointwise_abs(ax, ay)
+    gb = pointwise_abs(px, py)
     a2, b2 = l2_norm(grid, ga), l2_norm(grid, gb)
     aw = lorentz_weak_l2(grid, ga)
     l21 = lorentz_l21(grid, grad_phi)
@@ -279,7 +231,6 @@ def wente_solve(plan, a, b):
         ratio_linf=linf_norm(grid, phi) / prod,
         ratio_l21=l21 / prod,
         ratio_weak_strong=l21 / max(aw * b2, 1e-300),
-        inputs_hash=_inputs_hash(a, b),
     )
 
 
@@ -303,7 +254,7 @@ def jacobian_vs_shuffled(plan, a, b, rng):
     out = []
     for rhs in (jac, shuffled):
         phi = plan.inv_laplacian(-rhs)
-        out.append(lorentz_l21(grid, _grad_mag(plan, phi)))
+        out.append(lorentz_l21(grid, pointwise_abs(*plan.grad(phi))))
     return out[0], out[1]
 
 
@@ -334,5 +285,5 @@ def jacobian_vs_concentrated(plan, a, b, rng, width_cells=2.5):
     out = []
     for rhs in (jac, bump):
         phi = plan.inv_laplacian(-rhs)
-        out.append(lorentz_l21(grid, _grad_mag(plan, phi)))
+        out.append(lorentz_l21(grid, pointwise_abs(*plan.grad(phi))))
     return out[0], out[1]

@@ -9,9 +9,9 @@ from scipy.sparse.linalg import splu
 
 from chirality_lab import compensation, gauge, jms, norms, pgauge, systems
 from chirality_lab.chirality import extract_frame, rotation2, validate_chirality
-from chirality_lab.field_core import Grid2, qnorm
+from chirality_lab.field_core import Grid2
 from chirality_lab.hyperunitary import qp_commutator, qp_dagger_defect, random_asd
-from chirality_lab.norms import Ball, l2_norm, lorentz_weak_l2
+from chirality_lab.norms import Ball, l2_norm, lorentz_weak_l2, pointwise_abs
 from chirality_lab.reporting import (
     ANCHORS,
     RunReport,
@@ -44,11 +44,7 @@ def make_plan(config, grid_n=None):
 def chain_alpha(plan, rng, grad_norm, kmax=3):
     """Random angle field with || grad alpha ||_2 = grad_norm."""
     alpha = random_band_limited(plan, rng, kmax=kmax)
-    gx, gy = plan.grad(alpha)
-    size = np.sqrt(
-        l2_norm(plan.grid, gx) ** 2 + l2_norm(plan.grid, gy) ** 2
-    )
-    return alpha * (grad_norm / size)
+    return alpha * (grad_norm / l2_norm(plan.grid, *plan.grad(alpha)))
 
 
 def chain_targets(plan, alpha, sign=+1):
@@ -57,7 +53,7 @@ def chain_targets(plan, alpha, sign=+1):
     return np.zeros((n, n)), -2.0 * sign * plan.d_z(alpha)
 
 
-def contraction_run(plan, seed, grad_alpha, tol=1e-8, eps0=None, perturb=0.0):
+def contraction_run(plan, seed, grad_alpha, tol=1e-8):
     """One quaternion-path contraction measurement; returns a record dict.
     Gauge stalls (expected at large data) are recorded, not raised."""
     rng = np.random.default_rng(seed)
@@ -65,16 +61,8 @@ def contraction_run(plan, seed, grad_alpha, tol=1e-8, eps0=None, perturb=0.0):
         plan, "adapted_frame", rng, grad_alpha=grad_alpha, equation_sign=+1
     )
     alpha = sys.diagnostics["equation_alpha"]
-    omega = plan.d_z(alpha)
-    frak = sys.frak_f()
-    if perturb > 0.0:
-        noise = np.stack(
-            [random_band_limited(plan, rng, kmax=4, rms=1.0) for _ in range(4)],
-            axis=-1,
-        )
-        frak = frak + perturb * noise * float(np.max(qnorm(frak)))
     w_t, g_t = chain_targets(plan, alpha, sign=+1)
-    cfg = gauge.GaugeConfig(eps0=eps0 or max(0.1, 1.5 * grad_alpha), tol=tol)
+    cfg = gauge.GaugeConfig(eps0=max(0.1, 1.5 * grad_alpha), tol=tol)
     record = {"seed": seed, "grad_alpha": grad_alpha, "grid_n": plan.grid.n}
     try:
         res = gauge.gauge_solve(plan, w_t, g_t, cfg)
@@ -89,7 +77,7 @@ def contraction_run(plan, seed, grad_alpha, tol=1e-8, eps0=None, perturb=0.0):
     try:
         zeta, zdiag = gauge.zeta_potential(plan, res.q, precondition_tol=1e-2)
         out = gauge.contraction_chain(
-            plan, frak, omega, res.q, zeta, pre_tol=max(1e-5, 2 * perturb)
+            plan, sys.frak_f(), plan.d_z(alpha), res.q, zeta, pre_tol=1e-5
         )
         record["factor"] = out["factor"]
         record["b_converged"] = out["b_converged"]
@@ -184,11 +172,8 @@ def ops_verify(config):
     alpha, beta, mean = plan.hodge_decompose(a1, a2)
     g1x, g1y = plan.grad(alpha)
     g2x, g2y = plan.grad_perp(beta)
-    scale = np.sqrt(l2_norm(grid, a1) ** 2 + l2_norm(grid, a2) ** 2)
-    resid = np.sqrt(
-        l2_norm(grid, a1 - mean[0] - g1x - g2x) ** 2
-        + l2_norm(grid, a2 - mean[1] - g1y - g2y) ** 2
-    )
+    scale = l2_norm(grid, a1, a2)
+    resid = l2_norm(grid, a1 - mean[0] - g1x - g2x, a2 - mean[1] - g1y - g2y)
     report.add("hodge_reconstruction_rel_err", resid / scale, 1e-12)
     inner = abs(np.sum(g1x * g2x + g1y * g2y)) * grid.cell_measure
     report.add("hodge_orthogonality", inner / scale**2, 1e-12)
@@ -230,11 +215,8 @@ def hodge_check(config):
         alpha, beta, mean = plan.hodge_decompose(a1, a2)
         g1x, g1y = plan.grad(alpha)
         g2x, g2y = plan.grad_perp(beta)
-        scale = np.sqrt(l2_norm(grid, a1) ** 2 + l2_norm(grid, a2) ** 2)
-        resid = np.sqrt(
-            l2_norm(grid, a1 - mean[0] - g1x - g2x) ** 2
-            + l2_norm(grid, a2 - mean[1] - g1y - g2y) ** 2
-        )
+        scale = l2_norm(grid, a1, a2)
+        resid = l2_norm(grid, a1 - mean[0] - g1x - g2x, a2 - mean[1] - g1y - g2y)
         inner = abs(np.sum(g1x * g2x + g1y * g2y)) * grid.cell_measure
         return resid / scale, inner / scale**2
 
@@ -664,16 +646,14 @@ def _ball_split_diagnostics(plan, frak, q, zeta, center, radius):
 
     region = Ball(center, radius)
 
-    def weak(gx, gy):
-        return lorentz_weak_l2(
-            grid, np.sqrt(qnorm(gx) ** 2 + qnorm(gy) ** 2), region
-        )
+    def weak(*tables):
+        return lorentz_weak_l2(grid, pointwise_abs(*tables), region=region)
 
     return {
         "weak_grad_a": weak(ax, ay),
         "weak_grad_beta2": weak(b2x, b2y),
         "weak_grad_beta1": weak(b1x, b1y),
-        "weak_qf": lorentz_weak_l2(grid, qnorm(qf), region),
+        "weak_qf": weak(qf),
     }
 
 
@@ -682,7 +662,7 @@ def _harmonic_control(grid, center, radius, delta=0.5):
     B(3r/4): equals (4 delta / 3) exactly in the continuum."""
     gx = np.ones((grid.n, grid.n))  # grad of Re(z - z0): constant
     gy = np.zeros_like(gx)
-    mag = np.sqrt(gx**2 + gy**2)
+    mag = pointwise_abs(gx, gy)
     inner = norms.lp_norm(grid, mag, 2, Ball(center, delta * radius))
     outer = norms.lp_norm(grid, mag, 2, Ball(center, 0.75 * radius))
     return inner / outer
@@ -701,20 +681,18 @@ def morrey_decay(config):
     rows = []
 
     def one(seed):
-        rec = contraction_run(
-            plan, seed, config.eps0, tol=config.tol, perturb=0.1
-        )
-        sys = systems.manufacture_solution(
-            plan, "adapted_frame", np.random.default_rng(seed),
-            grad_alpha=config.eps0, equation_sign=+1,
-        )
-        frak = sys.frak_f()
-        # a perturbed near-solution from the same seeded family
+        rec = contraction_run(plan, seed, config.eps0, tol=config.tol)
+        rng = np.random.default_rng(seed)
+        frak = systems.manufacture_solution(
+            plan, "adapted_frame", rng, grad_alpha=config.eps0, equation_sign=+1,
+        ).frak_f()
+        # a perturbed near-solution from the same seeded family: four
+        # independent noise components from the seed's stream
         noise = np.stack(
-            [random_band_limited(plan, np.random.default_rng(seed), kmax=4, rms=1.0)
-             for _ in range(4)], axis=-1,
+            [random_band_limited(plan, rng, kmax=4, rms=1.0) for _ in range(4)],
+            axis=-1,
         )
-        mag = qnorm(frak + 0.1 * noise * float(np.max(qnorm(frak))))
+        mag = pointwise_abs(frak + 0.1 * noise * float(np.max(pointwise_abs(frak))))
         centers = [
             tuple(grid.length * (0.25 + 0.5 * np.random.default_rng(seed + 7 + c).random(2)))
             for c in range(3)
@@ -813,18 +791,20 @@ def bootstrap_demo(config):
     s = sys.chirality.s
     u_vals = sys.u.values(grid)
     w = np.einsum("...jl,...l->...j", s, u_vals)
-    sx, sy = plan.dx(s), plan.dy(s)
-    grad_s_l2 = np.sqrt(l2_norm(grid, sx) ** 2 + l2_norm(grid, sy) ** 2)
+    sx, sy = plan.grad(s)
+    grad_s_l2 = l2_norm(grid, sx, sy)
+    grad_w = pointwise_abs(*plan.grad(w))
+    coupling = pointwise_abs(
+        np.einsum("...jl,...lm,...m->...j", sx, s, w),
+        np.einsum("...jl,...lm,...m->...j", sy, s, w),
+    )
     rows = []
     hoelder = []
     for p in (1.2, 1.5, 1.8):
         ps = star(p)
-        wx, wy = plan.dx(w), plan.dy(w)
-        grad_w_p = norms.lp_norm(grid, np.sqrt(np.sum(wx**2 + wy**2, axis=-1)), p)
-        w_ps = norms.lp_norm(grid, np.sqrt(np.sum(w**2, axis=-1)), ps)
-        tx = np.einsum("...jl,...lm,...m->...j", sx, s, w)
-        ty = np.einsum("...jl,...lm,...m->...j", sy, s, w)
-        term_p = norms.lp_norm(grid, np.sqrt(np.sum(tx**2 + ty**2, axis=-1)), p)
+        grad_w_p = norms.lp_norm(grid, grad_w, p)
+        w_ps = norms.lp_norm(grid, w, ps)
+        term_p = norms.lp_norm(grid, coupling, p)
         hoelder.append(term_p / (grad_s_l2 * w_ps))
         rows.append([float(p), float(ps), float(grad_w_p), float(w_ps), float(term_p)])
     report.add("hoelder_ratio_max", worst_of(hoelder), 1.0)
@@ -986,7 +966,7 @@ def full_chain(config):
         1e-8,
     )
 
-    mag = qnorm(
+    mag = pointwise_abs(
         systems.manufacture_solution(
             plan, "adapted_frame", rng, grad_alpha=min(config.eps0, 0.05),
             equation_sign=+1,

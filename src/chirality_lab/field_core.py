@@ -55,9 +55,6 @@ class Grid2:
     def area(self):
         return self.length**2
 
-    def coords(self):
-        return self.x1, self.x2
-
     def __eq__(self, other):
         return (
             isinstance(other, Grid2)
@@ -262,9 +259,6 @@ class Quaternion:
         if n2 == 0.0:
             raise ZeroDivisionError("zero quaternion has no inverse")
         return Quaternion.from_array(qconj(self.to_array()[None])[0] / n2)
-
-    def is_pure(self, tol=0.0):
-        return abs(self.re) <= tol
 
     def __eq__(self, other):
         return isinstance(other, Quaternion) and np.array_equal(

@@ -50,7 +50,13 @@ from chirality_lab.field_core import (
     qnormalize,
     right_i,
 )
-from chirality_lab.norms import l2_norm, lorentz_l21, lorentz_weak_l2, sobolev_neg_1_2
+from chirality_lab.norms import (
+    l2_norm,
+    lorentz_l21,
+    lorentz_weak_l2,
+    pointwise_abs,
+    sobolev_neg_1_2,
+)
 
 __all__ = [
     "GaugeConfig",
@@ -65,7 +71,6 @@ __all__ = [
     "zeta_potential",
     "contraction_chain",
     "linearization_order",
-    "grad_l2",
 ]
 
 I_UNIT = np.array([0.0, 1.0, 0.0, 0.0])
@@ -249,7 +254,7 @@ class _Quaternions:
         return qnormalize(qmul(q, qexp_pure(s * u)))
 
     def grad_l2(self, plan, q):
-        return grad_l2(plan, q)
+        return l2_norm(plan.grid, *plan.grad(q))
 
     def grad(self, plan, f):
         return plan.grad(f)
@@ -261,8 +266,8 @@ class _Quaternions:
     def act(self, w, f):
         return qmul(w, f)
 
-    def mag(self, f):
-        return qnorm(f)
+    def mag(self, *tables):
+        return pointwise_abs(*tables)
 
 
 _QUATERNIONS = _Quaternions()
@@ -380,12 +385,6 @@ def linearization_order(plan, u, ts=(0.1, 0.05, 0.025)):
     return float(fit[0]), vals
 
 
-def grad_l2(plan, q):
-    gx, gy = plan.grad(q)
-    mag = qnorm(gx) ** 2 + qnorm(gy) ** 2
-    return float(np.sqrt(np.sum(mag) * plan.grid.cell_measure))
-
-
 def _stream_potential(plan, a1, a2, grad_p_l2, line, precondition_tol):
     """Stream potential psi of a divergence-free line connection (a1, a2),
     a = mean(a) + grad_perp(psi), on (n, n) or (n, n, d, d) tables.
@@ -401,17 +400,13 @@ def _stream_potential(plan, a1, a2, grad_p_l2, line, precondition_tol):
         raise PreconditionError(f"{line} of the connection is not divergence free", dres)
     psi = plan.inv_laplacian(plan.curl(a1, a2))
     px, py = plan.grad(psi)
-    rel_res = np.sqrt(
-        l2_norm(grid, (a1 - a1.mean(axis=(0, 1))) + py) ** 2
-        + l2_norm(grid, (a2 - a2.mean(axis=(0, 1))) - px) ** 2
+    rel_res = l2_norm(
+        grid, (a1 - a1.mean(axis=(0, 1))) + py, (a2 - a2.mean(axis=(0, 1))) - px
     )
-    mag = np.sqrt(
-        np.sum(np.abs(px) ** 2 + np.abs(py) ** 2, axis=tuple(range(2, px.ndim)))
-    )
-    l21 = lorentz_l21(grid, mag)
+    l21 = lorentz_l21(grid, pointwise_abs(px, py))
     return psi, {
         "divergence_residual": dres,
-        "stream_residual": float(rel_res),
+        "stream_residual": rel_res,
         "grad_potential_l21": l21,
         "grad_gauge_l2": grad_p_l2,
         "wente_ratio": l21 / scale,
@@ -427,8 +422,8 @@ def zeta_potential(plan, q, precondition_tol=1e-6):
     """
     x1, x2 = connection(plan, q)
     return _stream_potential(
-        plan, x1[..., 1], x2[..., 1], grad_l2(plan, q), _QUATERNIONS.line,
-        precondition_tol,
+        plan, x1[..., 1], x2[..., 1], _QUATERNIONS.grad_l2(plan, q),
+        _QUATERNIONS.line, precondition_tol,
     )
 
 
@@ -468,22 +463,16 @@ def _closure_factor(alg, plan, w, pf, a, b_tol, b_max_iter):
         if change < b_tol * max(alg.sup(b), 1e-300):
             converged = True
             break
-
-    def weak_grad(gx, gy):
-        return lorentz_weak_l2(grid, np.sqrt(alg.mag(gx) ** 2 + alg.mag(gy) ** 2))
-
     weak_pf = lorentz_weak_l2(grid, alg.mag(pf))
     bx, by = alg.grad(plan, b)
-    factor = (weak_grad(ax, ay) + weak_grad(bx, by)) / max(weak_pf, 1e-300)
-    # pf = d1 A - d2 B up to a constant, the torus-harmonic part
-    harmonic = alg.parts(lambda f, x, y: np.mean(f - (x - y), axis=(0, 1)), pf, ax, by)
+    weak_a = lorentz_weak_l2(grid, alg.mag(ax, ay))
+    weak_b = lorentz_weak_l2(grid, alg.mag(bx, by))
     return {
         "degenerate": False,
-        "factor": float(factor),
+        "factor": float((weak_a + weak_b) / max(weak_pf, 1e-300)),
         "b_converged": converged,
         "b_iterations": it + 1,
         "weak_transported": weak_pf,
-        "harmonic_defect": float(alg.mag(harmonic)),
     }
 
 
@@ -502,20 +491,16 @@ def contraction_chain(plan, frak_f, omega, q, zeta, pre_tol=1e-6,
 
     which is below one exactly when the chain contracts at this scale.
     """
-    eq_res = l2_qfield(plan, plan.d_left(frak_f) - complex_left(omega, left_j(frak_f)))
-    f_l2 = l2_qfield(plan, frak_f)
+    eq_res = l2_norm(plan.grid, plan.d_left(frak_f) - complex_left(omega, left_j(frak_f)))
+    f_l2 = l2_norm(plan.grid, frak_f)
     if eq_res > pre_tol * max(f_l2, 1e-300):
         raise PreconditionError("frak_f does not near-solve the equation", eq_res)
 
     qf, qif, rhs = _transported(plan, q, frak_f, zeta)
     # identity check: d1[qf] - d2[q i f] = rhs up to the gauge residual
-    transport_res = l2_qfield(plan, plan.curl(qif, qf) - rhs)
+    transport_res = l2_norm(plan.grid, plan.curl(qif, qf) - rhs)
     w = qmul(qmul(q, np.broadcast_to(I_UNIT, q.shape)), qconj(q))
     out = _closure_factor(
         _QUATERNIONS, plan, w, qf, plan.inv_laplacian(rhs), b_tol, b_max_iter
     )
     return {**out, "transport_residual": transport_res, "equation_residual": eq_res}
-
-
-def l2_qfield(plan, f):
-    return float(np.sqrt(np.sum(qnorm(f) ** 2) * plan.grid.cell_measure))

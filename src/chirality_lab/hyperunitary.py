@@ -21,7 +21,6 @@ __all__ = [
     "qp_conj_t",
     "qp_dagger_defect",
     "qp_exp_asd",
-    "qp_frobenius",
     "qp_commutator",
     "project_asd",
     "random_asd",
@@ -63,12 +62,6 @@ def qp_dagger_defect(m):
     return max(
         float(np.max(np.abs(ct[0] + m[0]))), float(np.max(np.abs(ct[1] + m[1])))
     )
-
-
-def qp_frobenius(m):
-    """Pointwise Frobenius magnitude table."""
-    x, y = m
-    return np.sqrt((np.abs(x) ** 2 + np.abs(y) ** 2).sum(axis=(-1, -2)))
 
 
 def qp_commutator(m1, m2):

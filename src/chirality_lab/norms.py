@@ -4,6 +4,10 @@ homogeneous negative Sobolev norm, ball restrictions, and Morrey decay fits.
 Level sets are counted by whole cells (each grid point contributes one
 cell_measure); balls use the flat wrap-around torus metric and radii are
 capped at L/2 - spacing.
+
+Fields with several components or several tables (quaternion tables,
+gradient pairs, pairs of matrix tables) are combined into one magnitude or
+one L2 norm here: ``pointwise_abs`` and ``l2_norm`` take a group of tables.
 """
 
 from dataclasses import dataclass
@@ -30,8 +34,7 @@ class Ball:
     radius: float
 
 
-def pointwise_abs(f):
-    """Pointwise magnitude; trailing component axes are contracted."""
+def _squared_modulus(f):
     f = np.asarray(f)
     if np.iscomplexobj(f):
         mag2 = (f.real**2 + f.imag**2)
@@ -39,7 +42,13 @@ def pointwise_abs(f):
         mag2 = f**2
     if mag2.ndim > 2:
         mag2 = mag2.reshape(mag2.shape[0], mag2.shape[1], -1).sum(axis=-1)
-    return np.sqrt(mag2)
+    return mag2
+
+
+def pointwise_abs(*tables):
+    """Pointwise magnitude of a group of tables: the root of the squared
+    moduli summed over the trailing component axes of every table."""
+    return np.sqrt(sum(_squared_modulus(f) for f in tables))
 
 
 def _ball_mask(grid, ball):
@@ -76,8 +85,11 @@ def linf_norm(grid, f, region=None):
     return float(vals.max()) if vals.size else 0.0
 
 
-def l2_norm(grid, f, region=None):
-    return lp_norm(grid, f, 2, region)
+def l2_norm(grid, *tables, region=None):
+    """L2 norm of a group of tables: the root of the summed squared L2
+    norms of the tables.  For one table sqrt(x**2) == x, so it is the
+    table's lp_norm with p = 2."""
+    return float(np.sqrt(sum(lp_norm(grid, f, 2, region) ** 2 for f in tables)))
 
 
 def _decreasing_rearrangement(grid, f, region):
@@ -111,7 +123,7 @@ def sobolev_neg_1_2(plan, f):
 
     The zero mode is the torus proxy for homogeneity; inputs must be
     mean-zero, otherwise the value would silently depend on the dropped mode.
-    Trailing component axes are contracted as in ``l2_norm``, all in one
+    Trailing component axes are contracted as in ``pointwise_abs``, all in one
     batched transform.  A complex table a + ib counts as the pair (a, b):
     for real a, b and the even weight |k|^-2 the cross terms at k and -k
     cancel, so ||a + ib||^2 = ||a||^2 + ||b||^2.

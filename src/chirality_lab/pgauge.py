@@ -34,11 +34,10 @@ from chirality_lab.hyperunitary import (
     qp_conj_t,
     qp_dagger_defect,
     qp_exp_asd,
-    qp_frobenius,
     qp_matmul,
     qp_matvec,
 )
-from chirality_lab.norms import l2_norm
+from chirality_lab.norms import l2_norm, pointwise_abs
 
 __all__ = [
     "PGaugeResult",
@@ -106,12 +105,6 @@ def pl1_solve(plan, v_rhs, t_rhs):
     return plan.inv_laplacian(v_rhs), plan.cauchy_solve(0.5 * t_rhs)
 
 
-def p_grad_l2(plan, p):
-    gx, gy = _grad_pair(plan, p)
-    mag = qp_frobenius(gx) ** 2 + qp_frobenius(gy) ** 2
-    return float(np.sqrt(np.sum(mag) * plan.grid.cell_measure))
-
-
 class _HyperUnitary:
     """Hyper-unitary fields and anti-self-dual increments as (X, Y) pairs
     of (n, n, d, d) tables."""
@@ -152,7 +145,8 @@ class _HyperUnitary:
         return qp_matmul(p, qp_exp_asd((s * u[0], s * u[1])))
 
     def grad_l2(self, plan, p):
-        return p_grad_l2(plan, p)
+        gx, gy = _grad_pair(plan, p)
+        return l2_norm(plan.grid, *gx, *gy)
 
     def grad(self, plan, m):
         return _grad_pair(plan, m)
@@ -164,9 +158,9 @@ class _HyperUnitary:
     def act(self, w, v):
         return qp_matvec(w, v)
 
-    def mag(self, v):
-        """Pointwise magnitude of a pair of (n, n, d) vector tables."""
-        return np.sqrt(np.sum(np.abs(v[0]) ** 2 + np.abs(v[1]) ** 2, axis=-1))
+    def mag(self, *pairs):
+        """Pointwise magnitude of pairs of (n, n, d) vector tables."""
+        return pointwise_abs(*(part for pair in pairs for part in pair))
 
 
 _HYPER_UNITARY = _HyperUnitary()
@@ -182,13 +176,14 @@ def chi_potential(plan, p, precondition_tol=1e-6):
     gauge.zeta_potential."""
     x1, x2 = p_connection(plan, p)
     return _stream_potential(
-        plan, x1[0], x2[0], p_grad_l2(plan, p), _HYPER_UNITARY.line, precondition_tol
+        plan, x1[0], x2[0], _HYPER_UNITARY.grad_l2(plan, p), _HYPER_UNITARY.line,
+        precondition_tol,
     )
 
 
 def absorbed_residual(plan, p, chi, gamma1, g_pair):
-    """Residual of d1(PG) - d2(P i G) = 2 P (-i d_L chi + Gamma1) G."""
-    grid = plan.grid
+    """Residual of d1(PG) - d2(P i G) = 2 P (-i d_L chi + Gamma1) G;
+    returns (residual, right side, P G)."""
     pg = qp_matvec(p, g_pair)
     ig = (1j * g_pair[0], 1j * g_pair[1])
     pig = qp_matvec(p, ig)
@@ -199,17 +194,14 @@ def absorbed_residual(plan, p, chi, gamma1, g_pair):
     rhs_inner = qp_matvec(m_tot, g_pair)
     rhs = qp_matvec(p, rhs_inner)
     rhs = (2.0 * rhs[0], 2.0 * rhs[1])
-    res = np.sqrt(
-        l2_norm(grid, lhs[0] - rhs[0]) ** 2 + l2_norm(grid, lhs[1] - rhs[1]) ** 2
-    )
-    return float(res), (lhs, rhs, pg, pig)
+    return l2_norm(plan.grid, lhs[0] - rhs[0], lhs[1] - rhs[1]), rhs, pg
 
 
 def p_contraction_chain(plan, p, chi, gamma1, g_pair, b_tol=1e-11, b_max_iter=400):
     """The contraction measurement of gauge.contraction_chain for the doubled
     system: A is the potential of the absorbed right side, and the factor
     is taken against ||P G||_{2,inf}."""
-    res, (_, rhs, pg, _) = absorbed_residual(plan, p, chi, gamma1, g_pair)
+    res, rhs, pg = absorbed_residual(plan, p, chi, gamma1, g_pair)
     eye, zero = _HYPER_UNITARY.identity(p[0])
     w = qp_matmul(qp_matmul(p, (1j * eye, zero)), qp_conj_t(p))
     a = _HYPER_UNITARY.parts(plan.inv_laplacian, rhs)
@@ -243,13 +235,12 @@ def p_gauge_structures(plan, gamma, gamma1, g_pair, config=None, partial_ok=Fals
         result = stall.result
         t_reached = stall.t_reached
     chi, chi_diag = chi_potential(plan, result.p, precondition_tol=1e-2)
-    res, _ = absorbed_residual(plan, result.p, chi, gamma1, g_pair)
     contraction = p_contraction_chain(plan, result.p, chi, gamma1, g_pair)
     return {
         "gauge": result,
         "t_reached": t_reached,
         "chi": chi,
         "chi_diagnostics": chi_diag,
-        "absorbed_residual": res,
+        "absorbed_residual": contraction["absorbed_residual"],
         "contraction": contraction,
     }

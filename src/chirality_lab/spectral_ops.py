@@ -63,7 +63,6 @@ class SpectralPlan:
         k = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.spacing)
         self.k1 = k[:, None] * np.ones((1, n))
         self.k2 = np.ones((n, 1)) * k[None, :]
-        self.kc = self.k1 + 1j * self.k2
         self.k2abs = self.k1**2 + self.k2**2
 
         nyq = n // 2

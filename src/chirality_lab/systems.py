@@ -22,9 +22,9 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from chirality_lab.chirality import ChiralityField, projections, rotation2, s0_matrix
-from chirality_lab.field_core import complex_left, left_j, qmul, qnorm, quat_to_complex_pair
+from chirality_lab.field_core import complex_left, left_j, qmul, quat_to_complex_pair
 from chirality_lab.hyperunitary import qp_dagger_defect, qp_matvec
-from chirality_lab.norms import l2_norm
+from chirality_lab.norms import l2_norm, pointwise_abs
 from chirality_lab.spectral_ops import random_band_limited
 
 __all__ = [
@@ -57,10 +57,6 @@ class VectorField:
     periodic: np.ndarray
     affine: np.ndarray | None = None  # (m, 2)
 
-    @property
-    def ncomp(self):
-        return self.periodic.shape[-1]
-
     def values(self, grid):
         vals = self.periodic
         if self.affine is not None:
@@ -79,13 +75,6 @@ class VectorField:
             gy = gy + self.affine[:, 1]
         return gx, gy
 
-    def mean_zero(self):
-        return VectorField(self.periodic - self.periodic.mean(axis=(0, 1)), self.affine)
-
-
-def _agg_l2(grid, *fields):
-    return float(np.sqrt(sum(l2_norm(grid, f) ** 2 for f in fields)))
-
 
 @dataclass
 class ChiralitySystem:
@@ -97,10 +86,6 @@ class ChiralitySystem:
     alpha: np.ndarray | None = None
     q_frame: np.ndarray | None = None  # rotation2(alpha) for n = 2 frames
     diagnostics: dict = dataclass_field(default_factory=dict)
-
-    def f_uv(self, grid=None):
-        g = grid or self.grid
-        return self.u.values(g) + 1j * self.v.values(g)
 
     def f_frame(self):
         if self.q_frame is None:
@@ -116,12 +101,6 @@ class ChiralitySystem:
         f = self.f_frame()
         return quaternionize(f)
 
-    def grad_alpha_l2(self, plan):
-        if self.alpha is None:
-            return 0.0
-        gx, gy = plan.grad(self.alpha)
-        return _agg_l2(self.grid, gx, gy)
-
 
 def conjugate_potential(plan, s, u, div_tol=1e-8):
     """Least-squares potential v with grad_perp v = S grad u.
@@ -135,7 +114,7 @@ def conjugate_potential(plan, s, u, div_tol=1e-8):
     ux, uy = u.gradient(plan)
     wx = np.einsum("...jl,...l->...j", s, ux)
     wy = np.einsum("...jl,...l->...j", s, uy)
-    div_res = _agg_l2(grid, plan.div(wx, wy))
+    div_res = l2_norm(grid, plan.div(wx, wy))
     v_per = plan.inv_laplacian(plan.curl(wx, wy))
     mean_w = np.stack([wx.mean(axis=(0, 1)), wy.mean(axis=(0, 1))], axis=-1)  # (m, 2)
     affine = np.stack([mean_w[:, 1], -mean_w[:, 0]], axis=-1)
@@ -144,8 +123,8 @@ def conjugate_potential(plan, s, u, div_tol=1e-8):
         affine = None
     v = VectorField(v_per, affine)
     vx, vy = v.gradient(plan)
-    lsq = _agg_l2(grid, -vy - wx, vx - wy)
-    scale = max(_agg_l2(grid, wx, wy), 1e-300)
+    lsq = l2_norm(grid, -vy - wx, vx - wy)
+    scale = max(l2_norm(grid, wx, wy), 1e-300)
     return v, {
         "div_residual": div_res,
         "lsq_residual": lsq,
@@ -164,8 +143,8 @@ def holo_split_residual(plan, system):
     dz = 0.5 * (fx - 1j * fy)
     dzbar = 0.5 * (fx + 1j * fy)
     pl, pr = projections(system.chirality)
-    r_l = _agg_l2(grid, np.einsum("...jl,...l->...j", pl, dz))
-    r_r = _agg_l2(grid, np.einsum("...jl,...l->...j", pr, dzbar))
+    r_l = l2_norm(grid, np.einsum("...jl,...l->...j", pl, dz))
+    r_r = l2_norm(grid, np.einsum("...jl,...l->...j", pr, dzbar))
     return r_l, r_r
 
 
@@ -203,7 +182,7 @@ def n2_transform(plan, alpha, u, v):
         dzf = 0.5 * (fx - 1j * fy)
     dza = plan.d_z(alpha)
     rhs = np.einsum("ij,...,...j->...i", ROT_GEN, dza, np.conj(f))
-    residual = _agg_l2(grid, dzf - rhs)
+    residual = l2_norm(grid, dzf - rhs)
     return f, residual
 
 
@@ -219,8 +198,7 @@ def quaternion_residual(plan, frak_f, alpha, sign=-1):
     """|| d_L frak_f - sign * d_z(alpha) j frak_f ||_2."""
     dza = plan.d_z(alpha)
     rhs = complex_left(sign * dza, left_j(frak_f))
-    res = plan.d_left(frak_f) - rhs
-    return float(np.sqrt(np.sum(qnorm(res) ** 2) * plan.grid.cell_measure))
+    return l2_norm(plan.grid, plan.d_left(frak_f) - rhs)
 
 
 def complex_pair_residual(plan, f, alpha, sign=-1):
@@ -229,7 +207,7 @@ def complex_pair_residual(plan, f, alpha, sign=-1):
     dza = plan.d_z(alpha)
     r1 = plan.d_z(f[..., 0]) + sign * dza * np.conj(f[..., 1])
     r2 = plan.d_z(f[..., 1]) - sign * dza * np.conj(f[..., 0])
-    return _agg_l2(plan.grid, r1, r2)
+    return l2_norm(plan.grid, r1, r2)
 
 
 def dirac_residual(plan, psi, u_pot):
@@ -238,8 +216,7 @@ def dirac_residual(plan, psi, u_pot):
     grid = plan.grid
     r1 = plan.d_z(psi[..., 1]) - u_pot * psi[..., 0]
     r2 = -plan.d_zbar(psi[..., 0]) - np.conj(u_pot) * psi[..., 1]
-    hyp = l2_norm(grid, plan.d_zbar(u_pot).imag)
-    return _agg_l2(grid, r1, r2), float(hyp)
+    return l2_norm(grid, r1, r2), l2_norm(grid, plan.d_zbar(u_pot).imag)
 
 
 @dataclass
@@ -348,13 +325,13 @@ def double_system(plan, g, a_coef, b_coef, tol=1e-12):
     dg2 = plan.d_z(g2)
     tot = (gamma[0] + gamma1[0], gamma[1] + gamma1[1])
     rhs1, rhs2 = qp_matvec(tot, (g1, g2))
-    res = _agg_l2(grid, dg1 - rhs1, dg2 - rhs2)
+    res = l2_norm(grid, dg1 - rhs1, dg2 - rhs2)
 
     # steps 1-2: the first m rows reproduce d_z g = A g + B conj(g)
     base = plan.d_z(g) - np.einsum("...ij,...j->...i", a_coef, g) - np.einsum(
         "...ij,...j->...i", b_coef, np.conj(g)
     )
-    pair_defect = _agg_l2(grid, (dg1 - rhs1)[..., :m] - base)
+    pair_defect = l2_norm(grid, (dg1 - rhs1)[..., :m] - base)
 
     cert = {
         "anti_self_duality": asd_defect,
@@ -381,8 +358,7 @@ def _alpha_with_grad_norm(plan, rng, target, kmax=3, x1_only=False):
         alpha = np.broadcast_to(profile[:, None], (grid.n, grid.n)).copy()
     else:
         alpha = random_band_limited(plan, rng, kmax=kmax)
-    gx, gy = plan.grad(alpha)
-    norm = _agg_l2(grid, gx, gy)
+    norm = l2_norm(grid, *plan.grad(alpha))
     return alpha * (target / norm) if norm > 0 else alpha
 
 
@@ -485,9 +461,9 @@ def manufacture_doubled(plan, m, rng, b_norm=0.05, tol_floor=0.25):
             random_band_limited(plan, rng, kmax=3, rms=1.0)
             + 1j * random_band_limited(plan, rng, kmax=3, rms=1.0)
         ) / np.sqrt(2)
-    norms = np.sqrt(np.sum(np.abs(g) ** 2, axis=-1))
-    if norms.min() < tol_floor:
-        g += base * (tol_floor - norms.min() + 0.1)
+    floor = pointwise_abs(g).min()
+    if floor < tol_floor:
+        g += base * (tol_floor - floor + 0.1)
 
     b = np.zeros((grid.n, grid.n, m, m), dtype=complex)
     for i in range(m):
@@ -497,8 +473,7 @@ def manufacture_doubled(plan, m, rng, b_norm=0.05, tol_floor=0.25):
             )
             b[..., i, j] = entry
             b[..., j, i] = -entry
-    bnorm = np.sqrt(np.sum(np.abs(b) ** 2, axis=(-1, -2)))
-    total = float(np.sqrt(np.sum(bnorm**2) * grid.cell_measure))
+    total = l2_norm(grid, b)
     if total > 0:
         b *= b_norm / total
 

@@ -65,7 +65,7 @@ def test_worst_of_propagates_non_finite_values():
 def test_contraction_gates_fail_on_failed_trials(tmp_path, monkeypatch):
     import chirality_lab.experiments as experiments
 
-    def quaternion_run(plan, seed, grad_alpha, tol=1e-8, eps0=None, perturb=0.0):
+    def quaternion_run(plan, seed, grad_alpha, tol=1e-8):
         # the fourth quaternion trial's B fixed point did not converge
         rec = {"seed": seed, "grad_alpha": grad_alpha, "grid_n": plan.grid.n,
                "residual": 1e-10, "theta": 0.1, "steps": 16, "t_reached": 1.0,
@@ -226,3 +226,15 @@ def test_anchor_coverage(tmp_path):
         covered |= set(report.anchors)
     missing = ANCHORS - covered
     assert not missing, f"anchors never exercised: {missing}"
+
+
+def test_every_exported_name_resolves():
+    import importlib
+    import pkgutil
+
+    import chirality_lab
+
+    for info in pkgutil.iter_modules(chirality_lab.__path__):
+        module = importlib.import_module(f"chirality_lab.{info.name}")
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert not missing, (info.name, missing)

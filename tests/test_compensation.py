@@ -132,27 +132,6 @@ def test_bb_rotated_gradient_constant_one(plan):
     assert max(slack) < 1.05
 
 
-def test_diagnostics_json_records(plan):
-    import json
-
-    rng = np.random.default_rng(30)
-    u0 = random_band_limited(plan, rng)
-    u0 -= u0.mean()
-    _, diag = bb_reconstruct(plan, gradient_data(plan, u0))
-    rec = json.loads(diag.json_record(plan.grid.n, seed=30))
-    assert rec["lemma"] == "bb-l2"
-    assert set(rec) == {"lemma", "inputs_hash", "lhs", "rhs", "constant",
-                        "grid_n", "seed"}
-    assert len(rec["inputs_hash"]) == 12
-
-    h = random_band_limited_complex(plan, rng)
-    h -= h.mean()
-    d2 = real_from_imag_bound(plan, h, plan.d_zbar(h))
-    rec2 = json.loads(d2.json_record(plan.grid.n))
-    assert rec2["lemma"] == "real-from-imag"
-    assert rec2["grid_n"] == plan.grid.n
-
-
 def test_real_from_imag_identity_random(plan):
     rng = np.random.default_rng(8)
     h = random_band_limited_complex(plan, rng)
@@ -161,7 +140,6 @@ def test_real_from_imag_identity_random(plan):
     diag = real_from_imag_bound(plan, h, g)
     scale = diag.re_sq + diag.im_sq + diag.g_l1 * diag.t_linf
     assert diag.identity_residual < 1e-8 * scale
-    assert diag.inequality_holds
 
 
 def test_real_from_imag_constant(plan):

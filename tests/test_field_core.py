@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chirality_lab.field_core import (
     Grid2,
@@ -61,6 +62,21 @@ def test_conjugation_antihomomorphism():
     lhs = qconj(qmul(a, b))
     rhs = qmul(qconj(b), qconj(a))
     assert np.max(qnorm(lhs - rhs)) < 1e-13 * np.max(qnorm(lhs))
+
+
+@given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_quaternion_algebra_laws(seed, scale):
+    # each side's error is relative to |a||b|(|c|), the size of the product
+    rng = np.random.default_rng(seed)
+    a, b, c = (scale * random_quats(rng, 256) for _ in range(3))
+    ab = qmul(a, b)
+    size = qnorm(a) * qnorm(b)
+    assert np.all(
+        qnorm(qmul(ab, c) - qmul(a, qmul(b, c))) <= 1e-13 * size * qnorm(c)
+    )
+    assert np.all(qnorm(qconj(ab) - qmul(qconj(b), qconj(a))) <= 1e-13 * size)
+    assert np.all(np.abs(qnorm(ab) - size) <= 1e-13 * size)
 
 
 def test_norm_via_conjugate_and_inverse():

@@ -17,10 +17,8 @@ from chirality_lab.gauge import (
     connection,
     contraction_chain,
     gauge_solve,
-    grad_l2,
     l1_apply,
     l1_solve,
-    l2_qfield,
     linearization_order,
     lq_solve,
     n_apply,

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chirality_lab.field_core import Grid2
 from chirality_lab.norms import (
@@ -10,6 +11,7 @@ from chirality_lab.norms import (
     lorentz_weak_l2,
     lp_norm,
     morrey_profile,
+    pointwise_abs,
     sobolev_neg_1_2,
 )
 from chirality_lab.spectral_ops import SpectralPlan, random_band_limited
@@ -187,3 +189,33 @@ def test_linf(grid):
     f = np.zeros((grid.n, grid.n))
     f[3, 4] = -7.0
     assert linf_norm(grid, f) == 7.0
+
+
+@given(
+    n=st.integers(4, 16).map(lambda k: 2 * k),
+    tables=st.lists(
+        st.tuples(st.sampled_from([(), (4,), (2, 2)]), st.booleans()),
+        min_size=1, max_size=3,
+    ),
+    in_ball=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_group_norms_are_norms_of_the_concatenated_table(n, tables, in_ball, seed):
+    grid = Grid2(n, length=3.0)
+    rng = np.random.default_rng(seed)
+    fs = []
+    for trailing, is_complex in tables:
+        f = rng.standard_normal((n, n) + trailing)
+        if is_complex:
+            f = f + 1j * rng.standard_normal(f.shape)
+        fs.append(f)
+    joined = np.concatenate([f.reshape(n, n, -1) for f in fs], axis=-1)
+    mag, ref = pointwise_abs(*fs), pointwise_abs(joined)
+    assert mag.shape == (n, n)
+    assert np.all(np.abs(mag - ref) <= 1e-14 * ref)
+    region = Ball(tuple(rng.random(2) * 3.0), 0.4 + 0.7 * rng.random()) if in_ball else None
+    norm, ref = l2_norm(grid, *fs, region=region), l2_norm(grid, joined, region=region)
+    assert abs(norm - ref) <= 1e-14 * ref
+    for f in fs:
+        assert l2_norm(grid, f, region=region) == lp_norm(grid, f, 2, region)
