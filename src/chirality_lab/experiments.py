@@ -625,7 +625,7 @@ def _ball_split_diagnostics(plan, frak, q, zeta, center, radius):
     mask = d1**2 + d2**2 <= radius**2
     lu, idx = _dirichlet_lu(mask, h)
 
-    qf, qif, rhs = gauge._transported(plan, q, frak, zeta)
+    qf, qif, rhs = gauge.transported(plan, q, frak, zeta)
     rhs = -rhs  # -lap A = rhs
 
     a_comp = np.stack(

@@ -6,8 +6,6 @@ are stored component-wise as (..., 4) float tables with layout
 left/right multiplication by the units become component shuffles.
 """
 
-import os
-
 import numpy as np
 
 __all__ = [
@@ -17,7 +15,6 @@ __all__ = [
     "qconj",
     "qinv",
     "qnorm",
-    "qnormalize",
     "qexp_pure",
     "left_i",
     "right_i",
@@ -74,28 +71,8 @@ class Grid2:
 # pointwise quaternion kernels on (..., 4) component tables
 # ---------------------------------------------------------------------------
 
-_ext = None
-if not os.environ.get("CHIRALITY_LAB_NO_EXT"):
-    try:
-        from chirality_lab import _quatcore as _ext
-    except ImportError:
-        _ext = None
-
-HAVE_COMPILED_KERNELS = _ext is not None
-
-
-def _qmul_np(a, b, out):
-    a0, a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    b0, b1, b2, b3 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    out[..., 0] = a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
-    out[..., 1] = a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2
-    out[..., 2] = a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1
-    out[..., 3] = a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
-    return out
-
-
-def _flat(a):
-    return np.ascontiguousarray(a, dtype=np.float64).reshape(-1, 4)
+# perfbench reports this setting; the kernels are numpy only
+HAVE_COMPILED_KERNELS = False
 
 
 def qmul(a, b):
@@ -104,19 +81,19 @@ def qmul(a, b):
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         a, b = np.broadcast_arrays(a, b)
+    a0, a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    b0, b1, b2, b3 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
     out = np.empty(a.shape, dtype=np.float64)
-    if _ext is not None and a.ndim >= 2:
-        _ext.mul(_flat(a), _flat(b), out.reshape(-1, 4))
-        return out
-    return _qmul_np(a, b, out)
+    out[..., 0] = a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
+    out[..., 1] = a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2
+    out[..., 2] = a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1
+    out[..., 3] = a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
+    return out
 
 
 def qconj(a):
     a = np.asarray(a, dtype=np.float64)
     out = np.empty_like(a)
-    if _ext is not None and a.ndim >= 2:
-        _ext.conj(_flat(a), out.reshape(-1, 4))
-        return out
     out[..., 0] = a[..., 0]
     out[..., 1:] = -a[..., 1:]
     return out
@@ -130,31 +107,16 @@ def qnorm(a):
 def qinv(a):
     a = np.asarray(a, dtype=np.float64)
     out = np.empty_like(a)
-    if _ext is not None and a.ndim >= 2:
-        _ext.inv(_flat(a), out.reshape(-1, 4))
-        return out
     n2 = np.sum(a * a, axis=-1, keepdims=True)
     out[..., :1] = a[..., :1] / n2
     out[..., 1:] = -a[..., 1:] / n2
     return out
 
 
-def qnormalize(a):
-    a = np.asarray(a, dtype=np.float64)
-    out = np.empty_like(a)
-    if _ext is not None and a.ndim >= 2:
-        _ext.normalize(_flat(a), out.reshape(-1, 4))
-        return out
-    return a / qnorm(a)[..., None]
-
-
 def qexp_pure(u):
     """exp of a pure quaternion table: cos|u| + (u/|u|) sin|u|."""
     u = np.asarray(u, dtype=np.float64)
     out = np.empty_like(u)
-    if _ext is not None and u.ndim >= 2:
-        _ext.exp_pure(_flat(u), out.reshape(-1, 4))
-        return out
     theta = np.sqrt(np.sum(u[..., 1:] ** 2, axis=-1))
     s = np.sinc(theta / np.pi)
     out[..., 0] = np.cos(theta)

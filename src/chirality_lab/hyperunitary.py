@@ -10,7 +10,8 @@ skew-Hermitian and Y is complex symmetric; these form the Lie algebra of
 the group of quaternion matrices with conj(P)^t P = I.  The complex
 embedding [[X, Y], [-conj(Y), conj(X)]] is multiplication-compatible and
 sends anti-self-dual matrices to skew-Hermitian ones, which gives a
-vectorized exponential via eigh.
+vectorized exponential via eigh.  At d = 1 the matrices are quaternions
+and the exponential has a closed form.
 """
 
 import numpy as np
@@ -102,7 +103,24 @@ def _embed(m):
 
 def qp_exp_asd(u):
     """exp of an anti-self-dual matrix field; the result satisfies
-    conj(P)^t P = I.  Uses eigh of the skew-Hermitian complex embedding."""
+    conj(P)^t P = I.  At d = 1, where u is the pure quaternion a i + Y j,
+    the closed form cos|u| + sinc|u| u; otherwise eigh of the
+    skew-Hermitian complex embedding."""
+    if u[0].shape[-1] == 1:
+        return _exp_asd_d1(u)
+    return _exp_asd_eigh(u)
+
+
+def _exp_asd_d1(u):
+    # only the skew-Hermitian part i a of X enters, as in the eigh path
+    a = u[0].imag
+    y = u[1]
+    theta = np.sqrt(a * a + y.real * y.real + y.imag * y.imag)
+    s = np.sinc(theta / np.pi)
+    return np.cos(theta) + 1j * (s * a), s * y
+
+
+def _exp_asd_eigh(u):
     x, _ = u
     dim = x.shape[-1]
     e = _embed(u)

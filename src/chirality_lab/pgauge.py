@@ -1,34 +1,43 @@
-"""Gauge construction over quaternion-unitary matrix fields.
+"""Gauge construction over quaternion-unitary matrix fields: the one gauge
+solver of the package.
 
 Fields P with conj(P)^t P = I act on the doubled 2n-component systems.
 Matrices are carried in the complex-pair representation (X, Y) of
 hyperunitary.py: the 1i-plane of a quaternion matrix is its X part, the
-jk-plane its Y part.
+jk-plane its Y part.  Unit quaternions are the 1 x 1 case (Sp(1)), so the
+quaternion gauge of gauge.py runs this code at d = 1 and converts its
+tables at the boundary.
 
 The operator is
 
     N(P) = ( 1i-part of div(P^-1 grad P),
              jk-part of P^-1 d1 P - (P^-1 d2 P) i )
 
-and p_gauge_solve runs the continuation of gauge.py over the hyper-unitary
-algebra below, with the same torus mean bookkeeping as the quaternion
-gauge: intermediate levels converge the mean-projected residual, the jk
-mean is closed at the endpoint.  The stream potential chi and the
-contraction measurement run the shared code of gauge.py over the same
-algebra.
+with the 1i-line component a skew-Hermitian table V and the jk-plane
+component a complex symmetric table T.  N(P) = (V, T) is solved by
+numerical continuation along t*(V, T) with a damped Newton step
+P <- P exp(s u) at each level.  The linearization at P = I inverts in
+closed form (a Laplace solve for the 1i-line, a d_zbar solve for the
+jk-plane); the Newton solve iterates it against the commutator terms of
+the frozen connection, which the residual evaluation hands over.
+
+Torus bookkeeping: the 1i-line component of N is a divergence and has zero
+mean structurally, so targets must be mean-zero there.  The jk-plane mean
+of the image is quadratic near P = I, so linear solves project it out;
+intermediate continuation levels track the path to basin accuracy and the
+endpoint Newton closes the mean where a solution exists.  Residual tables
+reduce over the grid axes (0, 1) and contract the matrix axes.
+
+The stream potential chi of the 1i-line connection and the contraction
+measurement (the B fixed point and the weak-L^{2,inf} factor) complete the
+pipeline of p_gauge_structures.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from chirality_lab.gauge import (
-    GaugeStall,
-    _closure_factor,
-    _continue,
-    _projected_solve,
-    _stream_potential,
-)
+from chirality_lab.compensation import PreconditionError
 from chirality_lab.hyperunitary import (
     qp_commutator,
     qp_conj_t,
@@ -37,9 +46,18 @@ from chirality_lab.hyperunitary import (
     qp_matmul,
     qp_matvec,
 )
-from chirality_lab.norms import l2_norm, pointwise_abs
+from chirality_lab.norms import (
+    l2_norm,
+    lorentz_l21,
+    lorentz_weak_l2,
+    pointwise_abs,
+    sobolev_neg_1_2,
+)
 
 __all__ = [
+    "GaugeConfig",
+    "GaugeDivergence",
+    "GaugeStall",
     "PGaugeResult",
     "pn_apply",
     "p_gauge_solve",
@@ -47,6 +65,32 @@ __all__ = [
     "p_contraction_chain",
     "p_gauge_structures",
 ]
+
+# continuation budget: smallest step before a stall, Newton steps per level,
+# inner iterations per Newton step
+DT_MIN = 1e-4
+MAX_NEWTON = 20
+MAX_INNER = 120
+
+
+class GaugeDivergence(RuntimeError):
+    def __init__(self, message, contraction_estimate):
+        super().__init__(f"{message} (estimated contraction {contraction_estimate:.3f})")
+        self.contraction_estimate = contraction_estimate
+
+
+class GaugeStall(RuntimeError):
+    def __init__(self, t_reached, result):
+        super().__init__(f"continuation stalled at t = {t_reached:.4f}")
+        self.t_reached = t_reached
+        self.result = result
+
+
+@dataclass
+class GaugeConfig:
+    eps0: float = 0.1
+    tol: float = 1e-8
+    dt: float = 1.0 / 16.0
 
 
 @dataclass
@@ -79,6 +123,18 @@ def _grad_pair(plan, m):
     return (x1, y1), (x2, y2)
 
 
+def _grad_l2(plan, p):
+    gx, gy = _grad_pair(plan, p)
+    return l2_norm(plan.grid, *gx, *gy)
+
+
+def _sup(u, v=None):
+    """Sup norm of the pair u, or of u - v."""
+    if v is not None:
+        u = (u[0] - v[0], u[1] - v[1])
+    return max(float(np.max(np.abs(u[0]))), float(np.max(np.abs(u[1]))))
+
+
 def p_connection(plan, p):
     pct = qp_conj_t(p)
     g1, g2 = _grad_pair(plan, p)
@@ -91,13 +147,14 @@ def _jk_of(x1, x2):
 
 
 def pn_apply(plan, p, check=True):
-    """N(P) as (complex skew-Hermitian table V, complex symmetric table T)."""
+    """N(P) as (complex skew-Hermitian table V, complex symmetric table T),
+    and the connection (X1, X2) = P^-1 grad P it was computed from."""
     if check:
         defect = _unitarity_defect(p)
         if defect > 1e-9:
             raise ValueError(f"field is not hyper-unitary (defect {defect:.3e})")
     x1, x2 = p_connection(plan, p)
-    return plan.div(x1[0], x2[0]), _jk_of(x1, x2)
+    return (plan.div(x1[0], x2[0]), _jk_of(x1, x2)), (x1, x2)
 
 
 def pl1_solve(plan, v_rhs, t_rhs):
@@ -105,85 +162,193 @@ def pl1_solve(plan, v_rhs, t_rhs):
     return plan.inv_laplacian(v_rhs), plan.cauchy_solve(0.5 * t_rhs)
 
 
-class _HyperUnitary:
-    """Hyper-unitary fields and anti-self-dual increments as (X, Y) pairs
-    of (n, n, d, d) tables."""
-
-    line = "1i-line"
-    w_dtype = complex
-    result = PGaugeResult
-
-    def identity(self, v):
-        eye = np.broadcast_to(np.eye(v.shape[-1], dtype=complex), v.shape)
-        return eye.copy(), np.zeros_like(eye)
-
-    def zero(self, v):
-        return np.zeros(v.shape, dtype=complex), np.zeros(v.shape, dtype=complex)
-
-    def n_apply(self, plan, p):
-        return pn_apply(plan, p, check=False)
-
-    def perturbation(self, plan, x1, x2, u):
-        c1 = qp_commutator(x1, u)
-        c2 = qp_commutator(x2, u)
-        return plan.div(c1[0], c2[0]), _jk_of(c1, c2)
-
-    def base_solve(self, plan, v, t):
-        return pl1_solve(plan, v, t)
-
-    def linear_solve(self, plan, p, v, t, tol, max_iter):
-        x1, x2 = p_connection(plan, p)
-        return _projected_solve(self, plan, x1, x2, v, t, tol, max_iter)
-
-    def sup(self, u, v=None):
-        """Sup norm of u, or of u - v."""
-        if v is not None:
-            u = self.parts(np.subtract, u, v)
-        return max(float(np.max(np.abs(u[0]))), float(np.max(np.abs(u[1]))))
-
-    def retract(self, p, u, s):
-        return qp_matmul(p, qp_exp_asd((s * u[0], s * u[1])))
-
-    def grad_l2(self, plan, p):
-        gx, gy = _grad_pair(plan, p)
-        return l2_norm(plan.grid, *gx, *gy)
-
-    def grad(self, plan, m):
-        return _grad_pair(plan, m)
-
-    def parts(self, fn, *pairs):
-        """fn applied part by part: to the X parts, then to the Y parts."""
-        return tuple(fn(*part) for part in zip(*pairs))
-
-    def act(self, w, v):
-        return qp_matvec(w, v)
-
-    def mag(self, *pairs):
-        """Pointwise magnitude of pairs of (n, n, d) vector tables."""
-        return pointwise_abs(*(part for pair in pairs for part in pair))
+def _perturbation(plan, x1, x2, u):
+    """L_P(u) - L_I(u): commutator terms of the frozen connection (x1, x2)."""
+    c1 = qp_commutator(x1, u)
+    c2 = qp_commutator(x2, u)
+    return plan.div(c1[0], c2[0]), _jk_of(c1, c2)
 
 
-_HYPER_UNITARY = _HyperUnitary()
+def _residual_norms(plan, v, t):
+    """(negative-Sobolev norm of the 1i-part, L2 of the oscillatory jk-part,
+    L2 carried by the jk mean); the matrix axes are contracted."""
+    v0 = v - v.mean(axis=(0, 1))
+    t_mean = t.mean(axis=(0, 1))
+    mean_l2 = float(np.sqrt(np.sum(np.abs(t_mean) ** 2)) * plan.grid.length)
+    return sobolev_neg_1_2(plan, v0), l2_norm(plan.grid, t - t_mean), mean_l2
+
+
+def _projected_solve(plan, x1, x2, v_rhs, t_rhs, tol, max_iter):
+    """Solve the mean-projected L_P(u) = (V, T) for the connection (x1, x2)
+    of P by the stationary iteration u <- L_I^-1(rhs - pert(u)), which
+    converges geometrically while the connection is small.
+
+    The jk-plane mean is a harmonic sector reachable only at second order
+    in the connection, so the solve projects it out; the outer Newton flow
+    carries the mean along and closes it at the end of the continuation.
+    Returns (u, iterations); raises GaugeDivergence when the iteration
+    stops contracting.
+    """
+    u = np.zeros(v_rhs.shape, dtype=complex), np.zeros(v_rhs.shape, dtype=complex)
+    scale = max(np.abs(v_rhs).max(), np.abs(t_rhs).max(), 1e-300)
+    prev = np.inf
+    bad = 0
+    change = np.inf
+    for it in range(max_iter):
+        pv, pt = _perturbation(plan, x1, x2, u)
+        rv = v_rhs - pv
+        u_new = pl1_solve(plan, rv - rv.mean(axis=(0, 1)), t_rhs - pt)
+        change = _sup(u_new, u)
+        u = u_new
+        if change < tol * max(scale, _sup(u)):
+            return u, it + 1
+        if change > prev * 1.0001:
+            bad += 1
+            if bad >= 4:
+                raise GaugeDivergence(
+                    "preconditioned iteration diverges", change / max(prev, 1e-300)
+                )
+        else:
+            bad = 0
+        prev = change
+    raise GaugeDivergence("iteration budget exhausted", change / max(prev, 1e-300))
 
 
 def p_gauge_solve(plan, v_target, t_target, config=None):
-    """Continuation solve of N(P) = (V, T) over hyper-unitary fields."""
-    return _continue(_HYPER_UNITARY, plan, v_target, t_target, config)
+    """Continuation solve of N(P) = (V, T) over hyper-unitary fields: the
+    levels t*(V, T) are solved by damped Newton from the previous level's
+    field.
+
+    The 1i-line target must be mean-zero (structural on the torus).  A
+    level that fails is retried at half the step; GaugeStall (carrying the
+    partial result at the last accepted t) is raised once the step drops
+    below DT_MIN.
+    """
+    cfg = config or GaugeConfig()
+    v_target = np.asarray(v_target, dtype=complex)
+    t_target = np.asarray(t_target, dtype=complex)
+    v_mean = v_target.mean(axis=(0, 1))
+    v_scale = max(float(np.max(np.abs(v_target))), 1e-300)
+    if np.max(np.abs(v_mean)) > 1e-10 * v_scale:
+        raise ValueError("the 1i-line target must be mean-zero on the torus")
+    target_size = sobolev_neg_1_2(plan, v_target - v_mean) + l2_norm(
+        plan.grid, t_target
+    )
+    if target_size > cfg.eps0:
+        raise ValueError(f"target norm {target_size:.3e} exceeds eps0 = {cfg.eps0}")
+
+    eye = np.broadcast_to(np.eye(v_target.shape[-1], dtype=complex), v_target.shape)
+    p = eye.copy(), np.zeros_like(eye)
+    t = 0.0
+    dt = cfg.dt
+    steps = 0
+
+    def residual(p_now, t_now):
+        """Residual tables (rv, rt) at level t_now, the connection of p_now,
+        and the norms (oscillatory, 1i-part, jk-part, jk-mean)."""
+        (nv, nt), conn = pn_apply(plan, p_now, check=False)
+        rv = t_now * v_target - nv
+        rt = t_now * t_target - nt
+        ri, rjk, rmean = _residual_norms(plan, rv, rt)
+        return (rv, rt), conn, (ri + rjk, ri, rjk, rmean)
+
+    def finish(t_now):
+        _, _, (_, ri, rjk, rmean) = residual(p, t_now)
+        theta = _grad_l2(plan, p) / target_size if target_size > 0 else 0.0
+        return PGaugeResult(p, ri + rjk + rmean, ri, rjk, rmean, theta, steps, t_now)
+
+    tol_floor = max(cfg.tol, 1e-13 * max(target_size, 1.0))
+
+    def level_converged(res_osc, rmean, t_now, dt_now):
+        # intermediate levels only need basin-tracking accuracy; the jk mean
+        # follows quadratically and is enforced at the endpoint, where the
+        # final Newton polish closes it
+        if t_now >= 1.0 - 1e-12:
+            return res_osc + rmean <= tol_floor
+        return res_osc <= max(tol_floor, 0.02 * dt_now * target_size)
+
+    def newton(p, t_now, dt_now):
+        """Damped Newton from p at level t_now; returns the last field the
+        line search accepted with its oscillatory and jk-mean residuals.
+        The tables of one field are alive at a time: a residual and a
+        connection are six (n, n, d, d) tables."""
+        r, conn, (res, _, _, rmean) = residual(p, t_now)
+        for _ in range(MAX_NEWTON):
+            if level_converged(res, rmean, t_now, dt_now):
+                break
+            try:
+                u, _ = _projected_solve(
+                    plan, *conn, *r, 1e-3 * res / max(target_size, 1e-300), MAX_INNER
+                )
+            except GaugeDivergence:
+                break
+            u = plan.dealias(u[0]), plan.dealias(u[1])
+            del r, conn
+            s = 1.0
+            while s >= 1.0 / 32.0:
+                p_try = qp_matmul(p, qp_exp_asd((s * u[0], s * u[1])))
+                r, conn, (res2, _, _, rmean2) = residual(p_try, t_now)
+                if res2 < res * (1.0 - 0.25 * s) or level_converged(
+                    res2, rmean2, t_now, dt_now
+                ):
+                    p, res, rmean = p_try, res2, rmean2
+                    break
+                del r, conn
+                s *= 0.5
+            else:
+                break
+        return p, res, rmean
+
+    while t < 1.0 - 1e-12:
+        t_next = min(t + dt, 1.0)
+        p_next, res, rmean = newton(p, t_next, dt)
+        if level_converged(res, rmean, t_next, dt):
+            p = p_next
+            t = t_next
+            steps += 1
+            dt = cfg.dt
+        else:
+            dt *= 0.5
+            if dt < DT_MIN:
+                raise GaugeStall(t, finish(t))
+    return finish(1.0)
 
 
 def chi_potential(plan, p, precondition_tol=1e-6):
-    """Stream potential of the 1i-line of the matrix connection; see
-    gauge.zeta_potential."""
+    """Stream potential chi of the 1i-line a of the connection,
+    a = mean(a) + grad_perp(chi).
+
+    Requires the first gauge equation (1i-line divergence zero); returns
+    (chi, diagnostics) with the compensation ratio
+    ||grad chi||_{2,1} / ||grad P||_2^2, and raises PreconditionError when
+    the divergence does not vanish.
+    """
+    grid = plan.grid
     x1, x2 = p_connection(plan, p)
-    return _stream_potential(
-        plan, x1[0], x2[0], _HYPER_UNITARY.grad_l2(plan, p), _HYPER_UNITARY.line,
-        precondition_tol,
+    a1, a2 = x1[0], x2[0]
+    grad_p_l2 = _grad_l2(plan, p)
+    scale = max(grad_p_l2**2, 1e-300)
+    dres = l2_norm(grid, plan.div(a1, a2))
+    if dres > precondition_tol * scale:
+        raise PreconditionError("1i-line of the connection is not divergence free", dres)
+    chi = plan.inv_laplacian(plan.curl(a1, a2))
+    cx, cy = plan.grad(chi)
+    rel_res = l2_norm(
+        grid, (a1 - a1.mean(axis=(0, 1))) + cy, (a2 - a2.mean(axis=(0, 1))) - cx
     )
+    l21 = lorentz_l21(grid, pointwise_abs(cx, cy))
+    return chi, {
+        "divergence_residual": dres,
+        "stream_residual": rel_res,
+        "grad_potential_l21": l21,
+        "grad_gauge_l2": grad_p_l2,
+        "wente_ratio": l21 / scale,
+    }
 
 
 def absorbed_residual(plan, p, chi, gamma1, g_pair):
     """Residual of d1(PG) - d2(P i G) = 2 P (-i d_L chi + Gamma1) G;
-    returns (residual, right side, P G)."""
+    returns (residual, right side, P G, P i G)."""
     pg = qp_matvec(p, g_pair)
     ig = (1j * g_pair[0], 1j * g_pair[1])
     pig = qp_matvec(p, ig)
@@ -194,19 +359,55 @@ def absorbed_residual(plan, p, chi, gamma1, g_pair):
     rhs_inner = qp_matvec(m_tot, g_pair)
     rhs = qp_matvec(p, rhs_inner)
     rhs = (2.0 * rhs[0], 2.0 * rhs[1])
-    return l2_norm(plan.grid, lhs[0] - rhs[0], lhs[1] - rhs[1]), rhs, pg
+    return l2_norm(plan.grid, lhs[0] - rhs[0], lhs[1] - rhs[1]), rhs, pg, pig
 
 
 def p_contraction_chain(plan, p, chi, gamma1, g_pair, b_tol=1e-11, b_max_iter=400):
-    """The contraction measurement of gauge.contraction_chain for the doubled
-    system: A is the potential of the absorbed right side, and the factor
-    is taken against ||P G||_{2,inf}."""
-    res, rhs, pg = absorbed_residual(plan, p, chi, gamma1, g_pair)
-    eye, zero = _HYPER_UNITARY.identity(p[0])
-    w = qp_matmul(qp_matmul(p, (1j * eye, zero)), qp_conj_t(p))
-    a = _HYPER_UNITARY.parts(plan.inv_laplacian, rhs)
-    out = _closure_factor(_HYPER_UNITARY, plan, w, pg, a, b_tol, b_max_iter)
-    return {**out, "absorbed_residual": res}
+    """Measured factor of the closure estimate chain for the doubled system.
+
+    For a gauge P and G near-solving the absorbed equation, the transported
+    field P G satisfies d1[P G] - d2[P i G] = 2 P (-i d_L chi + Gamma1) G.
+    A is the mean-zero potential of that right side; B closes the
+    divergence-free remainder through Lap B = -div(w (grad A + grad_perp B)),
+    w = P i P^-1, solved by fixed point.  The returned factor is
+
+        (||grad A||_{2,inf} + ||grad B||_{2,inf}) / ||P G||_{2,inf}
+
+    which is below one exactly when the chain contracts at this scale; it
+    is NaN (and the record degenerate) for zero data.
+    """
+    res, rhs, pg, _ = absorbed_residual(plan, p, chi, gamma1, g_pair)
+    if _sup(pg) == 0.0:
+        return {"degenerate": True, "factor": np.nan, "b_converged": False,
+                "b_iterations": 0, "absorbed_residual": res}
+    grid = plan.grid
+    eye = np.broadcast_to(np.eye(p[0].shape[-1], dtype=complex), p[0].shape)
+    w = qp_matmul(qp_matmul(p, (1j * eye, np.zeros_like(eye))), qp_conj_t(p))
+    ax, ay = _grad_pair(plan, (plan.inv_laplacian(rhs[0]), plan.inv_laplacian(rhs[1])))
+    b = np.zeros_like(rhs[0]), np.zeros_like(rhs[1])
+    converged = False
+    for it in range(b_max_iter):
+        bx, by = _grad_pair(plan, b)
+        t1 = qp_matvec(w, (ax[0] - by[0], ax[1] - by[1]))
+        t2 = qp_matvec(w, (ay[0] + bx[0], ay[1] + bx[1]))
+        b_new = tuple(plan.inv_laplacian(-plan.div(u1, u2)) for u1, u2 in zip(t1, t2))
+        change = _sup(b_new, b)
+        b = b_new
+        if change < b_tol * max(_sup(b), 1e-300):
+            converged = True
+            break
+    weak_pg = lorentz_weak_l2(grid, pointwise_abs(*pg))
+    bx, by = _grad_pair(plan, b)
+    weak_a = lorentz_weak_l2(grid, pointwise_abs(*ax, *ay))
+    weak_b = lorentz_weak_l2(grid, pointwise_abs(*bx, *by))
+    return {
+        "degenerate": False,
+        "factor": float((weak_a + weak_b) / max(weak_pg, 1e-300)),
+        "b_converged": converged,
+        "b_iterations": it + 1,
+        "weak_transported": weak_pg,
+        "absorbed_residual": res,
+    }
 
 
 def p_gauge_structures(plan, gamma, gamma1, g_pair, config=None, partial_ok=False):

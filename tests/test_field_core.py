@@ -126,21 +126,3 @@ def test_grid_invariants():
     gs = Grid2(16, length=2.0, origin_singular=True)
     assert gs.offset == pytest.approx(g.spacing / 2)
     assert np.min(gs.x1**2 + gs.x2**2) > 0.0
-
-
-def test_compiled_and_numpy_kernels_agree():
-    import chirality_lab.field_core as fc
-
-    if not fc.HAVE_COMPILED_KERNELS:
-        pytest.skip("compiled kernels unavailable")
-    rng = np.random.default_rng(5)
-    a, b = random_quats(rng, 4096), random_quats(rng, 4096)
-    out = np.empty_like(a)
-    assert np.allclose(fc.qmul(a, b), fc._qmul_np(a, b, out), atol=1e-15)
-    u = a.copy()
-    u[:, 0] = 0.0
-    theta = np.sqrt(np.sum(u[:, 1:] ** 2, axis=-1))
-    ref = np.concatenate(
-        [np.cos(theta)[:, None], np.sinc(theta / np.pi)[:, None] * u[:, 1:]], axis=1
-    )
-    assert np.allclose(fc.qexp_pure(u), ref, atol=1e-15)

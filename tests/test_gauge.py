@@ -14,19 +14,23 @@ from chirality_lab.gauge import (
     GaugeConfig,
     GaugeDivergence,
     GaugeStall,
-    connection,
     contraction_chain,
     gauge_solve,
-    l1_apply,
-    l1_solve,
     linearization_order,
-    lq_solve,
-    n_apply,
     zeta_potential,
 )
-from chirality_lab.norms import l2_norm, sobolev_neg_1_2
+from chirality_lab.norms import l2_norm, pointwise_abs
+from chirality_lab.pgauge import (
+    MAX_INNER,
+    _perturbation,
+    _projected_solve,
+    p_connection,
+    pl1_solve,
+    pn_apply,
+)
 from chirality_lab.spectral_ops import SpectralPlan, random_band_limited
 from chirality_lab.systems import manufacture_solution
+from test_pgauge import as_pair
 
 
 @pytest.fixture(scope="module")
@@ -52,15 +56,41 @@ def chain_targets(plan, alpha, sign=+1):
     return np.zeros((n, n)), -2.0 * sign * dza
 
 
+# The quaternion operator, its linearization and the Newton solve are the
+# pair functions of pgauge at d = 1: q becomes a pair of 1 x 1 matrix tables,
+# the i-line table w the 1i-line table V = i w, the jk table g the T table.
+
+
+def n_at_d1(plan, q, check=True):
+    """N(q) as (V = i w, g) tables through pn_apply."""
+    (v, t), _ = pn_apply(plan, as_pair(q), check)
+    return v[..., 0, 0], t[..., 0, 0]
+
+
+def l1_at_d1(plan, u):
+    """The linearization at the identity, (Lap X_u, 2 d_zbar Y_u)."""
+    return plan.laplacian(u[0]), 2.0 * plan.d_zbar(u[1])
+
+
+def as_targets(w, g):
+    return 1j * w[..., None, None], g[..., None, None]
+
+
+def lq_at_d1(plan, q0, w, g, max_iter=MAX_INNER):
+    """The mean-projected Newton solve L_q0(u) = (w, g)."""
+    x1, x2 = p_connection(plan, as_pair(q0))
+    return _projected_solve(plan, x1, x2, *as_targets(w, g), 1e-11, max_iter)
+
+
 def test_n_apply_identity(plan):
     n = plan.grid.n
     q = np.zeros((n, n, 4))
     q[..., 0] = 1.0
-    w, g = n_apply(plan, q)
-    assert np.max(np.abs(w)) == 0.0
+    v, g = n_at_d1(plan, q)
+    assert np.max(np.abs(v)) == 0.0
     assert np.max(np.abs(g)) == 0.0
     with pytest.raises(ValueError):
-        n_apply(plan, 2.0 * q)
+        n_at_d1(plan, 2.0 * q)
 
 
 def test_n_apply_i_line_subgroup(plan):
@@ -71,10 +101,10 @@ def test_n_apply_i_line_subgroup(plan):
     u = np.zeros((n, n, 4))
     u[..., 1] = theta
     q = qexp_pure(u)
-    w, g = n_apply(plan, q)
+    v, g = n_at_d1(plan, q)
     lap = plan.laplacian(theta)
     # tolerance at the spectral-tail level of the composed field
-    assert np.max(np.abs(w - lap)) < 1e-9 * np.max(np.abs(lap))
+    assert np.max(np.abs(v - 1j * lap)) < 1e-9 * np.max(np.abs(lap))
     assert np.max(np.abs(g)) < 1e-9 * np.max(np.abs(lap))
 
 
@@ -85,24 +115,25 @@ def test_n_apply_winding_gauge(plan):
     u = np.zeros((n, n, 4))
     u[..., 1] = 2 * np.pi * g2.x1 / g2.length
     q = qexp_pure(u)  # periodic despite the winding angle
-    w, g = n_apply(plan, q)
-    assert np.max(np.abs(w)) < 1e-10
+    v, g = n_at_d1(plan, q)
+    assert np.max(np.abs(v)) < 1e-10
     assert np.max(np.abs(g)) < 1e-10
 
 
 def test_i_part_mean_zero_structural(plan):
     rng = np.random.default_rng(1)
     q = qexp_pure(pure_field(plan, rng, 0.8))
-    w, _ = n_apply(plan, q)
-    assert abs(w.mean()) < 1e-14 * max(np.abs(w).max(), 1e-30)
+    v, _ = n_at_d1(plan, q)
+    assert abs(v.mean()) < 1e-14 * max(np.abs(v).max(), 1e-30)
 
 
 def test_connection_is_pure(plan):
     rng = np.random.default_rng(2)
     q = qexp_pure(pure_field(plan, rng, 0.5))
-    x1, x2 = connection(plan, q)
-    assert np.max(np.abs(x1[..., 0])) < 1e-12
-    assert np.max(np.abs(x2[..., 0])) < 1e-12
+    # the real part of q^-1 d_l q is the real part of its X part
+    x1, x2 = p_connection(plan, as_pair(q))
+    assert np.max(np.abs(x1[0].real)) < 1e-12
+    assert np.max(np.abs(x2[0].real)) < 1e-12
 
 
 def test_l1_solve_round_trip(plan):
@@ -112,21 +143,23 @@ def test_l1_solve_round_trip(plan):
     w -= w.mean()
     g = random_band_limited(plan, rng) + 1j * random_band_limited(plan, rng)
     g -= g.mean()
-    u = l1_solve(plan, w, g)
-    lw, lg = l1_apply(plan, u)
-    assert l2_norm(plan.grid, lw - w) < 1e-11 * l2_norm(plan.grid, w)
-    assert l2_norm(plan.grid, lg - g) < 1e-11 * l2_norm(plan.grid, g)
-    assert np.max(np.abs(l1_solve(plan, np.zeros((n, n)), np.zeros((n, n))))) == 0.0
+    v, t = as_targets(w, g)
+    u = pl1_solve(plan, v, t)
+    lv, lt = l1_at_d1(plan, u)
+    assert l2_norm(plan.grid, lv - v) < 1e-11 * l2_norm(plan.grid, w)
+    assert l2_norm(plan.grid, lt - t) < 1e-11 * l2_norm(plan.grid, g)
+    zero = np.zeros((n, n, 1, 1), dtype=complex)
+    assert np.max(pointwise_abs(*pl1_solve(plan, zero, zero))) == 0.0
 
 
 def test_l1_solve_plane_wave(plan):
     g2 = plan.grid
     k = 2 * np.pi * 3 / g2.length
     f = np.cos(k * g2.x1)
-    u = l1_solve(plan, f, np.zeros((g2.n, g2.n), dtype=complex))
-    assert np.max(np.abs(u[..., 1] + f / k**2)) < 1e-12
-    assert np.max(np.abs(u[..., 2])) < 1e-14
-    assert np.max(np.abs(u[..., 3])) < 1e-14
+    u = pl1_solve(plan, *as_targets(f, np.zeros((g2.n, g2.n), dtype=complex)))
+    # the i-component is the imaginary part of X, the jk-plane is Y
+    assert np.max(np.abs(u[0][..., 0, 0] + 1j * f / k**2)) < 1e-12
+    assert np.max(np.abs(u[1])) < 1e-14
 
 
 def test_lq_solve_reduces_to_l1_at_identity(plan):
@@ -137,9 +170,10 @@ def test_lq_solve_reduces_to_l1_at_identity(plan):
     w = random_band_limited(plan, rng)
     w -= w.mean()
     g = random_band_limited(plan, rng) + 1j * random_band_limited(plan, rng)
-    u, iters = lq_solve(plan, q1, w, g)
-    u_ref = l1_solve(plan, w, g - g.mean())
-    assert np.max(qnorm(u - u_ref)) < 1e-10 * max(np.max(qnorm(u_ref)), 1e-10)
+    u, iters = lq_at_d1(plan, q1, w, g)
+    u_ref = pl1_solve(plan, *as_targets(w, g - g.mean()))
+    diff = pointwise_abs(u[0] - u_ref[0], u[1] - u_ref[1])
+    assert np.max(diff) < 1e-10 * max(np.max(pointwise_abs(*u_ref)), 1e-10)
 
 
 def test_lq_solve_converges_small_q0(plan):
@@ -148,14 +182,13 @@ def test_lq_solve_converges_small_q0(plan):
     w = random_band_limited(plan, rng)
     w -= w.mean()
     g = random_band_limited(plan, rng) + 1j * random_band_limited(plan, rng)
-    u, iters = lq_solve(plan, q0, w, g)
+    u, iters = lq_at_d1(plan, q0, w, g)
     assert iters <= 20
     # forward-apply: L1(u) + commutator terms reproduce the right side
-    from chirality_lab.gauge import _QUATERNIONS
-
-    x1, x2 = connection(plan, q0)
-    lw, lg = l1_apply(plan, u)
-    pw, pg = _QUATERNIONS.perturbation(plan, x1, x2, u)
+    x1, x2 = p_connection(plan, as_pair(q0))
+    lw, lg = l1_at_d1(plan, u)
+    pw, pg = _perturbation(plan, x1, x2, u)
+    w, g = as_targets(w, g)
     res_w = l2_norm(plan.grid, lw + pw - w)
     res_g = l2_norm(plan.grid, (lg + pg) - g)
     scale = l2_norm(plan.grid, w) + l2_norm(plan.grid, g)
@@ -171,7 +204,7 @@ def test_lq_solve_divergence_reported(plan):
     w -= w.mean()
     g = random_band_limited(plan, rng) + 0j
     with pytest.raises(GaugeDivergence) as err:
-        lq_solve(plan, q0, w, g, max_iter=60)
+        lq_at_d1(plan, q0, w, g, max_iter=60)
     assert err.value.contraction_estimate > 1.0
 
 
@@ -186,14 +219,14 @@ def test_gauge_solve_manufactured_image(plan):
     # target taken from a known N(q*): recover a gauge with equal image
     rng = np.random.default_rng(7)
     q_star = qexp_pure(pure_field(plan, rng, 0.08))
-    w_t, g_t = n_apply(plan, q_star)
-    res = gauge_solve(plan, w_t, g_t, GaugeConfig(eps0=0.2, tol=1e-9))
+    v_t, g_t = n_at_d1(plan, q_star)
+    res = gauge_solve(plan, v_t.imag, g_t, GaugeConfig(eps0=0.2, tol=1e-9))
     assert res.residual < 1e-8
     assert res.t_reached == 1.0
     assert res.unit_defect < 1e-12
     # anti-self-duality along the way: the connection stays pure
-    x1, _ = connection(plan, res.q)
-    assert np.max(np.abs(x1[..., 0])) < 1e-12
+    x1, _ = p_connection(plan, as_pair(res.q))
+    assert np.max(np.abs(x1[0].real)) < 1e-12
 
 
 def test_gauge_solve_chain_targets(plan):
@@ -208,6 +241,22 @@ def test_gauge_solve_chain_targets(plan):
     assert res.theta > 0
 
 
+def test_gauge_stall_carries_the_partial_quaternion_gauge():
+    # a constant jk target is out of reach at n = 16: the jk mean cannot be
+    # closed at t = 1, and the stall carries the last accepted level's gauge
+    plan16 = SpectralPlan(Grid2(16))
+    osc = random_band_limited(plan16, np.random.default_rng(0), kmax=2)
+    g = 0.01 + 0.02 * osc + 0j
+    with pytest.raises(GaugeStall) as err:
+        gauge_solve(plan16, np.zeros((16, 16)), g, GaugeConfig(eps0=0.5, tol=1e-8))
+    stall = err.value
+    assert stall.t_reached < 1.0
+    assert stall.result.t_reached == stall.t_reached
+    assert stall.result.q.shape == (16, 16, 4)
+    assert stall.result.unit_defect <= 1e-10
+    assert np.max(np.abs(stall.result.q - np.array([1.0, 0, 0, 0]))) > 1e-3
+
+
 def test_gauge_smallness_enforced(plan):
     rng = np.random.default_rng(9)
     g = 5.0 * (random_band_limited(plan, rng) + 0j)
@@ -219,12 +268,12 @@ def test_gauge_invariance_under_constant_i_rotation(plan):
     # N(q exp(theta i)) keeps the i-part and rotates the jk-part by -2 theta
     rng = np.random.default_rng(10)
     q = qexp_pure(pure_field(plan, rng, 0.3))
-    w0, g0 = n_apply(plan, q)
+    w0, g0 = n_at_d1(plan, q)
     theta = 0.37
     c = np.zeros((64, 64, 4))
     c[..., 1] = theta
     qc = qmul(q, qexp_pure(c))
-    w1, g1 = n_apply(plan, qc)
+    w1, g1 = n_at_d1(plan, qc)
     assert np.max(np.abs(w1 - w0)) < 1e-12 * max(np.abs(w0).max(), 1e-12)
     rot = np.exp(-2j * theta)
     assert np.max(np.abs(g1 - rot * g0)) < 1e-12 * max(np.abs(g0).max(), 1e-12)

@@ -8,11 +8,10 @@ from chirality_lab.field_core import (
     qconj,
     qexp_pure,
     qmul,
-    qnorm,
     quat_to_complex_pair,
 )
-from chirality_lab.gauge import _QUATERNIONS, GaugeConfig, GaugeStall
 from chirality_lab.hyperunitary import (
+    _exp_asd_eigh,
     project_asd,
     qp_conj_t,
     qp_dagger_defect,
@@ -22,7 +21,8 @@ from chirality_lab.hyperunitary import (
 )
 from chirality_lab.norms import l2_norm, sobolev_neg_1_2
 from chirality_lab.pgauge import (
-    _HYPER_UNITARY,
+    GaugeConfig,
+    GaugeStall,
     _unitarity_defect,
     absorbed_residual,
     chi_potential,
@@ -88,7 +88,7 @@ def test_pn_apply_identity(plan):
     n = plan.grid.n
     eye = np.broadcast_to(np.eye(4, dtype=complex), (n, n, 4, 4)).copy()
     p = (eye, np.zeros_like(eye))
-    v, t = pn_apply(plan, p)
+    (v, t), _ = pn_apply(plan, p)
     assert np.max(np.abs(v)) == 0.0
     assert np.max(np.abs(t)) == 0.0
     with pytest.raises(ValueError):
@@ -100,7 +100,7 @@ def test_pn_apply_structure(plan):
     rng = np.random.default_rng(1)
     u = smooth_asd_field(plan, rng, 4, 0.05)
     p = qp_exp_asd(u)
-    v, t = pn_apply(plan, p)
+    (v, t), _ = pn_apply(plan, p)
     assert np.max(np.abs(v + np.conj(np.swapaxes(v, -1, -2)))) < 1e-10
     assert np.max(np.abs(t - np.swapaxes(t, -1, -2))) < 1e-10
     assert np.max(np.abs(v.mean(axis=(0, 1)))) < 1e-13 * max(np.abs(v).max(), 1e-10)
@@ -110,7 +110,7 @@ def test_p_gauge_solve_manufactured_image(plan):
     rng = np.random.default_rng(2)
     u = smooth_asd_field(plan, rng, 4, 0.004)
     p_star = qp_exp_asd(u)
-    v_t, t_t = pn_apply(plan, p_star)
+    (v_t, t_t), _ = pn_apply(plan, p_star)
     res = p_gauge_solve(plan, v_t, t_t, GaugeConfig(eps0=0.5, tol=1e-8))
     assert res.residual < 1e-8
     assert res.t_reached == 1.0
@@ -244,20 +244,40 @@ def test_hyper_unitary_algebra_at_d1_is_the_quaternion_algebra(seed, scale):
 )
 @algebra_settings
 def test_retractions_land_in_the_group(seed, dim, scale, s):
+    # the continuation's retraction P exp(s u), from P = exp(scale v)
     rng = np.random.default_rng(seed)
-    q = _QUATERNIONS.retract(
-        _QUATERNIONS.identity(np.zeros((8, 8))),
-        scale * np.insert(rng.standard_normal((8, 8, 3)), 0, 0.0, axis=-1), 1.0,
-    )
-    u = scale * np.insert(rng.standard_normal((8, 8, 3)), 0, 0.0, axis=-1)
-    assert np.max(np.abs(qnorm(_QUATERNIONS.retract(q, u, s)) - 1.0)) <= 1e-13
-    p = _HYPER_UNITARY.retract(
-        _HYPER_UNITARY.identity(np.zeros((8, 8, dim, dim))),
-        random_asd(rng, (8, 8), dim), scale,
-    )
+    v = random_asd(rng, (8, 8), dim)
+    p = qp_exp_asd((scale * v[0], scale * v[1]))
     w = random_asd(rng, (8, 8), dim)
     w = (scale * w[0], scale * w[1])
-    assert _unitarity_defect(_HYPER_UNITARY.retract(p, w, s)) <= 1e-12
+    assert _unitarity_defect(qp_matmul(p, qp_exp_asd((s * w[0], s * w[1])))) <= 1e-12
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    theta=st.one_of(
+        st.floats(0.0, 1e-6),
+        st.builds(
+            lambda k, eps: k * np.pi + eps,
+            st.integers(1, 4),
+            st.floats(-1e-6, 1e-6),
+        ),
+        st.floats(0.0, 20.0),
+    ),
+)
+@algebra_settings
+def test_closed_form_exp_at_d1_matches_the_embedding(seed, theta):
+    # |u| near 0 and near multiples of pi, where sinc and cos turn
+    rng = np.random.default_rng(seed)
+    u = random_asd(rng, (16,), 1)
+    size = np.sqrt(np.abs(u[0]) ** 2 + np.abs(u[1]) ** 2)
+    u = (theta * u[0] / size, theta * u[1] / size)
+    p = qp_exp_asd(u)
+    ref = _exp_asd_eigh(u)
+    for part, ref_part in zip(p, ref):
+        assert part.shape == ref_part.shape
+        assert np.max(np.abs(part - ref_part)) <= 1e-14
+    assert _unitarity_defect(p) <= 1e-14
 
 
 def test_p_gauge_stall_carries_the_partial_gauge():
