@@ -66,6 +66,8 @@ class GaugeResult:
     theta: float
     continuation_steps: int
     t_reached: float
+    # one (t, dt, accepted) record per attempted continuation level
+    levels: tuple
 
     @property
     def unit_defect(self):
@@ -84,7 +86,7 @@ def _quaternion_result(res):
     return GaugeResult(
         complex_pair_to_quat(x[..., 0, 0], y[..., 0, 0]), res.residual,
         res.residual_1i, res.residual_jk, res.residual_jk_mean, res.theta,
-        res.continuation_steps, res.t_reached,
+        res.continuation_steps, res.t_reached, res.levels,
     )
 
 

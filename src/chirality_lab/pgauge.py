@@ -16,7 +16,11 @@ The operator is
 with the 1i-line component a skew-Hermitian table V and the jk-plane
 component a complex symmetric table T.  N(P) = (V, T) is solved by
 numerical continuation along t*(V, T) with a damped Newton step
-P <- P exp(s u) at each level.  The linearization at P = I inverts in
+P <- P exp(s u) at each level.  The step starts at GaugeConfig.dt, doubles
+after each accepted level and, after a rejected one, halves until the next
+level lies below the failed one, so no level is tried twice at the same t
+(step-length control as in Allgower & Georg, Introduction to Numerical
+Continuation Methods, SIAM 2003).  The linearization at P = I inverts in
 closed form (a Laplace solve for the 1i-line, a d_zbar solve for the
 jk-plane); the Newton solve iterates it against the commutator terms of
 the frozen connection, which the residual evaluation hands over.
@@ -81,7 +85,12 @@ class GaugeDivergence(RuntimeError):
 
 class GaugeStall(RuntimeError):
     def __init__(self, t_reached, result):
-        super().__init__(f"continuation stalled at t = {t_reached:.4f}")
+        # the continuation stalls right after a rejected level
+        t_failed, dt_failed, _ = result.levels[-1]
+        super().__init__(
+            f"continuation stalled at t = {t_reached:.4f} "
+            f"(last failed level t = {t_failed:.6g}, dt = {dt_failed:.3g})"
+        )
         self.t_reached = t_reached
         self.result = result
 
@@ -103,6 +112,9 @@ class PGaugeResult:
     theta: float
     continuation_steps: int
     t_reached: float
+    # one (t, dt, accepted) record per attempted level, in order; dt is the
+    # step the level was tried with, t = min(previous t + dt, 1)
+    levels: tuple
 
     @property
     def unitarity_defect(self):
@@ -219,10 +231,15 @@ def p_gauge_solve(plan, v_target, t_target, config=None):
     levels t*(V, T) are solved by damped Newton from the previous level's
     field.
 
-    The 1i-line target must be mean-zero (structural on the torus).  A
-    level that fails is retried at half the step; GaugeStall (carrying the
-    partial result at the last accepted t) is raised once the step drops
-    below DT_MIN.
+    The 1i-line target must be mean-zero (structural on the torus).  The
+    first step is GaugeConfig.dt; it doubles (up to 1) after each accepted
+    level.  After a rejected level it halves until the next level lies
+    below the failed one, so a level clipped at t = 1 is not tried again at
+    t = 1.  GaugeStall (carrying the partial result at the last accepted t)
+    is raised once the step drops below DT_MIN.  Intermediate levels are
+    accepted at an oscillatory residual of 0.02 min(dt, GaugeConfig.dt)
+    |target|, whatever the step has grown to.  The result lists every
+    attempted level as (t, dt, accepted).
     """
     cfg = config or GaugeConfig()
     v_target = np.asarray(v_target, dtype=complex)
@@ -241,7 +258,7 @@ def p_gauge_solve(plan, v_target, t_target, config=None):
     p = eye.copy(), np.zeros_like(eye)
     t = 0.0
     dt = cfg.dt
-    steps = 0
+    levels = []
 
     def residual(p_now, t_now):
         """Residual tables (rv, rt) at level t_now, the connection of p_now,
@@ -255,17 +272,22 @@ def p_gauge_solve(plan, v_target, t_target, config=None):
     def finish(t_now):
         _, _, (_, ri, rjk, rmean) = residual(p, t_now)
         theta = _grad_l2(plan, p) / target_size if target_size > 0 else 0.0
-        return PGaugeResult(p, ri + rjk + rmean, ri, rjk, rmean, theta, steps, t_now)
+        steps = sum(accepted for _, _, accepted in levels)
+        return PGaugeResult(
+            p, ri + rjk + rmean, ri, rjk, rmean, theta, steps, t_now, tuple(levels)
+        )
 
     tol_floor = max(cfg.tol, 1e-13 * max(target_size, 1.0))
 
     def level_converged(res_osc, rmean, t_now, dt_now):
         # intermediate levels only need basin-tracking accuracy; the jk mean
         # follows quadratically and is enforced at the endpoint, where the
-        # final Newton polish closes it
+        # final Newton polish closes it.  The bound is capped at the first
+        # step, so a partial gauge stays within 0.02 cfg.dt |target| however
+        # far the step has grown.
         if t_now >= 1.0 - 1e-12:
             return res_osc + rmean <= tol_floor
-        return res_osc <= max(tol_floor, 0.02 * dt_now * target_size)
+        return res_osc <= max(tol_floor, 0.02 * min(dt_now, cfg.dt) * target_size)
 
     def newton(p, t_now, dt_now):
         """Damped Newton from p at level t_now; returns the last field the
@@ -302,13 +324,15 @@ def p_gauge_solve(plan, v_target, t_target, config=None):
     while t < 1.0 - 1e-12:
         t_next = min(t + dt, 1.0)
         p_next, res, rmean = newton(p, t_next, dt)
-        if level_converged(res, rmean, t_next, dt):
+        accepted = level_converged(res, rmean, t_next, dt)
+        levels.append((t_next, dt, accepted))
+        if accepted:
             p = p_next
             t = t_next
-            steps += 1
-            dt = cfg.dt
+            dt = min(2.0 * dt, 1.0)
         else:
-            dt *= 0.5
+            while t + dt >= t_next:
+                dt *= 0.5
             if dt < DT_MIN:
                 raise GaugeStall(t, finish(t))
     return finish(1.0)

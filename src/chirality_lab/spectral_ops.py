@@ -4,7 +4,6 @@ All operators act on plain (n, n, ...) value tables; the first two axes are
 the grid.  Real input gives real output for the real-coefficient operators.
 Band-limitedness is the caller's contract: operators are exact on resolved
 trigonometric polynomials and silently alias otherwise.
-``spectral_tail_fraction`` reports how badly that contract is violated.
 
 Conventions, fixed once:
     d_z    = (d/dx1 - i d/dx2) / 2      plane-wave symbol (i k1 + k2) / 2
@@ -215,19 +214,6 @@ class SpectralPlan:
         beta = self._inverse(inv * (d1 * F2 - d2 * F1), real)
         mean = np.array([np.mean(a1), np.mean(a2)])
         return alpha, beta, mean
-
-    def spectral_tail_fraction(self, f, fraction=2.0 / 3.0):
-        """Energy fraction carried by modes with max|k_i| above the cutoff."""
-        F = _fft(np.asarray(f))
-        kmax = np.pi * self.grid.n / self.grid.length
-        tail = (np.abs(self.k1) >= fraction * kmax) | (np.abs(self.k2) >= fraction * kmax)
-        if F.ndim > 2:
-            tail = tail.reshape(tail.shape + (1,) * (F.ndim - 2))
-            tail = np.broadcast_to(tail, F.shape)
-        total = np.sum(np.abs(F) ** 2)
-        if total == 0.0:
-            return 0.0
-        return float(np.sum(np.abs(F[tail]) ** 2) / total)
 
     def fourier_coefficients(self, f):
         """Coefficients c_k with f = sum c_k exp(i k.x)."""

@@ -252,6 +252,9 @@ def test_gauge_stall_carries_the_partial_quaternion_gauge():
     stall = err.value
     assert stall.t_reached < 1.0
     assert stall.result.t_reached == stall.t_reached
+    # the level trace passes through the adapter, ending at the failed level
+    assert max(t for t, _, ok in stall.result.levels if ok) == stall.t_reached
+    assert not stall.result.levels[-1][2]
     assert stall.result.q.shape == (16, 16, 4)
     assert stall.result.unit_defect <= 1e-10
     assert np.max(np.abs(stall.result.q - np.array([1.0, 0, 0, 0]))) > 1e-3

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from chirality_lab.field_core import Grid2
 from chirality_lab.norms import (
@@ -200,7 +200,6 @@ def test_linf(grid):
     in_ball=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-@settings(max_examples=40, deadline=None, derandomize=True)
 def test_group_norms_are_norms_of_the_concatenated_table(n, tables, in_ball, seed):
     grid = Grid2(n, length=3.0)
     rng = np.random.default_rng(seed)
