@@ -53,43 +53,63 @@ def chain_targets(plan, alpha, sign=+1):
     return np.zeros((n, n)), -2.0 * sign * plan.d_z(alpha)
 
 
-def contraction_run(plan, seed, grad_alpha, tol=1e-8):
-    """One quaternion-path contraction measurement; returns a record dict.
-    Gauge stalls (expected at large data) are recorded, not raised."""
-    rng = np.random.default_rng(seed)
-    sys = systems.manufacture_solution(
-        plan, "adapted_frame", rng, grad_alpha=grad_alpha, equation_sign=+1
+def _chain_trial(record, solve, measure):
+    """Fill record from one trial of the gauge chain; returns the gauge and
+    its measurement.  A stall keeps the partial gauge; a failed precondition
+    (a ValueError) leaves the error, a NaN factor, an unclosed B and no
+    measurement."""
+    try:
+        res = solve()
+    except gauge.GaugeStall as stall:
+        res = stall.result
+    record.update(
+        residual=res.residual, theta=res.theta, steps=res.continuation_steps,
+        t_reached=res.t_reached, stalled=res.t_reached < 1.0,
     )
+    try:
+        out = measure(res)
+    except ValueError as exc:
+        record.update(factor=float("nan"), b_converged=False, error=str(exc))
+        return res, None
+    record.update(factor=out["factor"], b_converged=out["b_converged"])
+    return res, out
+
+
+def _quaternion_chain(plan, sys, seed, grad_alpha, tol):
+    """One quaternion chain trial on a manufactured system: the gauge
+    solve, the stream potential zeta and the contraction.  Returns
+    (record, q, zeta); zeta is None when the trial errored."""
     alpha = sys.diagnostics["equation_alpha"]
     w_t, g_t = chain_targets(plan, alpha, sign=+1)
     cfg = gauge.GaugeConfig(eps0=max(0.1, 1.5 * grad_alpha), tol=tol)
-    record = {"seed": seed, "grad_alpha": grad_alpha, "grid_n": plan.grid.n}
-    try:
-        res = gauge.gauge_solve(plan, w_t, g_t, cfg)
-        record["stalled"] = False
-    except gauge.GaugeStall as stall:
-        res = stall.result
-        record["stalled"] = True
-    record.update(
-        residual=res.residual, theta=res.theta, steps=res.continuation_steps,
-        t_reached=res.t_reached,
-    )
-    try:
-        zeta, zdiag = gauge.zeta_potential(plan, res.q, precondition_tol=1e-2)
+
+    def measure(res):
+        zeta, _ = gauge.zeta_potential(plan, res.q, precondition_tol=1e-2)
         out = gauge.contraction_chain(
             plan, sys.frak_f(), plan.d_z(alpha), res.q, zeta, pre_tol=1e-5
         )
-        record["factor"] = out["factor"]
-        record["b_converged"] = out["b_converged"]
-        record["wente_ratio"] = zdiag["wente_ratio"]
-    except (compensation.PreconditionError, ValueError) as exc:
-        record["factor"] = float("nan")
-        record["error"] = str(exc)
-    return record
+        return {**out, "zeta": zeta}
+
+    record = {"seed": seed, "grad_alpha": grad_alpha, "grid_n": plan.grid.n}
+    res, out = _chain_trial(
+        record, lambda: gauge.gauge_solve(plan, w_t, g_t, cfg), measure
+    )
+    return record, res.q, None if out is None else out["zeta"]
+
+
+def contraction_run(plan, seed, grad_alpha, tol=1e-8):
+    """One quaternion-path contraction measurement; returns a record dict.
+    Gauge stalls (expected at large data) are recorded, not raised."""
+    sys = systems.manufacture_solution(
+        plan, "adapted_frame", np.random.default_rng(seed),
+        grad_alpha=grad_alpha, equation_sign=+1,
+    )
+    return _quaternion_chain(plan, sys, seed, grad_alpha, tol)[0]
 
 
 def matrix_contraction_run(plan, seed, grad_alpha, tol=1e-8):
-    """One doubled-path measurement from the 2d chain; returns a record."""
+    """One doubled-path measurement from the 2d chain; returns the record
+    of contraction_run with gamma_l2 and absorbed_residual."""
     rng = np.random.default_rng(seed)
     sys = systems.manufacture_solution(
         plan, "adapted_frame", rng, grad_alpha=grad_alpha
@@ -100,29 +120,89 @@ def matrix_contraction_run(plan, seed, grad_alpha, tol=1e-8):
     doubled = systems.double_system(
         plan, sys.f_frame(), np.zeros_like(b_coef), b_coef
     )
-    out = pgauge.p_gauge_structures(
-        plan, doubled.gamma, doubled.gamma1, (doubled.g1, doubled.g2),
-        gauge.GaugeConfig(eps0=max(0.15, 2.5 * grad_alpha), tol=tol),
-        partial_ok=True,
+    gamma = doubled.gamma[1]
+    cfg = gauge.GaugeConfig(eps0=max(0.15, 2.5 * grad_alpha), tol=tol)
+
+    def measure(res):
+        chi, _ = pgauge.chi_potential(plan, res.p, precondition_tol=1e-2)
+        return pgauge.p_contraction_chain(
+            plan, res.p, chi, doubled.gamma1, (doubled.g1, doubled.g2)
+        )
+
+    record = {"seed": seed, "grad_alpha": grad_alpha, "grid_n": plan.grid.n,
+              "gamma_l2": l2_norm(plan.grid, gamma)}
+    _, out = _chain_trial(
+        record,
+        lambda: pgauge.p_gauge_solve(plan, np.zeros_like(gamma), -2.0 * gamma, cfg),
+        measure,
     )
-    return {
-        "seed": seed,
-        "grad_alpha": grad_alpha,
-        "grid_n": plan.grid.n,
-        "gamma_l2": l2_norm(plan.grid, doubled.gamma[1]),
-        "residual": out["gauge"].residual,
-        "t_reached": out["t_reached"],
-        "absorbed_residual": out["absorbed_residual"],
-        "factor": out["contraction"]["factor"],
-        "b_converged": out["contraction"]["b_converged"],
-        "theta": out["gauge"].theta,
-        "steps": out["gauge"].continuation_steps,
-    }
+    record["absorbed_residual"] = out["absorbed_residual"] if out else float("nan")
+    return record
+
+
+def _write_trials_csv(path, recs):
+    write_csv(
+        path,
+        ["eps", "seed", "grid_n", "residual", "theta", "contraction_factor", "steps"],
+        [[float(r["grad_alpha"]), r["seed"], r["grid_n"], float(r["residual"]),
+          float(r["theta"]), float(r["factor"]), r["steps"]] for r in recs],
+    )
+
+
+def _add_trial_gates(report, path, recs):
+    """A stalled, errored or B-unconverged trial of a path fails its gate."""
+    report.add(f"{path}_stalled_trials", float(sum(r["stalled"] for r in recs)), 0)
+    report.add(f"{path}_errored_trials", float(sum("error" in r for r in recs)), 0)
+    report.add(
+        f"{path}_b_unconverged_trials",
+        float(sum(not r["b_converged"] for r in recs)), 0,
+    )
 
 
 # ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------
+
+
+def _hodge_errors(plan, a1, a2):
+    """Relative reconstruction error and orthogonality of Hodge(a1, a2)."""
+    grid = plan.grid
+    alpha, beta, mean = plan.hodge_decompose(a1, a2)
+    g1x, g1y = plan.grad(alpha)
+    g2x, g2y = plan.grad_perp(beta)
+    scale = l2_norm(grid, a1, a2)
+    resid = l2_norm(grid, a1 - mean[0] - g1x - g2x, a2 - mean[1] - g1y - g2y)
+    inner = abs(np.sum(g1x * g2x + g1y * g2y)) * grid.cell_measure
+    return resid / scale, inner / scale**2
+
+
+def _wente_two_mode_err(plan):
+    """Sup error of the Wente solve for (sin kx, sin ky): -cos kx cos ky / 2."""
+    g = plan.grid
+    kappa = 2 * np.pi / g.length
+    phi, _ = compensation.wente_solve(
+        plan, np.sin(kappa * g.x1), np.sin(kappa * g.x2)
+    )
+    expected = -0.5 * np.cos(kappa * g.x1) * np.cos(kappa * g.x2)
+    return norms.linf_norm(g, phi - expected)
+
+
+def _real_from_imag(plan, h):
+    """Real-part bound of mean-zero h from d_zbar h, and the relative error
+    of its pairing identity."""
+    diag = compensation.real_from_imag_bound(plan, h, plan.d_zbar(h))
+    scale = diag.re_sq + diag.im_sq + diag.g_l1 * diag.t_linf
+    return diag, diag.identity_residual / scale
+
+
+def _linearization_order(plan, seed):
+    """Linearization order of the gauge operator at a random pure quaternion."""
+    rng = np.random.default_rng(seed)
+    n = plan.grid.n
+    u = np.zeros((n, n, 4))
+    for comp in range(1, 4):
+        u[..., comp] = random_band_limited(plan, rng, kmax=3, rms=1.0)
+    return gauge.linearization_order(plan, u)[0]
 
 
 def ops_verify(config):
@@ -169,14 +249,9 @@ def ops_verify(config):
 
     a1 = random_band_limited(plan, rng) + 0.3
     a2 = random_band_limited(plan, rng) - 0.1
-    alpha, beta, mean = plan.hodge_decompose(a1, a2)
-    g1x, g1y = plan.grad(alpha)
-    g2x, g2y = plan.grad_perp(beta)
-    scale = l2_norm(grid, a1, a2)
-    resid = l2_norm(grid, a1 - mean[0] - g1x - g2x, a2 - mean[1] - g1y - g2y)
-    report.add("hodge_reconstruction_rel_err", resid / scale, 1e-12)
-    inner = abs(np.sum(g1x * g2x + g1y * g2y)) * grid.cell_measure
-    report.add("hodge_orthogonality", inner / scale**2, 1e-12)
+    recon, orth = _hodge_errors(plan, a1, a2)
+    report.add("hodge_reconstruction_rel_err", recon, 1e-12)
+    report.add("hodge_orthogonality", orth, 1e-12)
 
     g = random_band_limited_complex(plan, rng)
     h = plan.cauchy_solve(g)
@@ -204,7 +279,6 @@ def ops_verify(config):
 
 def hodge_check(config):
     plan = make_plan(config, grid_n=max(config.grid_n, 128))
-    grid = plan.grid
     trials = config.trials or 100
     report = RunReport("hodge-check", config.echo(), ["hodge-symbols"])
 
@@ -212,13 +286,7 @@ def hodge_check(config):
         rng = np.random.default_rng(seed)
         a1 = random_band_limited(plan, rng) + rng.standard_normal()
         a2 = random_band_limited(plan, rng) + rng.standard_normal()
-        alpha, beta, mean = plan.hodge_decompose(a1, a2)
-        g1x, g1y = plan.grad(alpha)
-        g2x, g2y = plan.grad_perp(beta)
-        scale = l2_norm(grid, a1, a2)
-        resid = l2_norm(grid, a1 - mean[0] - g1x - g2x, a2 - mean[1] - g1y - g2y)
-        inner = abs(np.sum(g1x * g2x + g1y * g2y)) * grid.cell_measure
-        return resid / scale, inner / scale**2
+        return _hodge_errors(plan, a1, a2)
 
     seeds = [int(s) for s in
              np.random.SeedSequence(config.seed).generate_state(trials)]
@@ -305,11 +373,7 @@ def bb_check(config):
                 1j * 2 * np.pi * (m1 * g2.x1 + m2 * g2.x2) / g2.length
             )
         h -= h.mean()
-        g = plan_n.d_zbar(h)
-        diag = compensation.real_from_imag_bound(plan_n, h, g)
-        ident = diag.identity_residual / (
-            diag.re_sq + diag.im_sq + diag.g_l1 * diag.t_linf
-        )
+        diag, ident = _real_from_imag(plan_n, h)
         return diag.re_sq / max(diag.im_sq + diag.g_l1**2, 1e-300), ident
 
     base_n = grid.n
@@ -329,13 +393,7 @@ def wente_check(config):
     report = RunReport("wente-check", config.echo(), ["zeta-wente"])
     plan = make_plan(config, grid_n=max(config.grid_n, 128))
 
-    g = plan.grid
-    kappa = 2 * np.pi / g.length
-    a = np.sin(kappa * g.x1)
-    b = np.sin(kappa * g.x2)
-    phi, diag = compensation.wente_solve(plan, a, b)
-    expected = -0.5 * np.cos(kappa * g.x1) * np.cos(kappa * g.x2)
-    report.add("two_mode_solution_err", norms.linf_norm(g, phi - expected), 1e-12)
+    report.add("two_mode_solution_err", _wente_two_mode_err(plan), 1e-12)
 
     ratios = []
     for n in (64, 128, 256):
@@ -386,43 +444,26 @@ def gauge_sweep(config):
         ["gauge-operator", "gauge-linearization", "zeta-wente", "contraction-chain"],
     )
     eps_values = (0.01, 0.05, 0.1)
-    rows = []
-    recs = []
-    for eps in eps_values:
-        rec = contraction_run(
-            plan, config.seed + int(eps * 1000), eps, tol=config.tol
-        )
-        rows.append(
-            [
-                float(eps), rec["seed"], rec["grid_n"], float(rec["residual"]),
-                float(rec["theta"]), float(rec.get("factor", float("nan"))),
-                rec["steps"],
-            ]
-        )
-        recs.append(rec)
+    recs = [
+        contraction_run(plan, config.seed + int(eps * 1000), eps, tol=config.tol)
+        for eps in eps_values
+    ]
+    for eps, rec in zip(eps_values, recs):
         report.add(f"theta_eps_{eps}", rec["theta"], None)
     report.add("max_residual", worst_of(r["residual"] for r in recs), 1e-8)
     report.add("max_continuation_steps", worst_of(r["steps"] for r in recs), 64)
-
-    rng = np.random.default_rng(config.seed + 3)
-    n = plan.grid.n
-    u = np.zeros((n, n, 4))
-    for comp in range(1, 4):
-        u[..., comp] = random_band_limited(plan, rng, kmax=3, rms=1.0)
-    order, _ = gauge.linearization_order(plan, u)
-    report.add("linearization_order", order, 1.9, higher_is_better=True)
-
-    out_dir = config.out
-    write_csv(
-        os.path.join(out_dir, "gauge_sweep.csv"),
-        ["eps", "seed", "grid_n", "residual", "theta", "contraction_factor", "steps"],
-        rows,
+    _add_trial_gates(report, "quaternion", recs)
+    report.add(
+        "linearization_order", _linearization_order(plan, config.seed + 3), 1.9,
+        higher_is_better=True,
     )
+
+    _write_trials_csv(os.path.join(config.out, "gauge_sweep.csv"), recs)
     write_svg_chart(
-        os.path.join(out_dir, "gauge_sweep.svg"),
+        os.path.join(config.out, "gauge_sweep.svg"),
         [
-            ("residual", list(eps_values), [float(r[3]) for r in rows]),
-            ("theta", list(eps_values), [float(r[4]) for r in rows]),
+            ("residual", list(eps_values), [float(r["residual"]) for r in recs]),
+            ("theta", list(eps_values), [float(r["theta"]) for r in recs]),
         ],
         title="gauge sweep",
         logx=True,
@@ -536,16 +577,9 @@ def contraction(config):
         lambda s: contraction_run(plan, s, level, tol=config.tol),
         [config.seed + k for k in range(seeds)],
     )
-    factors = [r["factor"] for r in recs]
-    report.add("quaternion_factor_max", worst_of(factors), 1.0)
+    report.add("quaternion_factor_max", worst_of(r["factor"] for r in recs), 1.0)
     report.add("quaternion_residual_max", worst_of(r["residual"] for r in recs), 1e-8)
-    # a stalled gauge or a failed precondition is a failed trial
-    report.add("quaternion_stalled_trials", float(sum(r["stalled"] for r in recs)), 0)
-    report.add("quaternion_errored_trials", float(sum("error" in r for r in recs)), 0)
-    # a B fixed point that ran out of iterations is a failed trial; errored
-    # trials never reach it and are counted above
-    unclosed = sum(not r.get("b_converged", True) for r in recs)
-    report.add("quaternion_b_unconverged_trials", float(unclosed), 0)
+    _add_trial_gates(report, "quaternion", recs)
 
     m_recs = [
         matrix_contraction_run(plan, config.seed + 100 + k, level)
@@ -557,23 +591,9 @@ def contraction(config):
         worst_of(r["absorbed_residual"] for r in m_recs),
         1e-7,
     )
-    # a partial matrix gauge (stalled before t = 1) is a failed trial
-    report.add(
-        "matrix_partial_trials", float(sum(r["t_reached"] < 1.0 for r in m_recs)), 0
-    )
-    unclosed = sum(not r["b_converged"] for r in m_recs)
-    report.add("matrix_b_unconverged_trials", float(unclosed), 0)
+    _add_trial_gates(report, "matrix", m_recs)
 
-    rows = [
-        [float(r["grad_alpha"]), r["seed"], r["grid_n"], float(r["residual"]),
-         float(r["theta"]), float(r["factor"]), r["steps"]]
-        for r in recs + m_recs
-    ]
-    write_csv(
-        os.path.join(config.out, "contraction.csv"),
-        ["eps", "seed", "grid_n", "residual", "theta", "contraction_factor", "steps"],
-        rows,
-    )
+    _write_trials_csv(os.path.join(config.out, "contraction.csv"), recs + m_recs)
     return report
 
 
@@ -678,14 +698,14 @@ def morrey_decay(config):
     )
     delta = 0.5
     ladder = [grid.length / 4 / 2**k for k in range(4)]
-    rows = []
 
     def one(seed):
-        rec = contraction_run(plan, seed, config.eps0, tol=config.tol)
         rng = np.random.default_rng(seed)
-        frak = systems.manufacture_solution(
+        sys = systems.manufacture_solution(
             plan, "adapted_frame", rng, grad_alpha=config.eps0, equation_sign=+1,
-        ).frak_f()
+        )
+        rec, q, zeta = _quaternion_chain(plan, sys, seed, config.eps0, config.tol)
+        frak = sys.frak_f()
         # a perturbed near-solution from the same seeded family: four
         # independent noise components from the seed's stream
         noise = np.stack(
@@ -705,17 +725,18 @@ def morrey_decay(config):
                 if den != 0.0:  # a NaN norm must reach the gate
                     gammas.append(num / den)
         fit = norms.morrey_profile(grid, mag, centers[0], ladder[::-1])
-        return rec, worst_of(gammas), fit.alpha
+        return rec, worst_of(gammas), fit.alpha, (frak, q, zeta)
 
     results = [one(config.seed + k) for k in range(seeds)]
-    gamma_max = worst_of(g for _, g, _ in results)
+    gamma_max = worst_of(g for _, g, _, _ in results)
     report.add("one_step_gamma_max", gamma_max, 1.0)
     # a degenerate fit has a NaN exponent and fails the gate
     report.add(
         "fitted_decay_exponent_min",
-        worst_of((a for _, _, a in results), higher_is_better=True), 0.0,
+        worst_of((a for _, _, a, _ in results), higher_is_better=True), 0.0,
         higher_is_better=True,
     )
+    _add_trial_gates(report, "quaternion", [rec for rec, _, _, _ in results])
 
     center = (grid.length / 2, grid.length / 2)
     harm = _harmonic_control(grid, center, ladder[0], delta)
@@ -724,35 +745,23 @@ def morrey_decay(config):
         "harmonic_control_rel_err", abs(harm - predicted) / predicted, 0.20
     )
 
-    rng = np.random.default_rng(config.seed)
-    sys = systems.manufacture_solution(
-        plan, "adapted_frame", rng, grad_alpha=config.eps0, equation_sign=+1
-    )
-    alpha = sys.diagnostics["equation_alpha"]
-    w_t, g_t = chain_targets(plan, alpha, sign=+1)
-    try:
-        gres = gauge.gauge_solve(
-            plan, w_t, g_t,
-            gauge.GaugeConfig(eps0=max(0.1, 1.5 * config.eps0), tol=config.tol),
-        )
-        zeta, _ = gauge.zeta_potential(plan, gres.q, precondition_tol=1e-2)
-        split = _ball_split_diagnostics(
-            plan, sys.frak_f(), gres.q, zeta, center, ladder[0]
-        )
+    # the ball split of the first trial's chain; NaN if it stalled or errored
+    rec, _, _, (frak, q, zeta) = results[0]
+    chain_bound = float("nan")
+    if zeta is not None and not rec["stalled"]:
+        split = _ball_split_diagnostics(plan, frak, q, zeta, center, ladder[0])
         chain_bound = (
             split["weak_grad_a"]
             + split["weak_grad_beta2"]
             + predicted * split["weak_grad_beta1"]
         ) / max(split["weak_qf"], 1e-300)
-        report.add("ball_split_chain_bound", chain_bound, None)
-    except (gauge.GaugeStall, compensation.PreconditionError):
-        report.add("ball_split_chain_bound", float("nan"), None)
+    report.add("ball_split_chain_bound", chain_bound, None)
 
-    for k, (rec, g, a) in enumerate(results):
-        rows.append(
-            [float(config.eps0), config.seed + k, grid.n, float(rec["residual"]),
-             float(rec["theta"]), float(g), float(a)]
-        )
+    rows = [
+        [float(config.eps0), config.seed + k, grid.n, float(rec["residual"]),
+         float(rec["theta"]), float(g), float(a)]
+        for k, (rec, g, a, _) in enumerate(results)
+    ]
     write_csv(
         os.path.join(config.out, "morrey_decay.csv"),
         ["eps", "seed", "grid_n", "residual", "theta", "gamma", "alpha_fit"],
@@ -760,7 +769,7 @@ def morrey_decay(config):
     )
     write_svg_chart(
         os.path.join(config.out, "morrey_decay.svg"),
-        [("gamma", list(range(len(results))), [g for _, g, _ in results])],
+        [("gamma", list(range(len(results))), [g for _, g, _, _ in results])],
         title="one-step decay ratios",
     )
     return report
@@ -921,17 +930,16 @@ def full_chain(config):
     rec = contraction_run(plan, config.seed, min(config.eps0, 0.05), tol=config.tol)
     report.add("gauge_residual", rec["residual"], 1e-7)
     report.add("contraction_factor", rec["factor"], 1.0)
-    rng_lin = np.random.default_rng(config.seed + 13)
-    n = plan.grid.n
-    u_lin = np.zeros((n, n, 4))
-    for comp in range(1, 4):
-        u_lin[..., comp] = random_band_limited(plan, rng_lin, kmax=3, rms=1.0)
-    order, _ = gauge.linearization_order(plan, u_lin)
-    report.add("linearization_order", order, 1.9, higher_is_better=True)
+    _add_trial_gates(report, "quaternion", [rec])
+    report.add(
+        "linearization_order", _linearization_order(plan, config.seed + 13), 1.9,
+        higher_is_better=True,
+    )
     m_rec = matrix_contraction_run(plan, config.seed, min(config.eps0, 0.05))
     report.add("matrix_gauge_residual", m_rec["residual"], 1e-7)
     report.add("matrix_absorbed_residual", m_rec["absorbed_residual"], 1e-7)
     report.add("matrix_contraction_factor", m_rec["factor"], 1.0)
+    _add_trial_gates(report, "matrix", [m_rec])
 
     rng = np.random.default_rng(config.seed)
     grid = plan.grid
@@ -949,22 +957,11 @@ def full_chain(config):
         1e-10,
     )
 
-    kappa = 2 * np.pi / grid.length
-    phi, wdiag = compensation.wente_solve(
-        plan, np.sin(kappa * grid.x1), np.sin(kappa * grid.x2)
-    )
-    expected = -0.5 * np.cos(kappa * grid.x1) * np.cos(kappa * grid.x2)
-    report.add("wente_two_mode_err", norms.linf_norm(grid, phi - expected), 1e-12)
+    report.add("wente_two_mode_err", _wente_two_mode_err(plan), 1e-12)
 
     h = random_band_limited_complex(plan, rng)
     h -= h.mean()
-    ddiag = compensation.real_from_imag_bound(plan, h, plan.d_zbar(h))
-    report.add(
-        "pairing_identity_rel_err",
-        ddiag.identity_residual
-        / (ddiag.re_sq + ddiag.im_sq + ddiag.g_l1 * ddiag.t_linf),
-        1e-8,
-    )
+    report.add("pairing_identity_rel_err", _real_from_imag(plan, h)[1], 1e-8)
 
     mag = pointwise_abs(
         systems.manufacture_solution(

@@ -13,7 +13,6 @@ __all__ = [
     "Quaternion",
     "qmul",
     "qconj",
-    "qinv",
     "qnorm",
     "qexp_pure",
     "left_i",
@@ -102,15 +101,6 @@ def qconj(a):
 def qnorm(a):
     a = np.asarray(a, dtype=np.float64)
     return np.sqrt(np.sum(a * a, axis=-1))
-
-
-def qinv(a):
-    a = np.asarray(a, dtype=np.float64)
-    out = np.empty_like(a)
-    n2 = np.sum(a * a, axis=-1, keepdims=True)
-    out[..., :1] = a[..., :1] / n2
-    out[..., 1:] = -a[..., 1:] / n2
-    return out
 
 
 def qexp_pure(u):

@@ -148,11 +148,6 @@ def holo_split_residual(plan, system):
     return r_l, r_r
 
 
-def _d_z_vector(plan, vf):
-    gx, gy = vf.gradient(plan)
-    return 0.5 * (gx - 1j * gy)
-
-
 def n2_transform(plan, alpha, u, v):
     """Frame field f = S0 Q u + i Q v and the residual of
     d_z f = R d_z(alpha) conj(f)."""

@@ -1,10 +1,14 @@
+import itertools
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from chirality_lab import gauge, pgauge
 from chirality_lab.cli import main
+from chirality_lab.compensation import PreconditionError
 from chirality_lab.experiments import EXPERIMENTS, run_experiment
 from chirality_lab.reporting import (
     ANCHORS,
@@ -62,40 +66,113 @@ def test_worst_of_propagates_non_finite_values():
     assert worst_of(iter([0.5, 2.0, 1.0]), higher_is_better=True) == 0.5
 
 
+# the trial gates of each experiment that runs the gauge chain, by path
+CHAIN_PATHS = {
+    "contraction": ("quaternion", "matrix"),
+    "gauge-solve": ("quaternion",),
+    "morrey-decay": ("quaternion",),
+    "full-chain": ("quaternion", "matrix"),
+}
+# the gates a failed trial trips: an errored trial never closes its B
+TRIPPED = {
+    "stall": ("stalled",),
+    "error": ("errored", "b_unconverged"),
+    "b_unconverged": ("b_unconverged",),
+}
+
+
+def stub_chain(monkeypatch, mode):
+    """Replace both gauge chains by stubs whose first trial on each path
+    stalls, fails a precondition or leaves B unconverged (mode); every
+    later trial succeeds."""
+
+    def first_fails(fn):
+        calls = itertools.count()
+        return lambda *args, **kwargs: fn(next(calls) == 0, *args, **kwargs)
+
+    def solve(field):
+        def run(fail, plan, *args, **kwargs):
+            t = 0.5 if fail and mode == "stall" else 1.0
+            res = SimpleNamespace(
+                residual=1e-10, theta=0.1, continuation_steps=5, t_reached=t,
+                levels=((t, 0.5, t == 1.0),), **field(plan.grid.n),
+            )
+            if t < 1.0:
+                raise gauge.GaugeStall(t, res)
+            return res
+        return first_fails(run)
+
+    def potential(fail, plan, *args, **kwargs):
+        if fail and mode == "error":
+            raise PreconditionError("stub precondition", 1.0)
+        return np.zeros((plan.grid.n, plan.grid.n)), {}
+
+    def contract(fail, *args, **kwargs):
+        return {"factor": 0.5, "b_converged": not (fail and mode == "b_unconverged"),
+                "absorbed_residual": 1e-9}
+
+    def unit_q(n):
+        return {"q": np.concatenate([np.ones((n, n, 1)), np.zeros((n, n, 3))], -1)}
+
+    def unit_p(n):
+        eye = np.broadcast_to(np.eye(2, dtype=complex), (n, n, 2, 2))
+        return {"p": (eye.copy(), np.zeros_like(eye))}
+
+    for module, name, fn in (
+        (gauge, "gauge_solve", solve(unit_q)),
+        (gauge, "zeta_potential", first_fails(potential)),
+        (gauge, "contraction_chain", first_fails(contract)),
+        (pgauge, "p_gauge_solve", solve(unit_p)),
+        (pgauge, "chi_potential", first_fails(potential)),
+        (pgauge, "p_contraction_chain", first_fails(contract)),
+    ):
+        monkeypatch.setattr(module, name, fn)
+
+
 def test_contraction_gates_fail_on_failed_trials(tmp_path, monkeypatch):
-    import chirality_lab.experiments as experiments
+    # one failed trial per path fails that path's gate in every experiment
+    # that runs the chain, and no other trial gate
+    for mode, (experiment, paths) in itertools.product(TRIPPED, CHAIN_PATHS.items()):
+        with monkeypatch.context() as patch:
+            stub_chain(patch, mode)
+            report = run_experiment(ExperimentConfig(
+                experiment=experiment, grid_n=16, seed=0, trials=4,
+                out=str(tmp_path),
+            ))
+        gates = {m.name: m.passed for m in report.metrics
+                 if m.name.endswith("_trials")}
+        assert set(gates) == {
+            f"{p}_{g}_trials" for p in paths
+            for g in ("stalled", "errored", "b_unconverged")
+        }, experiment
+        assert {name for name, ok in gates.items() if not ok} == {
+            f"{p}_{g}_trials" for p in paths for g in TRIPPED[mode]
+        }, (mode, experiment)
+        assert not report.all_passed
+        if experiment == "contraction":
+            # an errored trial has a NaN factor and absorbed residual
+            nan_gates = {"quaternion_factor_max", "matrix_factor_max",
+                         "matrix_absorbed_residual_max"}
+            failed = {m.name for m in report.metrics if m.passed is False}
+            assert failed - set(gates) == (nan_gates if mode == "error" else set())
 
-    def quaternion_run(plan, seed, grad_alpha, tol=1e-8):
-        # the fourth quaternion trial's B fixed point did not converge
-        rec = {"seed": seed, "grad_alpha": grad_alpha, "grid_n": plan.grid.n,
-               "residual": 1e-10, "theta": 0.1, "steps": 16, "t_reached": 1.0,
-               "stalled": seed == 1, "factor": 0.5, "b_converged": seed != 3}
-        if seed == 2:  # a failed precondition records a NaN factor
-            rec.update(factor=float("nan"), error="precondition")
-            del rec["b_converged"]
-        return rec
 
-    def matrix_run(plan, seed, grad_alpha, tol=1e-8):
-        # the first matrix trial's B fixed point did not converge; the
-        # second is a partial gauge that stalled before t = 1
-        return {"seed": seed, "grad_alpha": grad_alpha, "grid_n": plan.grid.n,
-                "residual": 1e-10, "theta": 0.1, "steps": 16,
-                "t_reached": 0.99 if seed == 101 else 1.0,
-                "absorbed_residual": 1e-9, "factor": 0.5,
-                "b_converged": seed != 100}
+def test_morrey_decay_solves_each_gauge_once(tmp_path, monkeypatch):
+    calls = []
+    solve = gauge.gauge_solve
 
-    monkeypatch.setattr(experiments, "contraction_run", quaternion_run)
-    monkeypatch.setattr(experiments, "matrix_contraction_run", matrix_run)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(gauge, "gauge_solve", counted)
     report = run_experiment(ExperimentConfig(
-        experiment="contraction", grid_n=8, seed=0, trials=4, out=str(tmp_path)
+        experiment="morrey-decay", grid_n=32, seed=0, trials=2, out=str(tmp_path)
     ))
-    failed = {m.name for m in report.metrics if m.passed is False}
-    assert failed == {
-        "quaternion_factor_max", "quaternion_stalled_trials",
-        "quaternion_errored_trials", "quaternion_b_unconverged_trials",
-        "matrix_partial_trials", "matrix_b_unconverged_trials",
-    }
-    assert not report.all_passed
+    assert len(calls) == 2
+    assert np.isfinite(
+        next(m.value for m in report.metrics if m.name == "ball_split_chain_bound")
+    )
 
 
 def test_report_round_trip():
