@@ -26,6 +26,10 @@ __all__ = [
 ]
 
 
+# largest neighbour frame jump (radians) extract_frame accepts after alignment
+JUMP_THRESHOLD = np.pi / 2
+
+
 class AlignmentError(RuntimeError):
     """Frame alignment hit a jump above the threshold (topological
     obstruction or under-resolved grid)."""
@@ -55,8 +59,6 @@ class ChiralityField:
     grid: object
     s: np.ndarray          # (n, n, m, m)
     m_plus: int            # count of +1 eigenvalues
-    q: np.ndarray | None = None
-    alpha: np.ndarray | None = None
 
     @property
     def dim(self):
@@ -80,7 +82,7 @@ def make_chirality(grid, q, m_plus, tol=1e-10):
         raise ValueError("Q must have determinant 1 pointwise")
     s0 = s0_matrix(n, m_plus)
     s = np.einsum("...ij,jk,...lk->...il", q, s0, q)
-    return ChiralityField(grid, s, m_plus, q=q)
+    return ChiralityField(grid, s, m_plus)
 
 
 def validate_chirality(field, tol=1e-12):
@@ -103,9 +105,9 @@ def validate_chirality(field, tol=1e-12):
     return defects
 
 
-def projections(field_or_s):
+def projections(field):
     """P_L = (I + S)/2 onto the +1 eigenspace, P_R = (I - S)/2 onto -1."""
-    s = field_or_s.s if isinstance(field_or_s, ChiralityField) else np.asarray(field_or_s)
+    s = field.s
     eye = np.eye(s.shape[-1])
     return 0.5 * (eye + s), 0.5 * (eye - s)
 
@@ -157,14 +159,14 @@ def _align_blocks(q_cur, q_ref, m_plus):
     return out
 
 
-def extract_frame(plan, s, m_plus, energy_limit=0.5, jump_threshold=np.pi / 2):
+def extract_frame(plan, s, m_plus, energy_limit=0.5):
     """Recover a rotation field Q with Q S0 Q^T = S.
 
     Per-point eigenvectors are gauge-aligned by a breadth-first sweep from
     the grid origin (4-neighbor torus graph).  Q is only determined up to
     the block stabilizer of S0; anchoring at the origin makes the output
     deterministic.  Raises AlignmentError when some neighbor jump exceeds
-    ``jump_threshold`` after alignment.  Pass ``energy_limit=None`` to skip
+    ``JUMP_THRESHOLD`` after alignment.  Pass ``energy_limit=None`` to skip
     the smallness precondition.
 
     Returns (q, info) with info carrying the conjugation residual and the
@@ -210,9 +212,9 @@ def extract_frame(plan, s, m_plus, energy_limit=0.5, jump_threshold=np.pi / 2):
         tr = np.einsum("...ii", rel)
         ang = np.arccos(np.clip((tr - (n - 2)) / 2.0, -1.0, 1.0))
         max_jump = max(max_jump, float(ang.max()))
-    if max_jump > jump_threshold:
+    if max_jump > JUMP_THRESHOLD:
         raise AlignmentError(
-            f"frame jump {max_jump:.3f} rad exceeds {jump_threshold:.3f}; "
+            f"frame jump {max_jump:.3f} rad exceeds {JUMP_THRESHOLD:.3f}; "
             "no continuous frame on this grid"
         )
 

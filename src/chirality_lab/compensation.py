@@ -45,6 +45,10 @@ __all__ = [
 ]
 
 
+# width of the concentrated bump of jacobian_vs_concentrated, in grid cells
+BUMP_WIDTH_CELLS = 2.5
+
+
 class PreconditionError(ValueError):
     """An estimator's stated hypothesis fails on the supplied data."""
 
@@ -119,8 +123,9 @@ def bb_reconstruct(plan, data):
     u -= u.mean()
 
     f1, f2 = data.f(plan)
-    rx = plan.dx(u) - (f1 + data.g[0] - np.mean(data.g[0]))
-    ry = plan.dy(u) - (f2 + data.g[1] - np.mean(data.g[1]))
+    ux, uy = plan.grad(u)
+    rx = ux - (f1 + data.g[0] - np.mean(data.g[0]))
+    ry = uy - (f2 + data.g[1] - np.mean(data.g[1]))
     grad_residual = l2_norm(grid, rx, ry)
 
     mismatch = w2 + v.imag
@@ -258,7 +263,7 @@ def jacobian_vs_shuffled(plan, a, b, rng):
     return out[0], out[1]
 
 
-def jacobian_vs_concentrated(plan, a, b, rng, width_cells=2.5):
+def jacobian_vs_concentrated(plan, a, b, rng):
     """Paired comparison against a concentrating right side of equal L1 mass.
 
     A narrow mean-removed bump is the worst case for the L1 -> L^{2,1}
@@ -273,7 +278,7 @@ def jacobian_vs_concentrated(plan, a, b, rng, width_cells=2.5):
     jac = ax * by - ay * bx
 
     cx, cy = rng.random(2) * grid.length
-    w = width_cells * grid.spacing
+    w = BUMP_WIDTH_CELLS * grid.spacing
     d1 = np.abs(grid.x1 - cx)
     d1 = np.minimum(d1, grid.length - d1)
     d2 = np.abs(grid.x2 - cy)

@@ -9,7 +9,7 @@ from scipy.sparse.linalg import splu
 
 from chirality_lab import compensation, gauge, jms, norms, pgauge, systems
 from chirality_lab.chirality import extract_frame, rotation2, validate_chirality
-from chirality_lab.field_core import Grid2
+from chirality_lab.field_core import Grid2, complex_pair_to_quat
 from chirality_lab.hyperunitary import qp_commutator, qp_dagger_defect, random_asd
 from chirality_lab.norms import Ball, l2_norm, lorentz_weak_l2, pointwise_abs
 from chirality_lab.reporting import (
@@ -30,7 +30,6 @@ from chirality_lab.spectral_ops import (
 __all__ = [
     "EXPERIMENTS",
     "run_experiment",
-    "chain_alpha",
     "chain_targets",
     "contraction_run",
     "matrix_contraction_run",
@@ -39,12 +38,6 @@ __all__ = [
 
 def make_plan(config, grid_n=None):
     return SpectralPlan(Grid2(grid_n or config.grid_n, length=config.length))
-
-
-def chain_alpha(plan, rng, grad_norm, kmax=3):
-    """Random angle field with || grad alpha ||_2 = grad_norm."""
-    alpha = random_band_limited(plan, rng, kmax=kmax)
-    return alpha * (grad_norm / l2_norm(plan.grid, *plan.grad(alpha)))
 
 
 def chain_targets(plan, alpha, sign=+1):
@@ -75,18 +68,18 @@ def _chain_trial(record, solve, measure):
     return res, out
 
 
-def _quaternion_chain(plan, sys, seed, grad_alpha, tol):
-    """One quaternion chain trial on a manufactured system: the gauge
-    solve, the stream potential zeta and the contraction.  Returns
-    (record, q, zeta); zeta is None when the trial errored."""
-    alpha = sys.diagnostics["equation_alpha"]
+def _quaternion_chain(plan, alpha, frak, seed, grad_alpha, tol):
+    """One quaternion chain trial on a manufactured field frak solving
+    d_L frak = d_z(alpha) j frak: the gauge solve, the stream potential zeta
+    and the contraction.  Returns (record, q, zeta); zeta is None when the
+    trial errored."""
     w_t, g_t = chain_targets(plan, alpha, sign=+1)
     cfg = gauge.GaugeConfig(eps0=max(0.1, 1.5 * grad_alpha), tol=tol)
 
     def measure(res):
         zeta, _ = gauge.zeta_potential(plan, res.q, precondition_tol=1e-2)
         out = gauge.contraction_chain(
-            plan, sys.frak_f(), plan.d_z(alpha), res.q, zeta, pre_tol=1e-5
+            plan, frak, plan.d_z(alpha), res.q, zeta, pre_tol=1e-5
         )
         return {**out, "zeta": zeta}
 
@@ -104,22 +97,15 @@ def contraction_run(plan, seed, grad_alpha, tol=1e-8):
         plan, "adapted_frame", np.random.default_rng(seed),
         grad_alpha=grad_alpha, equation_sign=+1,
     )
-    return _quaternion_chain(plan, sys, seed, grad_alpha, tol)[0]
+    return _quaternion_chain(
+        plan, sys.diagnostics["equation_alpha"], sys.frak_f(), seed, grad_alpha, tol
+    )[0]
 
 
 def matrix_contraction_run(plan, seed, grad_alpha, tol=1e-8):
     """One doubled-path measurement from the 2d chain; returns the record
     of contraction_run with gamma_l2 and absorbed_residual."""
-    rng = np.random.default_rng(seed)
-    sys = systems.manufacture_solution(
-        plan, "adapted_frame", rng, grad_alpha=grad_alpha
-    )
-    dza = plan.d_z(sys.alpha)
-    rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    b_coef = np.einsum("ij,...->...ij", rot, dza)
-    doubled = systems.double_system(
-        plan, sys.f_frame(), np.zeros_like(b_coef), b_coef
-    )
+    doubled = systems.chain_doubled(plan, np.random.default_rng(seed), grad_alpha)
     gamma = doubled.gamma[1]
     cfg = gauge.GaugeConfig(eps0=max(0.15, 2.5 * grad_alpha), tol=tol)
 
@@ -315,10 +301,11 @@ def bb_check(config):
         ux, uy = plan.grad(u0)
         f1 = (1 - m) * ux
         f2 = (1 - m) * uy
+        (f1x, f1y), (f2x, f2y) = plan.grad(f1), plan.grad(f2)
         a = np.array(
             [
-                [plan.inv_laplacian(plan.dx(f1)), plan.inv_laplacian(plan.dx(f2))],
-                [plan.inv_laplacian(plan.dy(f1)), plan.inv_laplacian(plan.dy(f2))],
+                [plan.inv_laplacian(f1x), plan.inv_laplacian(f2x)],
+                [plan.inv_laplacian(f1y), plan.inv_laplacian(f2y)],
             ]
         )
         g1 = ux - (f1 - f1.mean())
@@ -345,8 +332,9 @@ def bb_check(config):
             rng = np.random.default_rng(10_000 + config.seed + k + (phase == "measure") * 500)
             phi = random_band_limited(plan, rng, rms=1.0)
             psi = random_band_limited(plan, rng, rms=0.3)
-            gx = -plan.dy(phi) + plan.dx(psi)
-            gy = plan.dx(phi) + plan.dy(psi)
+            (phix, phiy), (psix, psiy) = plan.grad(phi), plan.grad(psi)
+            gx = -phiy + psix
+            gy = phix + psiy
             v = phi.mean() - phi
             data = compensation.split_from_vector_potential(
                 grid, v - v.mean(), np.array([gx, gy])
@@ -506,7 +494,7 @@ def reformulate(config):
         ledger["holo"] += [r_l, r_r]
         f, res_n2 = systems.n2_transform(plan, sys.alpha, sys.u, sys.v)
         ledger["n2"].append(res_n2)
-        frak = sys.frak_f()
+        frak = complex_pair_to_quat(f[..., 0], f[..., 1])
         rq = systems.quaternion_residual(plan, frak, sys.alpha, sign=-1)
         ledger["quat"].append(rq)
         rc = systems.complex_pair_residual(plan, f, sys.alpha, sign=-1)
@@ -525,7 +513,7 @@ def reformulate(config):
     )
     report.add(
         "rewrite_identity_residual",
-        systems.rewrite_identity_residual(plan, sys.chirality, sys),
+        systems.rewrite_identity_residual(plan, sys),
         1e-10,
     )
     q_rec, info = extract_frame(plan, sys.chirality.s, 1, energy_limit=1.0)
@@ -537,7 +525,7 @@ def reformulate(config):
     dres, hyp = systems.dirac_residual(plan, psi, np.zeros((n, n), dtype=complex))
     report.add("dirac_kernel_residual", dres, 1e-10)
 
-    alpha = chain_alpha(plan, rng, 0.3)
+    alpha = systems.chain_alpha(plan, rng, 0.3)
     pair = systems.omega_pm(plan, rotation2(alpha), 1)
     report.add("omega_antisymmetry", pair.certificate["antisymmetry"], 1e-12)
     report.add("omega_block_structure", pair.certificate["block_structure"], 1e-13)
@@ -704,8 +692,10 @@ def morrey_decay(config):
         sys = systems.manufacture_solution(
             plan, "adapted_frame", rng, grad_alpha=config.eps0, equation_sign=+1,
         )
-        rec, q, zeta = _quaternion_chain(plan, sys, seed, config.eps0, config.tol)
         frak = sys.frak_f()
+        rec, q, zeta = _quaternion_chain(
+            plan, sys.diagnostics["equation_alpha"], frak, seed, config.eps0, config.tol
+        )
         # a perturbed near-solution from the same seeded family: four
         # independent noise components from the seed's stream
         noise = np.stack(

@@ -147,8 +147,7 @@ def transported(plan, q, frak_f, zeta):
     return tuple(complex_pair_to_quat(x[..., 0], y[..., 0]) for x, y in (pf, pif, rhs))
 
 
-def contraction_chain(plan, frak_f, omega, q, zeta, pre_tol=1e-6,
-                      b_tol=1e-11, b_max_iter=400):
+def contraction_chain(plan, frak_f, omega, q, zeta, pre_tol=1e-6):
     """Measured factor of the closure estimate chain.
 
     For frak_f near-solving d_L f = omega j f (omega complex; d_z(alpha)
@@ -166,8 +165,6 @@ def contraction_chain(plan, frak_f, omega, q, zeta, pre_tol=1e-6,
     if eq_res > pre_tol * max(f_l2, 1e-300):
         raise PreconditionError("frak_f does not near-solve the equation", eq_res)
 
-    out = p_contraction_chain(
-        plan, *_absorbed_inputs(q, frak_f, zeta), b_tol, b_max_iter
-    )
+    out = p_contraction_chain(plan, *_absorbed_inputs(q, frak_f, zeta))
     transport_res = out.pop("absorbed_residual")
     return {**out, "transport_residual": transport_res, "equation_residual": eq_res}

@@ -18,6 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
+# norms are taken on annuli delta < |x| < R_OUTER; N_THETA midpoints average
+# over the angle, and the oracle sums ORACLE_PANELS radial panels
+R_OUTER = 0.5
+N_THETA = 256
+ORACLE_PANELS = 20000
+
 __all__ = [
     "JmsParams",
     "jms_alpha",
@@ -278,7 +284,7 @@ def jms_residual_study(params, grids=(128, 256, 512), excision=0.1):
     }
 
 
-def _angular_factor(t, params, p, n_theta=256):
+def _angular_factor(t, params, p):
     """Mean over theta of (1 + kappa(kappa+2) cos^2 theta)^(p/2), where
     kappa = r rho'/rho = beta/t - 2 and t = log(r0/r).
 
@@ -286,36 +292,36 @@ def _angular_factor(t, params, p, n_theta=256):
     kappa(kappa+2) cos^2 theta) with rho = r^-2 t^-beta, so the angular
     average never touches overflowing powers of r.
     """
-    theta = np.pi * (np.arange(n_theta) + 0.5) / n_theta  # quarter-symmetry
+    theta = np.pi * (np.arange(N_THETA) + 0.5) / N_THETA  # quarter-symmetry
     kappa = params.beta / t - 2.0
     inner = 1.0 + kappa * (kappa + 2.0) * np.cos(theta) ** 2
     return float(np.mean(inner ** (0.5 * p)))
 
 
-def _lp_mass_integrand(t, params, p, n_theta=256):
+def _lp_mass_integrand(t, params, p):
     """2 pi r^2 * (mean |grad u|^p over theta) as a function of t."""
     r2_power = (2.0 - 2.0 * p) * (np.log(params.r0) - t)  # log(r^(2-2p))
     return (
         2.0 * np.pi * np.exp(r2_power) * t ** (-params.beta * p)
-        * _angular_factor(t, params, p, n_theta)
+        * _angular_factor(t, params, p)
     )
 
 
-def gradient_lp_annulus(params, p, delta, rho=0.5, n_theta=256):
-    """|| grad u ||_Lp on the annulus delta < |x| < rho, via the
+def gradient_lp_annulus(params, p, delta):
+    """|| grad u ||_Lp on the annulus delta < |x| < R_OUTER, via the
     substitution t = log(r0/r) and the scaled integrand."""
-    t_lo = np.log(params.r0 / rho)
+    t_lo = np.log(params.r0 / R_OUTER)
     t_hi = np.log(params.r0 / delta)
     val, _ = integrate.quad(
-        lambda t: _lp_mass_integrand(t, params, p, n_theta), t_lo, t_hi, limit=200
+        lambda t: _lp_mass_integrand(t, params, p), t_lo, t_hi, limit=200
     )
     return val ** (1.0 / p)
 
 
-def gradient_lp_annulus_oracle(params, p, delta, rho=0.5, panels=20000):
+def gradient_lp_annulus_oracle(params, p, delta):
     """Independent fixed-grid midpoint evaluation in the raw radial
     variable, for cross-checking the adaptive quadrature."""
-    r = np.geomspace(delta, rho, panels + 1)
+    r = np.geomspace(delta, R_OUTER, ORACLE_PANELS + 1)
     mid = np.sqrt(r[:-1] * r[1:])
     t = np.log(params.r0 / mid)
     vals = np.array([_lp_mass_integrand(tt, params, p) for tt in t])
@@ -324,13 +330,13 @@ def gradient_lp_annulus_oracle(params, p, delta, rho=0.5, panels=20000):
     return float(np.sum(vals * widths)) ** (1.0 / p)
 
 
-def gradient_l1_limit(params, rho=0.5, n_theta=256):
+def gradient_l1_limit(params):
     """The delta -> 0 limit of the L1 norm (finite since beta > 1):
     adaptive quadrature on the unbounded log variable, where the
     integrand decays like t^-beta."""
-    t_lo = np.log(params.r0 / rho)
+    t_lo = np.log(params.r0 / R_OUTER)
     val, _ = integrate.quad(
-        lambda t: _lp_mass_integrand(t, params, 1.0, n_theta),
+        lambda t: _lp_mass_integrand(t, params, 1.0),
         t_lo,
         np.inf,
         limit=400,
@@ -338,7 +344,7 @@ def gradient_l1_limit(params, rho=0.5, n_theta=256):
     return val
 
 
-def jms_norm_divergence(params, p_values=(1.0, 1.5), deltas=None, rho=0.5):
+def jms_norm_divergence(params, p_values=(1.0, 1.5), deltas=None):
     """Gradient norms on shrinking annuli: convergence for p = 1,
     divergence for p > 1 with the rate of the explicit asymptotic
     integrand r^(1-2p) log(r0/r)^(-p beta)."""
@@ -347,10 +353,10 @@ def jms_norm_divergence(params, p_values=(1.0, 1.5), deltas=None, rho=0.5):
     deltas = sorted(deltas, reverse=True)
     table = []
     for p in p_values:
-        values = [gradient_lp_annulus(params, p, d, rho) for d in deltas]
+        values = [gradient_lp_annulus(params, p, d) for d in deltas]
         entry = {"p": p, "deltas": list(deltas), "values": values}
         if p == 1.0:
-            entry["limit_quadrature"] = gradient_l1_limit(params, rho)
+            entry["limit_quadrature"] = gradient_l1_limit(params)
         else:
             # fitted slope of the partial integrals vs delta, against the
             # asymptotic slope (2 - 2p) + p*beta / log(r0/delta)

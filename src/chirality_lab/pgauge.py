@@ -75,6 +75,10 @@ __all__ = [
 DT_MIN = 1e-4
 MAX_NEWTON = 20
 MAX_INNER = 120
+# fixed point for B in the contraction chain: relative change at which it
+# has converged, and its iteration budget
+B_TOL = 1e-11
+B_MAX_ITER = 400
 
 
 class GaugeDivergence(RuntimeError):
@@ -386,7 +390,7 @@ def absorbed_residual(plan, p, chi, gamma1, g_pair):
     return l2_norm(plan.grid, lhs[0] - rhs[0], lhs[1] - rhs[1]), rhs, pg, pig
 
 
-def p_contraction_chain(plan, p, chi, gamma1, g_pair, b_tol=1e-11, b_max_iter=400):
+def p_contraction_chain(plan, p, chi, gamma1, g_pair):
     """Measured factor of the closure estimate chain for the doubled system.
 
     For a gauge P and G near-solving the absorbed equation, the transported
@@ -410,14 +414,14 @@ def p_contraction_chain(plan, p, chi, gamma1, g_pair, b_tol=1e-11, b_max_iter=40
     ax, ay = _grad_pair(plan, (plan.inv_laplacian(rhs[0]), plan.inv_laplacian(rhs[1])))
     b = np.zeros_like(rhs[0]), np.zeros_like(rhs[1])
     converged = False
-    for it in range(b_max_iter):
+    for it in range(B_MAX_ITER):
         bx, by = _grad_pair(plan, b)
         t1 = qp_matvec(w, (ax[0] - by[0], ax[1] - by[1]))
         t2 = qp_matvec(w, (ay[0] + bx[0], ay[1] + bx[1]))
         b_new = tuple(plan.inv_laplacian(-plan.div(u1, u2)) for u1, u2 in zip(t1, t2))
         change = _sup(b_new, b)
         b = b_new
-        if change < b_tol * max(_sup(b), 1e-300):
+        if change < B_TOL * max(_sup(b), 1e-300):
             converged = True
             break
     weak_pg = lorentz_weak_l2(grid, pointwise_abs(*pg))

@@ -228,8 +228,8 @@ class SpectralPlan:
         return self._apply(self._keep, f)
 
 
-def random_band_limited(plan, rng, kmax=None, rms=1.0, mean_zero=True):
-    """Real random field with modes confined to max|k index| <= kmax."""
+def random_band_limited(plan, rng, kmax=None, rms=1.0):
+    """Real mean-zero random field with modes confined to max|k index| <= kmax."""
     n = plan.grid.n
     if kmax is None:
         kmax = n // 6
@@ -238,15 +238,14 @@ def random_band_limited(plan, rng, kmax=None, rms=1.0, mean_zero=True):
     F = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     F *= keep
     f = _ifft(F).real
-    if mean_zero:
-        f -= f.mean()
+    f -= f.mean()
     scale = np.sqrt(np.mean(f**2))
     if scale > 0:
         f *= rms / scale
     return f
 
 
-def random_band_limited_complex(plan, rng, kmax=None, rms=1.0, mean_zero=True):
-    re = random_band_limited(plan, rng, kmax, rms, mean_zero)
-    im = random_band_limited(plan, rng, kmax, rms, mean_zero)
+def random_band_limited_complex(plan, rng, kmax=None, rms=1.0):
+    re = random_band_limited(plan, rng, kmax, rms)
+    im = random_band_limited(plan, rng, kmax, rms)
     return (re + 1j * im) / np.sqrt(2.0)

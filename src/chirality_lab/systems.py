@@ -22,7 +22,13 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from chirality_lab.chirality import ChiralityField, projections, rotation2, s0_matrix
-from chirality_lab.field_core import complex_left, left_j, qmul, quat_to_complex_pair
+from chirality_lab.field_core import (
+    complex_left,
+    complex_pair_to_quat,
+    left_j,
+    qmul,
+    quat_to_complex_pair,
+)
 from chirality_lab.hyperunitary import qp_dagger_defect, qp_matvec
 from chirality_lab.norms import l2_norm, pointwise_abs
 from chirality_lab.spectral_ops import random_band_limited
@@ -35,19 +41,24 @@ __all__ = [
     "conjugate_potential",
     "holo_split_residual",
     "n2_transform",
-    "quaternionize",
     "quaternion_residual",
     "complex_pair_residual",
     "dirac_residual",
     "omega_pm",
     "double_system",
+    "chain_alpha",
     "manufacture_solution",
+    "chain_doubled",
     "manufacture_doubled",
     "energy_identity",
     "rewrite_identity_residual",
 ]
 
 ROT_GEN = np.array([[0.0, 1.0], [-1.0, 0.0]])
+DIV_TOL = 1e-8            # relative div(S grad u) that conjugate_potential calls div_ok
+ANTISYMMETRY_TOL = 1e-12  # relative antisymmetry defect of B that double_system accepts
+G_FLOOR = 0.25            # least |g| of manufacture_doubled, which divides by |g|^2
+ALPHA_KMAX = 3            # chain angles keep wavenumber indices |k| <= ALPHA_KMAX
 
 
 @dataclass
@@ -68,8 +79,7 @@ class VectorField:
         return vals
 
     def gradient(self, plan):
-        gx = plan.dx(self.periodic)
-        gy = plan.dy(self.periodic)
+        gx, gy = plan.grad(self.periodic)
         if self.affine is not None:
             gx = gx + self.affine[:, 0]
             gy = gy + self.affine[:, 1]
@@ -82,35 +92,27 @@ class ChiralitySystem:
     chirality: ChiralityField
     u: VectorField
     v: VectorField
-    mode: str                      # "uv" or "frame"
-    alpha: np.ndarray | None = None
-    q_frame: np.ndarray | None = None  # rotation2(alpha) for n = 2 frames
+    alpha: np.ndarray      # frame angle: S = Q^t S0 Q with Q = rotation2(alpha)
     diagnostics: dict = dataclass_field(default_factory=dict)
 
     def f_frame(self):
-        if self.q_frame is None:
-            raise ValueError("system carries no frame")
-        s0 = s0_matrix(2, 1)
-        fr = np.einsum(
-            "ij,...jk,...k->...i", s0, self.q_frame, self.u.values(self.grid)
-        )
-        fi = np.einsum("...jk,...k->...j", self.q_frame, self.v.values(self.grid))
-        return fr + 1j * fi
+        return _frame_field(self.grid, self.alpha, self.u, self.v)
 
     def frak_f(self):
+        """The quaternion packing of the frame field."""
         f = self.f_frame()
-        return quaternionize(f)
+        return complex_pair_to_quat(f[..., 0], f[..., 1])
 
 
-def conjugate_potential(plan, s, u, div_tol=1e-8):
+def conjugate_potential(plan, chirality, u):
     """Least-squares potential v with grad_perp v = S grad u.
 
-    Always returns (v, diagnostics); a divergence residual above div_tol is
+    Always returns (v, diagnostics); a divergence residual above DIV_TOL is
     reported in the diagnostics, not raised, since the degraded mode is a
     documented behavior.
     """
     grid = plan.grid
-    s = s.s if isinstance(s, ChiralityField) else s
+    s = chirality.s
     ux, uy = u.gradient(plan)
     wx = np.einsum("...jl,...l->...j", s, ux)
     wy = np.einsum("...jl,...l->...j", s, uy)
@@ -129,7 +131,7 @@ def conjugate_potential(plan, s, u, div_tol=1e-8):
         "div_residual": div_res,
         "lsq_residual": lsq,
         "lsq_relative": lsq / scale,
-        "div_ok": div_res <= div_tol * scale,
+        "div_ok": div_res <= DIV_TOL * scale,
     }
 
 
@@ -148,6 +150,15 @@ def holo_split_residual(plan, system):
     return r_l, r_r
 
 
+def _frame_field(grid, alpha, u, v):
+    """Frame field f = S0 Q u + i Q v for Q = rotation2(alpha)."""
+    q = rotation2(alpha)
+    s0 = s0_matrix(2, 1)
+    fr = np.einsum("ij,...jk,...k->...i", s0, q, u.values(grid))
+    fi = np.einsum("...jk,...k->...j", q, v.values(grid))
+    return fr + 1j * fi
+
+
 def n2_transform(plan, alpha, u, v):
     """Frame field f = S0 Q u + i Q v and the residual of
     d_z f = R d_z(alpha) conj(f)."""
@@ -156,37 +167,19 @@ def n2_transform(plan, alpha, u, v):
     nonconstant = np.ptp(alpha) > 0
     if (u.affine is not None or v.affine is not None) and nonconstant:
         raise ValueError("affine parts require a constant frame angle")
-    q = rotation2(alpha)
-    s0 = s0_matrix(2, 1)
-    fr = np.einsum("ij,...jk,...k->...i", s0, q, u.values(grid))
-    fi = np.einsum("...jk,...k->...j", q, v.values(grid))
-    f = fr + 1j * fi
+    f = _frame_field(grid, alpha, u, v)
     if nonconstant:
         dzf = plan.d_z(f)
     else:
         # constant frame commutes with d_z; affine parts give constants
-        q0 = q[0, 0]
-        ux, uy = u.gradient(plan)
-        vx, vy = v.gradient(plan)
-        fx = np.einsum("ij,jk,...k->...i", s0, q0, ux) + 1j * np.einsum(
-            "jk,...k->...j", q0, vx
-        )
-        fy = np.einsum("ij,jk,...k->...i", s0, q0, uy) + 1j * np.einsum(
-            "jk,...k->...j", q0, vy
-        )
+        (ux, uy), (vx, vy) = u.gradient(plan), v.gradient(plan)
+        fx = _frame_field(grid, alpha, VectorField(ux), VectorField(vx))
+        fy = _frame_field(grid, alpha, VectorField(uy), VectorField(vy))
         dzf = 0.5 * (fx - 1j * fy)
     dza = plan.d_z(alpha)
     rhs = np.einsum("ij,...,...j->...i", ROT_GEN, dza, np.conj(f))
     residual = l2_norm(grid, dzf - rhs)
     return f, residual
-
-
-def quaternionize(f):
-    """(u1 + i v1, u2 + i v2) -> u1 + v1 i + u2 j + v2 k."""
-    f = np.asarray(f)
-    return np.stack(
-        [f[..., 0].real, f[..., 0].imag, f[..., 1].real, f[..., 1].imag], axis=-1
-    )
 
 
 def quaternion_residual(plan, frak_f, alpha, sign=-1):
@@ -234,10 +227,8 @@ def omega_pm(plan, q, m_plus):
     dim = q.shape[-1]
     s = np.concatenate([np.ones(m_plus), -np.ones(dim - m_plus)])
     sign = s[:, None] * s[None, :]
-    om = []
-    for deriv in (plan.dx, plan.dy):
-        dq = deriv(q)
-        om.append(np.einsum("...ij,...kj->...ik", dq, q))
+    qx, qy = plan.grad(q)
+    om = [np.einsum("...ij,...kj->...ik", dq, q) for dq in (qx, qy)]
     tilde = [sign * o for o in om]
     plus = 0.5 * ((tilde[0] + om[0]) - 1j * (tilde[1] + om[1]))
     minus = 0.5 * ((tilde[0] - om[0]) - 1j * (tilde[1] - om[1]))
@@ -253,7 +244,6 @@ def omega_pm(plan, q, m_plus):
         np.max(np.abs(minus[..., onblock])),
     )
 
-    qx, qy = plan.dx(q), plan.dy(q)
     jac_sum = np.einsum("...it,...jt->...ij", qx, qy) - np.einsum(
         "...it,...jt->...ij", qy, qx
     )
@@ -282,7 +272,7 @@ class DoubledSystem:
     certificate: dict
 
 
-def double_system(plan, g, a_coef, b_coef, tol=1e-12):
+def double_system(plan, g, a_coef, b_coef):
     """Stack G = (g, g j) and build the doubled coefficients.
 
     g is a complex (n, n, m) solution field of d_z g = A g + B conj(g);
@@ -296,7 +286,7 @@ def double_system(plan, g, a_coef, b_coef, tol=1e-12):
     b_coef = np.asarray(b_coef, dtype=complex)
     m = g.shape[-1]
     anti = np.max(np.abs(b_coef + np.swapaxes(b_coef, -1, -2)))
-    if anti > tol * max(np.max(np.abs(b_coef)), 1e-300):
+    if anti > ANTISYMMETRY_TOL * max(np.max(np.abs(b_coef)), 1e-300):
         raise ValueError(f"B must be antisymmetric (defect {anti:.3e})")
 
     zeros_m = np.zeros_like(g)
@@ -341,20 +331,22 @@ def double_system(plan, g, a_coef, b_coef, tol=1e-12):
 # ---------------------------------------------------------------------------
 
 
-def _alpha_with_grad_norm(plan, rng, target, kmax=3, x1_only=False):
+def chain_alpha(plan, rng, grad_norm, x1_only=False):
+    """Random band-limited angle field with || grad alpha ||_2 = grad_norm;
+    a function of x1 alone when x1_only."""
     grid = plan.grid
     if x1_only:
         profile = np.zeros(grid.n)
-        modes = rng.integers(1, kmax + 1, size=3)
+        modes = rng.integers(1, ALPHA_KMAX + 1, size=3)
         for mm in modes:
             profile += rng.standard_normal() * np.cos(
                 2 * np.pi * mm * (grid.x1[:, 0]) / grid.length + rng.random()
             )
         alpha = np.broadcast_to(profile[:, None], (grid.n, grid.n)).copy()
     else:
-        alpha = random_band_limited(plan, rng, kmax=kmax)
+        alpha = random_band_limited(plan, rng, kmax=ALPHA_KMAX)
     norm = l2_norm(grid, *plan.grad(alpha))
-    return alpha * (target / norm) if norm > 0 else alpha
+    return alpha * (grad_norm / norm) if norm > 0 else alpha
 
 
 def _exp_alpha_j(alpha, sign):
@@ -365,7 +357,7 @@ def _exp_alpha_j(alpha, sign):
     return np.stack([c, z, s, z], axis=-1)
 
 
-def manufacture_solution(plan, mode, rng=None, grad_alpha=0.05, equation_sign=-1,
+def manufacture_solution(plan, mode, rng, grad_alpha=0.05, equation_sign=-1,
                          theta0=0.0):
     """Exact instances of the chain, by construction:
 
@@ -380,7 +372,6 @@ def manufacture_solution(plan, mode, rng=None, grad_alpha=0.05, equation_sign=-1
     and satisfies grad_perp v = S grad u to spectral accuracy.
     """
     grid = plan.grid
-    rng = rng or np.random.default_rng(0)
     if mode == "constant_S":
         coeffs_u = rng.standard_normal((2, 2))
         alpha = np.full((grid.n, grid.n), float(theta0))
@@ -393,20 +384,13 @@ def manufacture_solution(plan, mode, rng=None, grad_alpha=0.05, equation_sign=-1
         u = VectorField(np.zeros((grid.n, grid.n, 2)), coeffs_u)
         v = VectorField(np.zeros((grid.n, grid.n, 2)), affine_v)
         chir = ChiralityField(
-            grid,
-            np.broadcast_to(s_const, (grid.n, grid.n, 2, 2)).copy(),
-            1,
-            alpha=alpha,
+            grid, np.broadcast_to(s_const, (grid.n, grid.n, 2, 2)).copy(), 1
         )
-        return ChiralitySystem(
-            grid, chir, u, v, "uv", alpha=alpha, q_frame=rotation2(alpha)
-        )
+        return ChiralitySystem(grid, chir, u, v, alpha)
     if mode not in ("conjugated_harmonic", "adapted_frame"):
         raise ValueError(f"unknown mode {mode!r}")
 
-    alpha = _alpha_with_grad_norm(
-        plan, rng, grad_alpha, x1_only=(mode == "conjugated_harmonic")
-    )
+    alpha = chain_alpha(plan, rng, grad_alpha, x1_only=(mode == "conjugated_harmonic"))
     f0 = rng.standard_normal(4)
     f0 /= np.linalg.norm(f0)
     frak = np.broadcast_to(f0, (grid.n, grid.n, 4)).copy()
@@ -426,24 +410,21 @@ def manufacture_solution(plan, mode, rng=None, grad_alpha=0.05, equation_sign=-1
     v_vals = v_vals - v_vals.mean(axis=(0, 1))
     u = VectorField(u_vals)
     v = VectorField(v_vals)
-    chir = ChiralityField(grid, s, 1, q=np.swapaxes(q, -1, -2), alpha=beta)
     return ChiralitySystem(
-        grid,
-        chir,
-        u,
-        v,
-        "frame",
-        alpha=beta,
-        q_frame=q,
-        diagnostics={
-            "equation_sign": equation_sign,
-            "equation_alpha": alpha,
-            "frak_f0": f0,
-        },
+        grid, ChiralityField(grid, s, 1), u, v, beta,
+        diagnostics={"equation_alpha": alpha},
     )
 
 
-def manufacture_doubled(plan, m, rng, b_norm=0.05, tol_floor=0.25):
+def chain_doubled(plan, rng, grad_alpha):
+    """Doubled system of an adapted_frame instance of the 2d frame form
+    d_z f = R d_z(alpha) conj(f): g = f, A = 0 and B = R d_z(alpha)."""
+    sys = manufacture_solution(plan, "adapted_frame", rng, grad_alpha=grad_alpha)
+    b_coef = np.einsum("ij,...->...ij", ROT_GEN, plan.d_z(sys.alpha))
+    return double_system(plan, sys.f_frame(), np.zeros_like(b_coef), b_coef)
+
+
+def manufacture_doubled(plan, m, rng, b_norm=0.05):
     """Exact (g, A, B) with d_z g = A g + B conj(g): pick g bounded away
     from zero and an antisymmetric mean-zero B, then solve for the rank-one
     A = (d_z g - B conj(g)) g^H / |g|^2 pointwise."""
@@ -457,8 +438,8 @@ def manufacture_doubled(plan, m, rng, b_norm=0.05, tol_floor=0.25):
             + 1j * random_band_limited(plan, rng, kmax=3, rms=1.0)
         ) / np.sqrt(2)
     floor = pointwise_abs(g).min()
-    if floor < tol_floor:
-        g += base * (tol_floor - floor + 0.1)
+    if floor < G_FLOOR:
+        g += base * (G_FLOOR - floor + 0.1)
 
     b = np.zeros((grid.n, grid.n, m, m), dtype=complex)
     for i in range(m):
@@ -484,12 +465,12 @@ def manufacture_doubled(plan, m, rng, b_norm=0.05, tol_floor=0.25):
 # ---------------------------------------------------------------------------
 
 
-def energy_identity(plan, s_field, u):
+def energy_identity(plan, chirality, u):
     """The indefinite Dirichlet energy two ways: via projections and via
     -<grad u, S grad u>.  Returns (via_projections, via_s)."""
     grid = plan.grid
-    s = s_field.s if isinstance(s_field, ChiralityField) else s_field
-    pl, pr = projections(s)
+    s = chirality.s
+    pl, pr = projections(chirality)
     ux, uy = u.gradient(plan)
     cell = grid.cell_measure
 
@@ -507,17 +488,17 @@ def energy_identity(plan, s_field, u):
     return float(via_proj), float(via_s)
 
 
-def rewrite_identity_residual(plan, s_field, system):
+def rewrite_identity_residual(plan, system):
     """Operator identity Lap(w) - div(grad S . S w) = div(S grad u) for
     w = S u; returns the sup-norm defect relative to scale."""
     grid = plan.grid
-    s = s_field.s if isinstance(s_field, ChiralityField) else s_field
+    s = system.chirality.s
     if system.u.affine is not None:
         raise ValueError("identity check needs periodic data; use a frame instance")
     u_vals = system.u.values(grid)
     w = np.einsum("...jl,...l->...j", s, u_vals)
     lap_w = plan.laplacian(w)
-    sx, sy = plan.dx(s), plan.dy(s)
+    sx, sy = plan.grad(s)
     tx = np.einsum("...jl,...lm,...m->...j", sx, s, w)
     ty = np.einsum("...jl,...lm,...m->...j", sy, s, w)
     ux, uy = system.u.gradient(plan)

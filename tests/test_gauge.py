@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from chirality_lab.compensation import PreconditionError
+from chirality_lab.experiments import chain_targets
 from chirality_lab.field_core import (
     Grid2,
     left_j,
@@ -29,7 +30,7 @@ from chirality_lab.pgauge import (
     pn_apply,
 )
 from chirality_lab.spectral_ops import SpectralPlan, random_band_limited
-from chirality_lab.systems import manufacture_solution
+from chirality_lab.systems import chain_alpha, manufacture_solution
 from test_pgauge import as_pair
 
 
@@ -47,13 +48,6 @@ def pure_field(plan, rng, grad_norm, kmax=3):
     g = np.sqrt(np.sum(qnorm(gx) ** 2 + qnorm(gy) ** 2) * plan.grid.cell_measure)
     u *= grad_norm / g
     return u
-
-
-def chain_targets(plan, alpha, sign=+1):
-    """Gauge targets for d_L f = sign d_z(alpha) j f: (0, -2 sign d_z alpha)."""
-    n = plan.grid.n
-    dza = plan.d_z(alpha)
-    return np.zeros((n, n)), -2.0 * sign * dza
 
 
 # The quaternion operator, its linearization and the Newton solve are the
@@ -231,10 +225,7 @@ def test_gauge_solve_manufactured_image(plan):
 
 def test_gauge_solve_chain_targets(plan):
     rng = np.random.default_rng(8)
-    alpha = random_band_limited(plan, rng, kmax=3)
-    gx, gy = plan.grad(alpha)
-    norm = np.sqrt(l2_norm(plan.grid, gx) ** 2 + l2_norm(plan.grid, gy) ** 2)
-    alpha *= 0.05 / norm
+    alpha = chain_alpha(plan, rng, 0.05)
     w_t, g_t = chain_targets(plan, alpha)
     res = gauge_solve(plan, w_t, g_t)
     assert res.residual < 1e-8
@@ -311,10 +302,7 @@ def test_zeta_potential_i_line_gauge(plan):
 
 def test_zeta_potential_after_gauge_solve(plan):
     rng = np.random.default_rng(12)
-    alpha = random_band_limited(plan, rng, kmax=3)
-    gx, gy = plan.grad(alpha)
-    norm = np.sqrt(l2_norm(plan.grid, gx) ** 2 + l2_norm(plan.grid, gy) ** 2)
-    alpha *= 0.05 / norm
+    alpha = chain_alpha(plan, rng, 0.05)
     w_t, g_t = chain_targets(plan, alpha)
     res = gauge_solve(plan, w_t, g_t)
     zeta, diag = zeta_potential(plan, res.q, precondition_tol=1e-3)

@@ -32,7 +32,7 @@ from chirality_lab.pgauge import (
     pn_apply,
 )
 from chirality_lab.spectral_ops import SpectralPlan, random_band_limited
-from chirality_lab.systems import double_system, manufacture_doubled, manufacture_solution
+from chirality_lab.systems import chain_doubled, double_system, manufacture_doubled
 
 
 @pytest.fixture(scope="module")
@@ -117,19 +117,9 @@ def test_p_gauge_solve_manufactured_image(plan):
     assert res.unitarity_defect < 1e-10
 
 
-def doubled_n2_chain(plan):
-    """Doubled instance built from the 2d frame chain at small angle energy."""
-    rng = np.random.default_rng(3)
-    sys = manufacture_solution(plan, "adapted_frame", rng, grad_alpha=0.05)
-    dza = plan.d_z(sys.alpha)
-    # estnb21 coefficients for the rotation frame: A = 0, B = -J d_z(alpha)
-    rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    b_coef = np.einsum("ij,...->...ij", rot, dza)
-    return double_system(plan, sys.f_frame(), np.zeros_like(b_coef), b_coef)
-
-
 def test_p_gauge_structures_from_doubled_n2_chain(plan):
-    doubled = doubled_n2_chain(plan)
+    # doubled instance of the 2d frame chain at small angle energy
+    doubled = chain_doubled(plan, np.random.default_rng(3), 0.05)
     assert doubled.certificate["doubled_residual"] < 1e-9
 
     out = p_gauge_structures(
@@ -280,7 +270,7 @@ def test_closed_form_exp_at_d1_matches_the_embedding(seed, theta):
 
 def test_continuation_step_doubles_after_each_accepted_level():
     plan32 = SpectralPlan(Grid2(32))
-    gamma = doubled_n2_chain(plan32).gamma
+    gamma = chain_doubled(plan32, np.random.default_rng(3), 0.05).gamma
     cfg = GaugeConfig(eps0=0.2, tol=1e-8, dt=1.0 / 16.0)
     res = p_gauge_solve(plan32, np.zeros_like(gamma[1]), -2.0 * gamma[1], cfg)
     assert res.residual < 1e-8

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
-from chirality_lab.field_core import Grid2
+from chirality_lab.field_core import Grid2, complex_pair_to_quat
 from chirality_lab.hyperunitary import (
     qp_commutator,
     qp_dagger_defect,
@@ -26,7 +27,6 @@ from chirality_lab.systems import (
     n2_transform,
     omega_pm,
     quaternion_residual,
-    quaternionize,
     rewrite_identity_residual,
 )
 from chirality_lab.chirality import rotation2, validate_chirality
@@ -145,18 +145,25 @@ def test_manufactured_n2_residual(plan):
     assert residual < 1e-9
 
 
-def test_quaternion_equals_complex_residual(plan):
-    rng = np.random.default_rng(8)
-    alpha = random_band_limited(plan, rng, kmax=4)
+@given(
+    n=st.integers(4, 32).map(lambda k: 2 * k),
+    length=st.one_of(st.just(2.0 * np.pi), st.floats(0.5, 50.0)),
+    sign=st.sampled_from([-1, 1]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_quaternion_equals_complex_residual(n, length, sign, seed):
+    # the quaternion packing of f carries the split complex system exactly
+    plan = SpectralPlan(Grid2(n, length=length))
+    rng = np.random.default_rng(seed)
+    alpha = random_band_limited(plan, rng)
     f = np.stack(
         [random_band_limited_complex(plan, rng) for _ in range(2)], axis=-1
     )
-    frak = quaternionize(f)
-    for sign in (-1, +1):
-        rq = quaternion_residual(plan, frak, alpha, sign=sign)
-        rc = complex_pair_residual(plan, f, alpha, sign=sign)
-        assert rq == pytest.approx(rc, rel=1e-10)
-        assert rq > 0
+    frak = complex_pair_to_quat(f[..., 0], f[..., 1])
+    rq = quaternion_residual(plan, frak, alpha, sign=sign)
+    rc = complex_pair_residual(plan, f, alpha, sign=sign)
+    assert rq == pytest.approx(rc, rel=1e-13)
+    assert rq > 0
 
 
 def test_quaternion_residual_zero_cases(plan):
@@ -168,23 +175,28 @@ def test_quaternion_residual_zero_cases(plan):
     assert quaternion_residual(plan, const, np.zeros((64, 64))) < 1e-13
 
 
-def test_manufactured_quaternion_residual_both_signs(plan):
-    for sign in (-1, +1):
-        sys = manufacture_solution(
-            plan,
-            "adapted_frame",
-            np.random.default_rng(10),
-            grad_alpha=0.05,
-            equation_sign=sign,
-        )
-        frak = sys.frak_f()
-        res = quaternion_residual(
-            plan, frak, sys.diagnostics["equation_alpha"], sign=sign
-        )
-        assert res < 1e-9
-        # and the chain form always solves the minus equation in beta
-        res_chain = quaternion_residual(plan, frak, sys.alpha, sign=-1)
-        assert res_chain < 1e-9
+@given(
+    n=st.sampled_from([32, 64]),
+    mode=st.sampled_from(["conjugated_harmonic", "adapted_frame"]),
+    sign=st.sampled_from([-1, 1]),
+    grad_alpha=st.floats(0.01, 0.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=64, mode="adapted_frame", sign=-1, grad_alpha=0.05, seed=10)
+@example(n=64, mode="adapted_frame", sign=1, grad_alpha=0.05, seed=10)
+def test_manufactured_quaternion_residual_both_signs(n, mode, sign, grad_alpha, seed):
+    # frame instances solve the 2d frame form and both quaternion forms
+    plan = SpectralPlan(Grid2(n))
+    sys = manufacture_solution(
+        plan, mode, np.random.default_rng(seed), grad_alpha=grad_alpha,
+        equation_sign=sign,
+    )
+    assert n2_transform(plan, sys.alpha, sys.u, sys.v)[1] < 1e-9
+    frak = sys.frak_f()
+    res = quaternion_residual(plan, frak, sys.diagnostics["equation_alpha"], sign=sign)
+    assert res < 1e-9
+    # and the chain form always solves the minus equation in beta
+    assert quaternion_residual(plan, frak, sys.alpha, sign=-1) < 1e-9
 
 
 def test_dirac_residual(plan):
@@ -227,7 +239,7 @@ def test_omega_pm_n2_reduces_to_rotation_coefficient(plan):
 
 
 def test_omega_pm_certificates_n3(plan):
-    from tests.test_chirality import smooth_so3_field
+    from test_chirality import smooth_so3_field
 
     rng = np.random.default_rng(13)
     q = smooth_so3_field(plan, rng, 0.05)
@@ -279,7 +291,7 @@ def test_rewrite_identity(plan):
     sys = manufacture_solution(
         plan, "adapted_frame", np.random.default_rng(18), grad_alpha=0.1
     )
-    assert rewrite_identity_residual(plan, sys.chirality, sys) < 1e-10
+    assert rewrite_identity_residual(plan, sys) < 1e-10
     bad = manufacture_solution(plan, "constant_S", np.random.default_rng(19))
     with pytest.raises(ValueError):
-        rewrite_identity_residual(plan, bad.chirality, bad)
+        rewrite_identity_residual(plan, bad)
