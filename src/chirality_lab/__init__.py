@@ -2,4 +2,4 @@
 
 __version__ = "0.1.0"
 
-from chirality_lab.field_core import Grid2, Quaternion  # noqa: F401
+from chirality_lab.field_core import Grid2  # noqa: F401

@@ -218,9 +218,7 @@ def extract_frame(plan, s, m_plus, energy_limit=0.5):
             "no continuous frame on this grid"
         )
 
-    s0 = s0_matrix(n, m_plus)
-    recon = np.einsum("...ij,jk,...lk->...il", q, s0, q)
-    residual = _pointwise_max(recon - s)
+    residual = _pointwise_max(make_chirality(grid, q, m_plus).s - s)
     energy_q = dirichlet_energy(plan, q)
     info = {
         "residual": residual,

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from chirality_lab.norms import (
+    _torus_distance_sq,
     l2_norm,
     linf_norm,
     lorentz_l21,
@@ -239,28 +240,36 @@ def wente_solve(plan, a, b):
     )
 
 
+def _jacobian_against(plan, a, b, control):
+    """Solve -lap(phi) = rhs for the Jacobian of (a, b) and for the control
+    right side control(jac); returns the two L^{2,1} gradient norms."""
+    ax, ay = plan.grad(a)
+    bx, by = plan.grad(b)
+    jac = ax * by - ay * bx
+    out = []
+    for rhs in (jac, control(jac)):
+        phi = plan.inv_laplacian(-rhs)
+        out.append(lorentz_l21(plan.grid, pointwise_abs(*plan.grad(phi))))
+    return out[0], out[1]
+
+
 def jacobian_vs_shuffled(plan, a, b, rng):
     """Paired comparison: solve -lap(phi) = rhs for the Jacobian of (a, b)
     and for a phase-shuffled right side with the same spectrum magnitude,
     rescaled to equal L1 mass.  Returns the two L^{2,1} gradient norms."""
     grid = plan.grid
-    ax, ay = plan.grad(a)
-    bx, by = plan.grad(b)
-    jac = ax * by - ay * bx
 
-    spec = np.abs(np.fft.fft2(jac))
-    phase = np.exp(1j * np.angle(np.fft.fft2(rng.standard_normal(jac.shape))))
-    shuffled = np.fft.ifft2(spec * phase).real
-    shuffled -= shuffled.mean()
-    mass = lp_norm(grid, shuffled, 1)
-    if mass > 0:
-        shuffled *= lp_norm(grid, jac, 1) / mass
+    def shuffle(jac):
+        spec = np.abs(np.fft.fft2(jac))
+        phase = np.exp(1j * np.angle(np.fft.fft2(rng.standard_normal(jac.shape))))
+        shuffled = np.fft.ifft2(spec * phase).real
+        shuffled -= shuffled.mean()
+        mass = lp_norm(grid, shuffled, 1)
+        if mass > 0:
+            shuffled *= lp_norm(grid, jac, 1) / mass
+        return shuffled
 
-    out = []
-    for rhs in (jac, shuffled):
-        phi = plan.inv_laplacian(-rhs)
-        out.append(lorentz_l21(grid, pointwise_abs(*plan.grad(phi))))
-    return out[0], out[1]
+    return _jacobian_against(plan, a, b, shuffle)
 
 
 def jacobian_vs_concentrated(plan, a, b, rng):
@@ -273,22 +282,13 @@ def jacobian_vs_concentrated(plan, a, b, rng):
     value, so no such gap can appear there.)
     """
     grid = plan.grid
-    ax, ay = plan.grad(a)
-    bx, by = plan.grad(b)
-    jac = ax * by - ay * bx
 
-    cx, cy = rng.random(2) * grid.length
-    w = BUMP_WIDTH_CELLS * grid.spacing
-    d1 = np.abs(grid.x1 - cx)
-    d1 = np.minimum(d1, grid.length - d1)
-    d2 = np.abs(grid.x2 - cy)
-    d2 = np.minimum(d2, grid.length - d2)
-    bump = np.exp(-(d1**2 + d2**2) / (2 * w**2))
-    bump -= bump.mean()
-    bump *= lp_norm(grid, jac, 1) / lp_norm(grid, bump, 1)
+    def concentrate(jac):
+        center = rng.random(2) * grid.length
+        w = BUMP_WIDTH_CELLS * grid.spacing
+        bump = np.exp(-_torus_distance_sq(grid, center) / (2 * w**2))
+        bump -= bump.mean()
+        bump *= lp_norm(grid, jac, 1) / lp_norm(grid, bump, 1)
+        return bump
 
-    out = []
-    for rhs in (jac, bump):
-        phi = plan.inv_laplacian(-rhs)
-        out.append(lorentz_l21(grid, pointwise_abs(*plan.grad(phi))))
-    return out[0], out[1]
+    return _jacobian_against(plan, a, b, concentrate)

@@ -40,10 +40,9 @@ def make_plan(config, grid_n=None):
     return SpectralPlan(Grid2(grid_n or config.grid_n, length=config.length))
 
 
-def chain_targets(plan, alpha, sign=+1):
-    """Gauge targets for d_L f = sign d_z(alpha) j f."""
-    n = plan.grid.n
-    return np.zeros((n, n)), -2.0 * sign * plan.d_z(alpha)
+def chain_targets(omega):
+    """Gauge targets (w, g) = (0, -2 omega) for d_L f = omega j f."""
+    return np.zeros(omega.shape), -2.0 * omega
 
 
 def _chain_trial(record, solve, measure):
@@ -73,14 +72,13 @@ def _quaternion_chain(plan, alpha, frak, seed, grad_alpha, tol):
     d_L frak = d_z(alpha) j frak: the gauge solve, the stream potential zeta
     and the contraction.  Returns (record, q, zeta); zeta is None when the
     trial errored."""
-    w_t, g_t = chain_targets(plan, alpha, sign=+1)
+    omega = plan.d_z(alpha)
+    w_t, g_t = chain_targets(omega)
     cfg = gauge.GaugeConfig(eps0=max(0.1, 1.5 * grad_alpha), tol=tol)
 
     def measure(res):
         zeta, _ = gauge.zeta_potential(plan, res.q, precondition_tol=1e-2)
-        out = gauge.contraction_chain(
-            plan, frak, plan.d_z(alpha), res.q, zeta, pre_tol=1e-5
-        )
+        out = gauge.contraction_chain(plan, frak, omega, res.q, zeta, pre_tol=1e-5)
         return {**out, "zeta": zeta}
 
     record = {"seed": seed, "grad_alpha": grad_alpha, "grid_n": plan.grid.n}
@@ -495,9 +493,10 @@ def reformulate(config):
         f, res_n2 = systems.n2_transform(plan, sys.alpha, sys.u, sys.v)
         ledger["n2"].append(res_n2)
         frak = complex_pair_to_quat(f[..., 0], f[..., 1])
-        rq = systems.quaternion_residual(plan, frak, sys.alpha, sign=-1)
+        omega = -plan.d_z(sys.alpha)  # the chain form
+        rq = systems.quaternion_residual(plan, frak, omega)
         ledger["quat"].append(rq)
-        rc = systems.complex_pair_residual(plan, f, sys.alpha, sign=-1)
+        rc = systems.complex_pair_residual(plan, f, omega)
         ledger["equiv"].append(abs(rq - rc))
     worst = {key: worst_of(vals) for key, vals in ledger.items()}
     report.add("frame_div_residual", worst["div"], 1e-8)

@@ -22,19 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from chirality_lab.compensation import PreconditionError
-from chirality_lab.field_core import (
-    complex_left,
-    complex_pair_to_quat,
-    left_j,
-    qnorm,
-    quat_to_complex_pair,
-)
+from chirality_lab.field_core import complex_pair_to_quat, qnorm, quat_to_complex_pair
 from chirality_lab.hyperunitary import qp_exp_asd
 from chirality_lab.norms import l2_norm
 from chirality_lab.pgauge import (
     GaugeConfig,
     GaugeDivergence,
     GaugeStall,
+    PGaugeResult,
     _residual_norms,
     absorbed_residual,
     chi_potential,
@@ -42,6 +37,7 @@ from chirality_lab.pgauge import (
     p_gauge_solve,
     pn_apply,
 )
+from chirality_lab.systems import quaternion_residual
 
 __all__ = [
     "GaugeConfig",
@@ -57,17 +53,10 @@ __all__ = [
 
 
 @dataclass
-class GaugeResult:
+class GaugeResult(PGaugeResult):
+    """The solver's result at d = 1 with the gauge packed as an (n, n, 4) q."""
+
     q: np.ndarray
-    residual: float
-    residual_i: float
-    residual_jk: float
-    residual_jk_mean: float
-    theta: float
-    continuation_steps: int
-    t_reached: float
-    # one (t, dt, accepted) record per attempted continuation level
-    levels: tuple
 
     @property
     def unit_defect(self):
@@ -83,11 +72,7 @@ def _matrices(q):
 def _quaternion_result(res):
     """A PGaugeResult at d = 1 as a GaugeResult with an (n, n, 4) q."""
     x, y = res.p
-    return GaugeResult(
-        complex_pair_to_quat(x[..., 0, 0], y[..., 0, 0]), res.residual,
-        res.residual_1i, res.residual_jk, res.residual_jk_mean, res.theta,
-        res.continuation_steps, res.t_reached, res.levels,
-    )
+    return GaugeResult(**vars(res), q=complex_pair_to_quat(x[..., 0, 0], y[..., 0, 0]))
 
 
 def gauge_solve(plan, w_target, g_target, config=None):
@@ -160,7 +145,7 @@ def contraction_chain(plan, frak_f, omega, q, zeta, pre_tol=1e-6):
 
     is below one exactly when the chain contracts at this scale.
     """
-    eq_res = l2_norm(plan.grid, plan.d_left(frak_f) - complex_left(omega, left_j(frak_f)))
+    eq_res = quaternion_residual(plan, frak_f, omega)
     f_l2 = l2_norm(plan.grid, frak_f)
     if eq_res > pre_tol * max(f_l2, 1e-300):
         raise PreconditionError("frak_f does not near-solve the equation", eq_res)

@@ -51,18 +51,23 @@ def pointwise_abs(*tables):
     return np.sqrt(sum(_squared_modulus(f) for f in tables))
 
 
+def _torus_distance_sq(grid, center):
+    """Squared wrap-around distance of every grid point from center."""
+    cx, cy = center
+    d1 = np.abs(grid.x1 - cx)
+    d1 = np.minimum(d1, grid.length - d1)
+    d2 = np.abs(grid.x2 - cy)
+    d2 = np.minimum(d2, grid.length - d2)
+    return d1**2 + d2**2
+
+
 def _ball_mask(grid, ball):
     if ball is None:
         return None
     rmax = grid.length / 2.0 - grid.spacing
     if ball.radius > rmax:
         raise ValueError(f"ball radius {ball.radius} exceeds cap {rmax}")
-    cx, cy = ball.center
-    d1 = np.abs(grid.x1 - cx)
-    d1 = np.minimum(d1, grid.length - d1)
-    d2 = np.abs(grid.x2 - cy)
-    d2 = np.minimum(d2, grid.length - d2)
-    return d1**2 + d2**2 <= ball.radius**2
+    return _torus_distance_sq(grid, ball.center) <= ball.radius**2
 
 
 def _region_values(grid, f, region):

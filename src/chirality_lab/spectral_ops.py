@@ -172,14 +172,6 @@ class SpectralPlan:
         qx, qy = self.grad(q)
         return 0.5 * (qx - right_i(qy))
 
-    def d_left_bar(self, q):
-        qx, qy = self.grad(q)
-        return 0.5 * (qx + left_i(qy))
-
-    def d_right_bar(self, q):
-        qx, qy = self.grad(q)
-        return 0.5 * (qx + right_i(qy))
-
     # -- inverses ---------------------------------------------------------
 
     def inv_laplacian(self, f):

@@ -21,14 +21,14 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from chirality_lab.chirality import ChiralityField, projections, rotation2, s0_matrix
-from chirality_lab.field_core import (
-    complex_left,
-    complex_pair_to_quat,
-    left_j,
-    qmul,
-    quat_to_complex_pair,
+from chirality_lab.chirality import (
+    ChiralityField,
+    make_chirality,
+    projections,
+    rotation2,
+    s0_matrix,
 )
+from chirality_lab.field_core import complex_left, complex_pair_to_quat, left_j
 from chirality_lab.hyperunitary import qp_dagger_defect, qp_matvec
 from chirality_lab.norms import l2_norm, pointwise_abs
 from chirality_lab.spectral_ops import random_band_limited
@@ -182,19 +182,18 @@ def n2_transform(plan, alpha, u, v):
     return f, residual
 
 
-def quaternion_residual(plan, frak_f, alpha, sign=-1):
-    """|| d_L frak_f - sign * d_z(alpha) j frak_f ||_2."""
-    dza = plan.d_z(alpha)
-    rhs = complex_left(sign * dza, left_j(frak_f))
+def quaternion_residual(plan, frak_f, omega):
+    """|| d_L frak_f - omega j frak_f ||_2 for a complex coefficient table
+    omega; the chain form has omega = -d_z(alpha)."""
+    rhs = complex_left(omega, left_j(frak_f))
     return l2_norm(plan.grid, plan.d_left(frak_f) - rhs)
 
 
-def complex_pair_residual(plan, f, alpha, sign=-1):
+def complex_pair_residual(plan, f, omega):
     """Aggregated residual of the split complex system
-    d_z f1 = -sign d_z(alpha) conj(f2), d_z f2 = sign d_z(alpha) conj(f1)."""
-    dza = plan.d_z(alpha)
-    r1 = plan.d_z(f[..., 0]) + sign * dza * np.conj(f[..., 1])
-    r2 = plan.d_z(f[..., 1]) - sign * dza * np.conj(f[..., 0])
+    d_z f1 = -omega conj(f2), d_z f2 = omega conj(f1)."""
+    r1 = plan.d_z(f[..., 0]) + omega * np.conj(f[..., 1])
+    r2 = plan.d_z(f[..., 1]) - omega * np.conj(f[..., 0])
     return l2_norm(plan.grid, r1, r2)
 
 
@@ -349,14 +348,6 @@ def chain_alpha(plan, rng, grad_norm, x1_only=False):
     return alpha * (grad_norm / norm) if norm > 0 else alpha
 
 
-def _exp_alpha_j(alpha, sign):
-    """exp(sign * alpha j) as a quaternion table."""
-    c = np.cos(alpha)
-    s = np.sin(sign * alpha)
-    z = np.zeros_like(alpha)
-    return np.stack([c, z, s, z], axis=-1)
-
-
 def manufacture_solution(plan, mode, rng, grad_alpha=0.05, equation_sign=-1,
                          theta0=0.0):
     """Exact instances of the chain, by construction:
@@ -377,6 +368,8 @@ def manufacture_solution(plan, mode, rng, grad_alpha=0.05, equation_sign=-1,
         alpha = np.full((grid.n, grid.n), float(theta0))
         q0 = rotation2(np.array(float(theta0)))
         s0 = s0_matrix(2, 1)
+        # a BLAS product, not make_chirality's einsum: the two round apart
+        # in the last bit, and this branch's residuals sit at that level
         s_const = q0.T @ s0 @ q0
         # affine conjugate: grad_perp v_j = (S grad u)_j, all constant
         w = s_const @ coeffs_u  # (j, deriv): rows are S grad u_j
@@ -393,25 +386,25 @@ def manufacture_solution(plan, mode, rng, grad_alpha=0.05, equation_sign=-1,
     alpha = chain_alpha(plan, rng, grad_alpha, x1_only=(mode == "conjugated_harmonic"))
     f0 = rng.standard_normal(4)
     f0 /= np.linalg.norm(f0)
-    frak = np.broadcast_to(f0, (grid.n, grid.n, 4)).copy()
-    # exp(sign * alpha j) f0 solves d_L frak = sign * d_z(alpha) j frak
-    frak = qmul(_exp_alpha_j(alpha, equation_sign), frak)
-    phi, psi = quat_to_complex_pair(frak)
-    f = np.stack([phi, psi], axis=-1)
+    # exp(sign * alpha j) (a + b j) solves d_L frak = sign * d_z(alpha) j frak;
+    # with j z = conj(z) j it is the pair (c a - s conj(b), c b + s conj(a))
+    a, b = f0[0] + 1j * f0[1], f0[2] + 1j * f0[3]
+    c, s = np.cos(alpha), np.sin(equation_sign * alpha)
+    f = np.stack([c * a - s * np.conj(b), c * b + s * np.conj(a)], axis=-1)
 
     # the chain form uses the minus sign, so the frame angle is -sign*alpha
     beta = -equation_sign * alpha
     q = rotation2(beta)
     s0 = s0_matrix(2, 1)
     # S = Q^t S0 Q; u = Q^t S0 f_Re, v = Q^t f_Im
-    s = np.einsum("...ji,jk,...kl->...il", q, s0, q)
+    chir = make_chirality(grid, np.swapaxes(q, -1, -2), 1)
     u_vals = np.einsum("...ji,jk,...k->...i", q, s0, f.real)
     v_vals = np.einsum("...ji,...j->...i", q, f.imag)
     v_vals = v_vals - v_vals.mean(axis=(0, 1))
     u = VectorField(u_vals)
     v = VectorField(v_vals)
     return ChiralitySystem(
-        grid, ChiralityField(grid, s, 1), u, v, beta,
+        grid, chir, u, v, beta,
         diagnostics={"equation_alpha": alpha},
     )
 

@@ -6,8 +6,8 @@ import time
 import numpy as np
 import pytest
 
-from chirality_lab import compensation, experiments, gauge, norms, systems
-from chirality_lab.field_core import Grid2, qnorm
+from chirality_lab import compensation, experiments, gauge
+from chirality_lab.field_core import Grid2
 from chirality_lab.reporting import ANCHORS, ExperimentConfig, worst_of
 from chirality_lab.spectral_ops import (
     SpectralPlan,

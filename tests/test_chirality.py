@@ -3,7 +3,6 @@ import pytest
 
 from chirality_lab.chirality import (
     AlignmentError,
-    ChiralityField,
     dirichlet_energy,
     extract_frame,
     make_chirality,

@@ -1,6 +1,5 @@
 import itertools
 import json
-import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -315,3 +314,50 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(f"chirality_lab.{info.name}")
         missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
         assert not missing, (info.name, missing)
+
+
+def test_no_unused_imports():
+    # an import that nothing reads, apart from __all__ re-exports and
+    # imports marked "# noqa: F401"
+    import ast
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    unused = []
+    for path in sorted([*root.glob("src/chirality_lab/*.py"), *root.glob("tests/*.py")]):
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        imported = {}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+                continue
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "__all__" for target in node.targets
+            ):
+                used |= {elt.value for elt in node.value.elts}
+        unused += [
+            f"{path.relative_to(root)}:{line} {name}"
+            for name, line in imported.items() if name not in used
+        ]
+    assert not unused, unused
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="omega_antisymmetry reads 3.6e-11 against 1e-12 at n = 32 (ROADMAP item 6)",
+)
+def test_full_chain_passes_every_gate_at_n32(tmp_path):
+    report = run_experiment(
+        ExperimentConfig(experiment="full-chain", grid_n=32, out=str(tmp_path))
+    )
+    failed = [m.name for m in report.metrics if m.passed is False]
+    if set(failed) - {"omega_antisymmetry"}:
+        pytest.fail(f"gates other than the known one fail: {failed}")
+    assert failed == []

@@ -11,7 +11,7 @@ from chirality_lab.compensation import (
     wente_solve,
 )
 from chirality_lab.field_core import Grid2
-from chirality_lab.norms import l2_norm, linf_norm, lp_norm
+from chirality_lab.norms import l2_norm, linf_norm
 from chirality_lab.spectral_ops import (
     SpectralPlan,
     random_band_limited,

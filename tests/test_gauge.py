@@ -3,14 +3,7 @@ import pytest
 
 from chirality_lab.compensation import PreconditionError
 from chirality_lab.experiments import chain_targets
-from chirality_lab.field_core import (
-    Grid2,
-    left_j,
-    complex_left,
-    qexp_pure,
-    qmul,
-    qnorm,
-)
+from chirality_lab.field_core import Grid2, qnorm
 from chirality_lab.gauge import (
     GaugeConfig,
     GaugeDivergence,
@@ -20,6 +13,7 @@ from chirality_lab.gauge import (
     linearization_order,
     zeta_potential,
 )
+from chirality_lab.hyperunitary import qp_exp_asd, qp_matmul
 from chirality_lab.norms import l2_norm, pointwise_abs
 from chirality_lab.pgauge import (
     MAX_INNER,
@@ -31,7 +25,7 @@ from chirality_lab.pgauge import (
 )
 from chirality_lab.spectral_ops import SpectralPlan, random_band_limited
 from chirality_lab.systems import chain_alpha, manufacture_solution
-from test_pgauge import as_pair
+from test_field_core import as_pair, as_quat
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +42,12 @@ def pure_field(plan, rng, grad_norm, kmax=3):
     g = np.sqrt(np.sum(qnorm(gx) ** 2 + qnorm(gy) ** 2) * plan.grid.cell_measure)
     u *= grad_norm / g
     return u
+
+
+def exp_pure(u):
+    """Unit quaternion table exp(u) of a pure quaternion table u, through
+    the anti-self-dual exponential at d = 1."""
+    return as_quat(qp_exp_asd(as_pair(u)))
 
 
 # The quaternion operator, its linearization and the Newton solve are the
@@ -94,7 +94,7 @@ def test_n_apply_i_line_subgroup(plan):
     n = plan.grid.n
     u = np.zeros((n, n, 4))
     u[..., 1] = theta
-    q = qexp_pure(u)
+    q = exp_pure(u)
     v, g = n_at_d1(plan, q)
     lap = plan.laplacian(theta)
     # tolerance at the spectral-tail level of the composed field
@@ -108,7 +108,7 @@ def test_n_apply_winding_gauge(plan):
     n = g2.n
     u = np.zeros((n, n, 4))
     u[..., 1] = 2 * np.pi * g2.x1 / g2.length
-    q = qexp_pure(u)  # periodic despite the winding angle
+    q = exp_pure(u)  # periodic despite the winding angle
     v, g = n_at_d1(plan, q)
     assert np.max(np.abs(v)) < 1e-10
     assert np.max(np.abs(g)) < 1e-10
@@ -116,14 +116,14 @@ def test_n_apply_winding_gauge(plan):
 
 def test_i_part_mean_zero_structural(plan):
     rng = np.random.default_rng(1)
-    q = qexp_pure(pure_field(plan, rng, 0.8))
+    q = exp_pure(pure_field(plan, rng, 0.8))
     v, _ = n_at_d1(plan, q)
     assert abs(v.mean()) < 1e-14 * max(np.abs(v).max(), 1e-30)
 
 
 def test_connection_is_pure(plan):
     rng = np.random.default_rng(2)
-    q = qexp_pure(pure_field(plan, rng, 0.5))
+    q = exp_pure(pure_field(plan, rng, 0.5))
     # the real part of q^-1 d_l q is the real part of its X part
     x1, x2 = p_connection(plan, as_pair(q))
     assert np.max(np.abs(x1[0].real)) < 1e-12
@@ -172,7 +172,7 @@ def test_lq_solve_reduces_to_l1_at_identity(plan):
 
 def test_lq_solve_converges_small_q0(plan):
     rng = np.random.default_rng(5)
-    q0 = qexp_pure(pure_field(plan, rng, 0.05))
+    q0 = exp_pure(pure_field(plan, rng, 0.05))
     w = random_band_limited(plan, rng)
     w -= w.mean()
     g = random_band_limited(plan, rng) + 1j * random_band_limited(plan, rng)
@@ -193,7 +193,7 @@ def test_lq_solve_converges_small_q0(plan):
 
 def test_lq_solve_divergence_reported(plan):
     rng = np.random.default_rng(6)
-    q0 = qexp_pure(pure_field(plan, rng, 20.0))
+    q0 = exp_pure(pure_field(plan, rng, 20.0))
     w = random_band_limited(plan, rng)
     w -= w.mean()
     g = random_band_limited(plan, rng) + 0j
@@ -212,7 +212,7 @@ def test_gauge_solve_zero_targets(plan):
 def test_gauge_solve_manufactured_image(plan):
     # target taken from a known N(q*): recover a gauge with equal image
     rng = np.random.default_rng(7)
-    q_star = qexp_pure(pure_field(plan, rng, 0.08))
+    q_star = exp_pure(pure_field(plan, rng, 0.08))
     v_t, g_t = n_at_d1(plan, q_star)
     res = gauge_solve(plan, v_t.imag, g_t, GaugeConfig(eps0=0.2, tol=1e-9))
     assert res.residual < 1e-8
@@ -226,7 +226,7 @@ def test_gauge_solve_manufactured_image(plan):
 def test_gauge_solve_chain_targets(plan):
     rng = np.random.default_rng(8)
     alpha = chain_alpha(plan, rng, 0.05)
-    w_t, g_t = chain_targets(plan, alpha)
+    w_t, g_t = chain_targets(plan.d_z(alpha))
     res = gauge_solve(plan, w_t, g_t)
     assert res.residual < 1e-8
     assert res.theta > 0
@@ -261,12 +261,12 @@ def test_gauge_smallness_enforced(plan):
 def test_gauge_invariance_under_constant_i_rotation(plan):
     # N(q exp(theta i)) keeps the i-part and rotates the jk-part by -2 theta
     rng = np.random.default_rng(10)
-    q = qexp_pure(pure_field(plan, rng, 0.3))
+    q = exp_pure(pure_field(plan, rng, 0.3))
     w0, g0 = n_at_d1(plan, q)
     theta = 0.37
     c = np.zeros((64, 64, 4))
     c[..., 1] = theta
-    qc = qmul(q, qexp_pure(c))
+    qc = as_quat(qp_matmul(as_pair(q), qp_exp_asd(as_pair(c))))
     w1, g1 = n_at_d1(plan, qc)
     assert np.max(np.abs(w1 - w0)) < 1e-12 * max(np.abs(w0).max(), 1e-12)
     rot = np.exp(-2j * theta)
@@ -295,7 +295,7 @@ def test_zeta_potential_i_line_gauge(plan):
     g2 = plan.grid
     u = np.zeros((g2.n, g2.n, 4))
     u[..., 1] = 2 * np.pi * g2.x1 / g2.length
-    q = qexp_pure(u)
+    q = exp_pure(u)
     zeta, diag = zeta_potential(plan, q)
     assert np.max(np.abs(zeta)) < 1e-10
 
@@ -303,7 +303,7 @@ def test_zeta_potential_i_line_gauge(plan):
 def test_zeta_potential_after_gauge_solve(plan):
     rng = np.random.default_rng(12)
     alpha = chain_alpha(plan, rng, 0.05)
-    w_t, g_t = chain_targets(plan, alpha)
+    w_t, g_t = chain_targets(plan.d_z(alpha))
     res = gauge_solve(plan, w_t, g_t)
     zeta, diag = zeta_potential(plan, res.q, precondition_tol=1e-3)
     assert diag["stream_residual"] < 1e-6
@@ -312,7 +312,7 @@ def test_zeta_potential_after_gauge_solve(plan):
 
 def test_zeta_potential_precondition(plan):
     rng = np.random.default_rng(13)
-    q = qexp_pure(pure_field(plan, rng, 0.4))
+    q = exp_pure(pure_field(plan, rng, 0.4))
     with pytest.raises(PreconditionError):
         zeta_potential(plan, q, precondition_tol=1e-10)
 
@@ -324,7 +324,7 @@ def test_contraction_chain_small_alpha(plan):
     alpha = sys.diagnostics["equation_alpha"]
     omega = plan.d_z(alpha)
     frak = sys.frak_f()
-    w_t, g_t = chain_targets(plan, alpha, sign=+1)
+    w_t, g_t = chain_targets(omega)
     res = gauge_solve(plan, w_t, g_t)
     zeta, _ = zeta_potential(plan, res.q, precondition_tol=1e-3)
     out = contraction_chain(plan, frak, omega, res.q, zeta)

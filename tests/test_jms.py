@@ -15,7 +15,6 @@ from chirality_lab.jms import (
     jms_solution,
     jms_solution_gradient,
     strong_residual,
-    weak_residual,
 )
 
 

@@ -116,20 +116,6 @@ def test_j_block_shuffle_identities(plan):
     assert np.abs(fd[7, 9] - lhs[7, 9]).max() < 5e-2 * max(np.max(qnorm(lhs)), 1e-12)
 
 
-def test_unit_shuffle_conjugates_cr_operators(plan):
-    # right j conjugates the right operator, left j the left one
-    rng = np.random.default_rng(12)
-    g = np.stack([random_band_limited(plan, rng, kmax=4) for _ in range(4)], axis=-1)
-    from chirality_lab.field_core import right_j
-
-    lhs = plan.d_right(right_j(g))
-    rhs = right_j(plan.d_right_bar(g))
-    assert np.max(qnorm(lhs - rhs)) < 1e-12 * np.max(qnorm(rhs))
-    lhs = plan.d_left(left_j(g))
-    rhs = left_j(plan.d_left_bar(g))
-    assert np.max(qnorm(lhs - rhs)) < 1e-12 * np.max(qnorm(rhs))
-
-
 def test_grad_curl_div_identities(plan):
     rng = np.random.default_rng(5)
     f = random_band_limited(plan, rng)
