@@ -8,10 +8,15 @@ tables with trailing matrix axes.  Products follow from j z = conj(z) j:
 M is anti-self-dual (conj-transpose plus itself vanishes) exactly when X is
 skew-Hermitian and Y is complex symmetric; these form the Lie algebra of
 the group of quaternion matrices with conj(P)^t P = I.  The complex
-embedding [[X, Y], [-conj(Y), conj(X)]] is multiplication-compatible and
-sends anti-self-dual matrices to skew-Hermitian ones, which gives a
-vectorized exponential via eigh.  At d = 1 the matrices are quaternions
-and the exponential has a closed form.
+embedding [[X, Y], [-conj(Y), conj(X)]] is multiplication-compatible, so
+at d >= 2 a product is one batched matmul, [X1, Y1] times the embedding
+of M2, whose result is [X, Y] side by side; at d = 1 the formula above
+stays, as four einsums.  The embedding sends anti-self-dual matrices to
+skew-Hermitian ones, which gives a vectorized exponential via eigh, and
+the Cayley transform (I - u/2)^-1 (I + u/2), the group-preserving
+retraction of Lie-group integrators (Iserles, Munthe-Kaas, Norsett &
+Zanna, Acta Numerica 2000), as one batched solve.  At d = 1 the matrices
+are quaternions and both maps have closed forms.
 """
 
 import numpy as np
@@ -22,6 +27,7 @@ __all__ = [
     "qp_conj_t",
     "qp_dagger_defect",
     "qp_exp_asd",
+    "qp_cayley_asd",
     "qp_commutator",
     "project_asd",
     "random_asd",
@@ -30,6 +36,11 @@ __all__ = [
 
 def qp_matmul(m1, m2):
     x1, y1 = m1
+    dim = x1.shape[-1]
+    if dim > 1:
+        # the top block row of the complex embedding of M1 M2
+        xy = np.concatenate((x1, y1), axis=-1) @ _embed(m2)
+        return xy[..., :dim], xy[..., dim:]
     x2, y2 = m2
     x = np.einsum("...ij,...jk->...ik", x1, x2) - np.einsum(
         "...ij,...jk->...ik", y1, np.conj(y2)
@@ -43,6 +54,10 @@ def qp_matmul(m1, m2):
 def qp_matvec(m, v):
     x, y = m
     v1, v2 = v
+    if x.shape[-1] > 1:
+        # a vector is a one-column matrix
+        out = np.concatenate((x, y), axis=-1) @ _embed((v1[..., None], v2[..., None]))
+        return out[..., 0], out[..., 1]
     out1 = np.einsum("...ij,...j->...i", x, v1) - np.einsum(
         "...ij,...j->...i", y, np.conj(v2)
     )
@@ -92,12 +107,12 @@ def random_asd(rng, shape, dim):
 
 def _embed(m):
     x, y = m
-    dim = x.shape[-1]
-    out = np.zeros(x.shape[:-2] + (2 * dim, 2 * dim), dtype=complex)
-    out[..., :dim, :dim] = x
-    out[..., :dim, dim:] = y
-    out[..., dim:, :dim] = -np.conj(y)
-    out[..., dim:, dim:] = np.conj(x)
+    rows, cols = x.shape[-2:]
+    out = np.empty(x.shape[:-2] + (2 * rows, 2 * cols), dtype=complex)
+    out[..., :rows, :cols] = x
+    out[..., :rows, cols:] = y
+    out[..., rows:, :cols] = -np.conj(y)
+    out[..., rows:, cols:] = np.conj(x)
     return out
 
 
@@ -129,3 +144,35 @@ def _exp_asd_eigh(u):
     phase = np.exp(-1j * w)
     expd = np.einsum("...ij,...j,...kj->...ik", v, phase, np.conj(v))
     return expd[..., :dim, :dim], expd[..., :dim, dim:]
+
+
+def qp_cayley_asd(u):
+    """Cayley transform (I - u/2)^-1 (I + u/2) = 2 (I - u/2)^-1 - I of an
+    anti-self-dual matrix field: like exp it satisfies conj(P)^t P = I, and
+    it agrees with exp to second order in u.  At d = 1, where u is the pure
+    quaternion a i + Y j, the closed form ((1 - q) + u) / (1 + q) with
+    q = |u|^2 / 4; otherwise one batched solve of the complex embedding.
+    Only the anti-self-dual part of u enters, as in exp."""
+    if u[0].shape[-1] == 1:
+        return _cayley_asd_d1(u)
+    return _cayley_asd_solve(u)
+
+
+def _cayley_asd_d1(u):
+    # only the skew-Hermitian part i a of X enters, as in exp
+    a = u[0].imag
+    y = u[1]
+    q = 0.25 * (a * a + y.real * y.real + y.imag * y.imag)
+    return ((1.0 - q) + 1j * a) / (1.0 + q), y / (1.0 + q)
+
+
+def _cayley_asd_solve(u):
+    # only the anti-self-dual part of u enters, as in exp, so rounding in u
+    # does not leave the group; the left d columns of 2 (I - u/2)^-1 in the
+    # embedding are [2 X_inv; -2 conj(Y_inv)] for the inverse X_inv + Y_inv j
+    x, y = project_asd(u)
+    dim = x.shape[-1]
+    e = _embed((np.eye(dim) - 0.5 * x, -0.5 * y))
+    rhs = np.broadcast_to(2.0 * np.eye(2 * dim, dim), e.shape[:-1] + (dim,))
+    z = np.linalg.solve(e, rhs)
+    return z[..., :dim, :] - np.eye(dim), -np.conj(z[..., dim:, :])

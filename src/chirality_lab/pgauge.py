@@ -16,14 +16,17 @@ The operator is
 with the 1i-line component a skew-Hermitian table V and the jk-plane
 component a complex symmetric table T.  N(P) = (V, T) is solved by
 numerical continuation along t*(V, T) with a damped Newton step
-P <- P exp(s u) at each level.  The step starts at GaugeConfig.dt, doubles
+P <- P cay(s u) at each level, where cay is the Cayley retraction of
+hyperunitary.qp_cayley_asd.  The step starts at GaugeConfig.dt, doubles
 after each accepted level and, after a rejected one, halves until the next
 level lies below the failed one, so no level is tried twice at the same t
 (step-length control as in Allgower & Georg, Introduction to Numerical
 Continuation Methods, SIAM 2003).  The linearization at P = I inverts in
 closed form (a Laplace solve for the 1i-line, a d_zbar solve for the
 jk-plane); the Newton solve iterates it against the commutator terms of
-the frozen connection, which the residual evaluation hands over.
+the frozen connection, which the residual evaluation hands over.  The
+connection and the iterate are both anti-self-dual, so each commutator
+[A, u] is A u - (A u)^dagger, one product.
 
 Torus bookkeeping: the 1i-line component of N is a divergence and has zero
 mean structurally, so targets must be mean-zero there.  The jk-plane mean
@@ -43,10 +46,9 @@ import numpy as np
 
 from chirality_lab.compensation import PreconditionError
 from chirality_lab.hyperunitary import (
-    qp_commutator,
+    qp_cayley_asd,
     qp_conj_t,
     qp_dagger_defect,
-    qp_exp_asd,
     qp_matmul,
     qp_matvec,
 )
@@ -178,10 +180,19 @@ def pl1_solve(plan, v_rhs, t_rhs):
     return plan.inv_laplacian(v_rhs), plan.cauchy_solve(0.5 * t_rhs)
 
 
+def _asd_commutator(a, b):
+    """[A, B] = A B - (A B)^dagger, exact when A and B are both
+    anti-self-dual, since then (A B)^dagger = B A."""
+    ab = qp_matmul(a, b)
+    ab_t = qp_conj_t(ab)
+    return ab[0] - ab_t[0], ab[1] - ab_t[1]
+
+
 def _perturbation(plan, x1, x2, u):
-    """L_P(u) - L_I(u): commutator terms of the frozen connection (x1, x2)."""
-    c1 = qp_commutator(x1, u)
-    c2 = qp_commutator(x2, u)
+    """L_P(u) - L_I(u): commutator terms of the frozen connection (x1, x2),
+    which is anti-self-dual like u, so each takes one product."""
+    c1 = _asd_commutator(x1, u)
+    c2 = _asd_commutator(x2, u)
     return plan.div(c1[0], c2[0]), _jk_of(c1, c2)
 
 
@@ -312,7 +323,7 @@ def p_gauge_solve(plan, v_target, t_target, config=None):
             del r, conn
             s = 1.0
             while s >= 1.0 / 32.0:
-                p_try = qp_matmul(p, qp_exp_asd((s * u[0], s * u[1])))
+                p_try = qp_matmul(p, qp_cayley_asd((s * u[0], s * u[1])))
                 r, conn, (res2, _, _, rmean2) = residual(p_try, t_now)
                 if res2 < res * (1.0 - 0.25 * s) or level_converged(
                     res2, rmean2, t_now, dt_now

@@ -11,7 +11,13 @@ from chirality_lab.field_core import (
     quat_to_complex_pair,
     right_i,
 )
-from chirality_lab.hyperunitary import qp_conj_t, qp_exp_asd, qp_matmul, random_asd
+from chirality_lab.hyperunitary import (
+    qp_cayley_asd,
+    qp_conj_t,
+    qp_exp_asd,
+    qp_matmul,
+    random_asd,
+)
 from chirality_lab.norms import pointwise_abs
 
 # The quaternion algebra is the pair algebra of hyperunitary.py: a packed
@@ -132,14 +138,16 @@ def test_norm_via_conjugate_and_inverse():
 
 
 def test_exp_inverse_pairing():
-    # closed form at d = 1, eigh of the complex embedding above
+    # exp(u) exp(-u) = cay(u) cay(-u) = I: closed forms at d = 1, eigh and
+    # a solve of the complex embedding above
     rng = np.random.default_rng(3)
     for dim in (1, 2, 4):
         u = random_asd(rng, (32, 32), dim)
         stretch = 10.0 * rng.random((32, 32)) / np.maximum(size(u), 1e-12)
         u = (stretch[..., None, None] * u[0], stretch[..., None, None] * u[1])
-        x, y = qp_matmul(qp_exp_asd(u), qp_exp_asd((-u[0], -u[1])))
-        assert np.max(size((x - np.eye(dim), y))) < 1e-13
+        for retract in (qp_exp_asd, qp_cayley_asd):
+            x, y = qp_matmul(retract(u), retract((-u[0], -u[1])))
+            assert np.max(size((x - np.eye(dim), y))) < 1e-13
 
 
 def test_unit_shuffles_match_full_products():

@@ -5,18 +5,24 @@ from hypothesis import given, strategies as st
 from chirality_lab.compensation import PreconditionError
 from chirality_lab.field_core import Grid2
 from chirality_lab.hyperunitary import (
+    _cayley_asd_d1,
+    _cayley_asd_solve,
     _exp_asd_eigh,
     project_asd,
+    qp_cayley_asd,
+    qp_commutator,
     qp_conj_t,
     qp_dagger_defect,
     qp_exp_asd,
     qp_matmul,
+    qp_matvec,
     random_asd,
 )
 from chirality_lab.norms import sobolev_neg_1_2
 from chirality_lab.pgauge import (
     GaugeConfig,
     GaugeStall,
+    _asd_commutator,
     _unitarity_defect,
     chi_potential,
     p_contraction_chain,
@@ -234,13 +240,15 @@ def test_hyper_unitary_algebra_at_d1_is_the_quaternion_algebra(seed, scale):
     s=st.sampled_from([1.0, 0.5, 1.0 / 32.0]),
 )
 def test_retractions_land_in_the_group(seed, dim, scale, s):
-    # the continuation's retraction P exp(s u), from P = exp(scale v)
+    # the continuation's retraction P cay(s u), and P exp(s u), from
+    # P = exp(scale v)
     rng = np.random.default_rng(seed)
     v = random_asd(rng, (8, 8), dim)
     p = qp_exp_asd((scale * v[0], scale * v[1]))
     w = random_asd(rng, (8, 8), dim)
     w = (scale * w[0], scale * w[1])
-    assert _unitarity_defect(qp_matmul(p, qp_exp_asd((s * w[0], s * w[1])))) <= 1e-12
+    for retract in (qp_cayley_asd, qp_exp_asd):
+        assert _unitarity_defect(qp_matmul(p, retract((s * w[0], s * w[1])))) <= 1e-12
 
 
 @given(
@@ -267,6 +275,79 @@ def test_closed_form_exp_at_d1_matches_the_embedding(seed, theta):
         assert part.shape == ref_part.shape
         assert np.max(np.abs(part - ref_part)) <= 1e-14
     assert _unitarity_defect(p) <= 1e-14
+
+
+def random_matrix_pair(rng, shape):
+    """A general (not anti-self-dual) quaternion matrix field."""
+    return tuple(
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2)
+    )
+
+
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2, 4]))
+def test_embedded_product_matches_the_einsum_formula(seed, dim):
+    # (X1 + Y1 j)(X2 + Y2 j) = (X1 X2 - Y1 conj(Y2)) + (X1 Y2 + Y1 conj(X2)) j
+    rng = np.random.default_rng(seed)
+    (x1, y1), (x2, y2) = (random_matrix_pair(rng, (8, 8, dim, dim)) for _ in range(2))
+    v1, v2 = random_matrix_pair(rng, (8, 8, dim))
+    mm = lambda a, b: np.einsum("...ij,...jk->...ik", a, b)
+    mv = lambda a, b: np.einsum("...ij,...j->...i", a, b)
+    cases = [
+        (
+            qp_matmul((x1, y1), (x2, y2)),
+            (mm(x1, x2) - mm(y1, np.conj(y2)), mm(x1, y2) + mm(y1, np.conj(x2))),
+        ),
+        (
+            qp_matvec((x1, y1), (v1, v2)),
+            (mv(x1, v1) - mv(y1, np.conj(v2)), mv(x1, v2) + mv(y1, np.conj(v1))),
+        ),
+    ]
+    for out, ref in cases:
+        for part, ref_part in zip(out, ref):
+            assert part.shape == ref_part.shape
+            if dim == 1:
+                # d = 1 keeps the einsum formula, bit for bit
+                assert np.array_equal(part, ref_part)
+            else:
+                err = np.max(np.abs(part - ref_part))
+                assert err <= 1e-14 * np.max(np.abs(ref_part))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4])
+def test_cayley_of_a_nearly_anti_self_dual_step_stays_in_the_group(dim):
+    # a Newton step is anti-self-dual only up to the rounding of the
+    # connection it came from; the retraction must not pass that on to P
+    rng = np.random.default_rng(6)
+    u = random_asd(rng, (16, 16), dim)
+    noise = random_matrix_pair(rng, (16, 16, dim, dim))
+    u = (u[0] + 1e-6 * noise[0], u[1] + 1e-6 * noise[1])
+    assert qp_dagger_defect(u) > 1e-7
+    assert _unitarity_defect(qp_cayley_asd(u)) <= 1e-14
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    theta=st.one_of(st.floats(0.0, 1e-6), st.floats(0.0, 20.0), st.floats(1e2, 1e6)),
+)
+def test_closed_form_cayley_at_d1_matches_the_embedded_solve(seed, theta):
+    rng = np.random.default_rng(seed)
+    u = random_asd(rng, (16,), 1)
+    size = np.sqrt(np.abs(u[0]) ** 2 + np.abs(u[1]) ** 2)
+    u = (theta * u[0] / size, theta * u[1] / size)
+    p = _cayley_asd_d1(u)
+    ref = _cayley_asd_solve(u)
+    for part, ref_part in zip(p, ref):
+        assert part.shape == ref_part.shape
+        assert np.max(np.abs(part - ref_part)) <= 1e-14
+    assert _unitarity_defect(p) <= 1e-14
+
+
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2, 4]))
+def test_asd_commutator_matches_the_general_one_on_the_algebra(seed, dim):
+    rng = np.random.default_rng(seed)
+    a, b = random_asd(rng, (8, 8), dim), random_asd(rng, (8, 8), dim)
+    for part, ref_part in zip(_asd_commutator(a, b), qp_commutator(a, b)):
+        assert np.max(np.abs(part - ref_part)) <= 1e-14 * np.max(np.abs(ref_part))
 
 
 # -- the continuation's step policy ----------------------------------------

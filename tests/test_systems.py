@@ -279,6 +279,20 @@ def test_hyperunitary_commutator_closure():
         assert qp_dagger_defect(qp_commutator(m1, m2)) < 1e-12
 
 
+def test_hyperunitary_commutator_closure_can_fail():
+    # the general commutator leaves the algebra when m1 does; a shortcut
+    # A B - (A B)^dagger, exact only on the algebra, would read 0 here and
+    # make the hyper_unitary_closure gate of reformulate blind
+    rng = np.random.default_rng(16)
+    m2 = random_asd(rng, (4, 4), 4)
+    for m1 in (
+        (rng.standard_normal((4, 4, 4, 4)) + 0j, np.zeros((4, 4, 4, 4), dtype=complex)),
+        (np.zeros((4, 4, 4, 4), dtype=complex), rng.standard_normal((4, 4, 4, 4)) + 0j),
+    ):
+        assert qp_dagger_defect(m1) > 0.1
+        assert qp_dagger_defect(qp_commutator(m1, m2)) > 0.1
+
+
 def test_energy_identity(plan):
     sys = manufacture_solution(
         plan, "adapted_frame", np.random.default_rng(17), grad_alpha=0.2
