@@ -30,97 +30,71 @@ from chirality_lab.spectral_ops import (
 __all__ = [
     "EXPERIMENTS",
     "run_experiment",
-    "chain_targets",
     "contraction_run",
     "matrix_contraction_run",
 ]
+
+DATA_TOL = 1e-5  # largest doubled_residual / ||G||_2 of a trial's data
 
 
 def make_plan(config, grid_n=None):
     return SpectralPlan(Grid2(grid_n or config.grid_n, length=config.length))
 
 
-def chain_targets(omega):
-    """Gauge targets (w, g) = (0, -2 omega) for d_L f = omega j f."""
-    return np.zeros(omega.shape), -2.0 * omega
-
-
-def _chain_trial(record, solve, measure):
-    """Fill record from one trial of the gauge chain; returns the gauge and
-    its measurement.  A stall keeps the partial gauge; a failed precondition
-    (a ValueError) leaves the error, a NaN factor, an unclosed B and no
-    measurement."""
-    try:
-        res = solve()
-    except gauge.GaugeStall as stall:
-        res = stall.result
+def _chain_trial(plan, record, doubled, cfg):
+    """Fill record from one run of the chain pipeline, p_gauge_structures,
+    on a doubled system (chain_quaternion at d = 1, chain_doubled at d = 4);
+    returns its output.  A stall keeps the partial gauge.  Data that do not
+    near-solve their equation, or a gauge that fails chi's precondition,
+    set out["error"] and leave it, a NaN factor and absorbed residual and an
+    unclosed B; the record keeps its gauge."""
+    g_pair = doubled.g1, doubled.g2
+    out = pgauge.p_gauge_structures(
+        plan, doubled.gamma, doubled.gamma1, g_pair, cfg, partial_ok=True
+    )
+    res = out["gauge"]
     record.update(
         residual=res.residual, theta=res.theta, steps=res.continuation_steps,
         t_reached=res.t_reached, stalled=res.t_reached < 1.0,
     )
-    try:
-        out = measure(res)
-    except ValueError as exc:
-        record.update(factor=float("nan"), b_converged=False, error=str(exc))
-        return res, None
-    record.update(factor=out["factor"], b_converged=out["b_converged"])
-    return res, out
+    data_res = doubled.certificate["doubled_residual"]
+    if data_res > DATA_TOL * l2_norm(plan.grid, *g_pair):
+        out["error"] = compensation.PreconditionError(
+            "G does not near-solve its doubled equation", data_res
+        )
+    if "error" in out:
+        record.update(factor=np.nan, b_converged=False, absorbed_residual=np.nan,
+                      error=str(out["error"]))
+    else:
+        record.update(factor=out["contraction"]["factor"],
+                      b_converged=out["contraction"]["b_converged"],
+                      absorbed_residual=out["absorbed_residual"])
+    return out
 
 
-def _quaternion_chain(plan, alpha, frak, seed, grad_alpha, tol):
-    """One quaternion chain trial on a manufactured field frak solving
-    d_L frak = d_z(alpha) j frak: the gauge solve, the stream potential zeta
-    and the contraction.  Returns (record, q, zeta); zeta is None when the
-    trial errored."""
-    omega = plan.d_z(alpha)
-    w_t, g_t = chain_targets(omega)
-    cfg = gauge.GaugeConfig(eps0=max(0.1, 1.5 * grad_alpha), tol=tol)
-
-    def measure(res):
-        zeta, _ = gauge.zeta_potential(plan, res.q, precondition_tol=1e-2)
-        out = gauge.contraction_chain(plan, frak, omega, res.q, zeta, pre_tol=1e-5)
-        return {**out, "zeta": zeta}
-
+def _quaternion_trial(plan, rng, seed, grad_alpha, tol):
+    """One quaternion chain trial on chain_quaternion data drawn from rng;
+    returns (record, doubled system, pipeline output)."""
+    doubled = systems.chain_quaternion(plan, rng, grad_alpha)
     record = {"seed": seed, "grad_alpha": grad_alpha, "grid_n": plan.grid.n}
-    res, out = _chain_trial(
-        record, lambda: gauge.gauge_solve(plan, w_t, g_t, cfg), measure
-    )
-    return record, res.q, None if out is None else out["zeta"]
+    cfg = pgauge.GaugeConfig(eps0=max(0.1, 1.5 * grad_alpha), tol=tol)
+    return record, doubled, _chain_trial(plan, record, doubled, cfg)
 
 
 def contraction_run(plan, seed, grad_alpha, tol=1e-8):
     """One quaternion-path contraction measurement; returns a record dict.
     Gauge stalls (expected at large data) are recorded, not raised."""
-    sys = systems.manufacture_solution(
-        plan, "adapted_frame", np.random.default_rng(seed),
-        grad_alpha=grad_alpha, equation_sign=+1,
-    )
-    return _quaternion_chain(
-        plan, sys.diagnostics["equation_alpha"], sys.frak_f(), seed, grad_alpha, tol
-    )[0]
+    return _quaternion_trial(plan, np.random.default_rng(seed), seed, grad_alpha, tol)[0]
 
 
 def matrix_contraction_run(plan, seed, grad_alpha, tol=1e-8):
     """One doubled-path measurement from the 2d chain; returns the record
-    of contraction_run with gamma_l2 and absorbed_residual."""
+    of contraction_run with gamma_l2."""
     doubled = systems.chain_doubled(plan, np.random.default_rng(seed), grad_alpha)
-    gamma = doubled.gamma[1]
-    cfg = gauge.GaugeConfig(eps0=max(0.15, 2.5 * grad_alpha), tol=tol)
-
-    def measure(res):
-        chi, _ = pgauge.chi_potential(plan, res.p, precondition_tol=1e-2)
-        return pgauge.p_contraction_chain(
-            plan, res.p, chi, doubled.gamma1, (doubled.g1, doubled.g2)
-        )
-
     record = {"seed": seed, "grad_alpha": grad_alpha, "grid_n": plan.grid.n,
-              "gamma_l2": l2_norm(plan.grid, gamma)}
-    _, out = _chain_trial(
-        record,
-        lambda: pgauge.p_gauge_solve(plan, np.zeros_like(gamma), -2.0 * gamma, cfg),
-        measure,
-    )
-    record["absorbed_residual"] = out["absorbed_residual"] if out else float("nan")
+              "gamma_l2": l2_norm(plan.grid, doubled.gamma[1])}
+    cfg = pgauge.GaugeConfig(eps0=max(0.15, 2.5 * grad_alpha), tol=tol)
+    _chain_trial(plan, record, doubled, cfg)
     return record
 
 
@@ -569,7 +543,7 @@ def contraction(config):
     _add_trial_gates(report, "quaternion", recs)
 
     m_recs = [
-        matrix_contraction_run(plan, config.seed + 100 + k, level)
+        matrix_contraction_run(plan, config.seed + 100 + k, level, tol=config.tol)
         for k in range(max(2, seeds // 4))
     ]
     report.add("matrix_factor_max", worst_of(r["factor"] for r in m_recs), 1.0)
@@ -580,7 +554,7 @@ def contraction(config):
     )
     _add_trial_gates(report, "matrix", m_recs)
 
-    _write_trials_csv(os.path.join(config.out, "contraction.csv"), recs + m_recs)
+    _write_trials_csv(os.path.join(config.out, "contraction_trials.csv"), recs + m_recs)
     return report
 
 
@@ -621,10 +595,11 @@ def _fd_grad(f, h):
     return gx, gy
 
 
-def _ball_split_diagnostics(plan, frak, q, zeta, center, radius):
-    """Local A/B splitting on one ball: Dirichlet solve for the potential
-    part, prescribed gradient for the stream part, harmonic/elliptic split
-    of the stream function.  Returns weak-norm diagnostics."""
+def _ball_split_diagnostics(plan, doubled, out, center, radius):
+    """Local A/B splitting on one ball of a d = 1 chain trial's transported
+    field: Dirichlet solve for the potential part, prescribed gradient for
+    the stream part, harmonic/elliptic split of the stream function.
+    Returns weak-norm diagnostics."""
     grid = plan.grid
     h = grid.spacing
     d1 = np.abs(grid.x1 - center[0])
@@ -632,7 +607,13 @@ def _ball_split_diagnostics(plan, frak, q, zeta, center, radius):
     mask = d1**2 + d2**2 <= radius**2
     lu, idx = _dirichlet_lu(mask, h)
 
-    qf, qif, rhs = gauge.transported(plan, q, frak, zeta)
+    _, rhs, pg, pig = pgauge.absorbed_residual(
+        plan, out["gauge"].p, out["chi"], doubled.gamma1, (doubled.g1, doubled.g2)
+    )
+    # the (n, n, 4) packing of q f, q i f and the right side
+    qf, qif, rhs = (
+        complex_pair_to_quat(x[..., 0], y[..., 0]) for x, y in (pg, pig, rhs)
+    )
     rhs = -rhs  # -lap A = rhs
 
     a_comp = np.stack(
@@ -688,13 +669,8 @@ def morrey_decay(config):
 
     def one(seed):
         rng = np.random.default_rng(seed)
-        sys = systems.manufacture_solution(
-            plan, "adapted_frame", rng, grad_alpha=config.eps0, equation_sign=+1,
-        )
-        frak = sys.frak_f()
-        rec, q, zeta = _quaternion_chain(
-            plan, sys.diagnostics["equation_alpha"], frak, seed, config.eps0, config.tol
-        )
+        rec, doubled, out = _quaternion_trial(plan, rng, seed, config.eps0, config.tol)
+        frak = complex_pair_to_quat(doubled.g1[..., 0], doubled.g2[..., 0])
         # a perturbed near-solution from the same seeded family: four
         # independent noise components from the seed's stream
         noise = np.stack(
@@ -714,7 +690,7 @@ def morrey_decay(config):
                 if den != 0.0:  # a NaN norm must reach the gate
                     gammas.append(num / den)
         fit = norms.morrey_profile(grid, mag, centers[0], ladder[::-1])
-        return rec, worst_of(gammas), fit.alpha, (frak, q, zeta)
+        return rec, worst_of(gammas), fit.alpha, (doubled, out)
 
     results = [one(config.seed + k) for k in range(seeds)]
     gamma_max = worst_of(g for _, g, _, _ in results)
@@ -735,10 +711,10 @@ def morrey_decay(config):
     )
 
     # the ball split of the first trial's chain; NaN if it stalled or errored
-    rec, _, _, (frak, q, zeta) = results[0]
+    rec, _, _, (doubled, out) = results[0]
     chain_bound = float("nan")
-    if zeta is not None and not rec["stalled"]:
-        split = _ball_split_diagnostics(plan, frak, q, zeta, center, ladder[0])
+    if "error" not in rec and not rec["stalled"]:
+        split = _ball_split_diagnostics(plan, doubled, out, center, ladder[0])
         chain_bound = (
             split["weak_grad_a"]
             + split["weak_grad_beta2"]
@@ -916,7 +892,8 @@ def full_chain(config):
         reformulate(config),
         bootstrap_demo(config),
     ]
-    rec = contraction_run(plan, config.seed, min(config.eps0, 0.05), tol=config.tol)
+    level = min(config.eps0, 0.05)
+    rec = contraction_run(plan, config.seed, level, tol=config.tol)
     report.add("gauge_residual", rec["residual"], 1e-7)
     report.add("contraction_factor", rec["factor"], 1.0)
     _add_trial_gates(report, "quaternion", [rec])
@@ -924,7 +901,7 @@ def full_chain(config):
         "linearization_order", _linearization_order(plan, config.seed + 13), 1.9,
         higher_is_better=True,
     )
-    m_rec = matrix_contraction_run(plan, config.seed, min(config.eps0, 0.05))
+    m_rec = matrix_contraction_run(plan, config.seed, level, tol=config.tol)
     report.add("matrix_gauge_residual", m_rec["residual"], 1e-7)
     report.add("matrix_absorbed_residual", m_rec["absorbed_residual"], 1e-7)
     report.add("matrix_contraction_factor", m_rec["factor"], 1.0)
@@ -954,8 +931,7 @@ def full_chain(config):
 
     mag = pointwise_abs(
         systems.manufacture_solution(
-            plan, "adapted_frame", rng, grad_alpha=min(config.eps0, 0.05),
-            equation_sign=+1,
+            plan, "adapted_frame", rng, grad_alpha=level, equation_sign=+1,
         ).frak_f()
     )
     ladder = [grid.length / 4 / 2**k for k in range(4)]

@@ -15,6 +15,9 @@ q = z1 + z2 j becomes the pair (z1, z2) of (n, n, 1, 1) tables, the i-line
 target w the 1i-line target V = i w, the jk table g the T table, and the
 stream potential zeta is chi / i.  Results come back as (n, n, 4) tables.
 GaugeConfig, GaugeStall and GaugeDivergence are the solver's own.
+
+The experiments run p_gauge_structures on systems.chain_quaternion; these
+adapters serve the benchmark's quat-chain workload and the tests.
 """
 
 from dataclasses import dataclass
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from chirality_lab.compensation import PreconditionError
-from chirality_lab.field_core import complex_pair_to_quat, qnorm, quat_to_complex_pair
+from chirality_lab.field_core import complex_pair_to_quat, quat_to_complex_pair
 from chirality_lab.hyperunitary import qp_exp_asd
 from chirality_lab.norms import l2_norm
 from chirality_lab.pgauge import (
@@ -31,7 +34,6 @@ from chirality_lab.pgauge import (
     GaugeStall,
     PGaugeResult,
     _residual_norms,
-    absorbed_residual,
     chi_potential,
     p_contraction_chain,
     p_gauge_solve,
@@ -47,7 +49,6 @@ __all__ = [
     "gauge_solve",
     "zeta_potential",
     "contraction_chain",
-    "transported",
     "linearization_order",
 ]
 
@@ -57,10 +58,6 @@ class GaugeResult(PGaugeResult):
     """The solver's result at d = 1 with the gauge packed as an (n, n, 4) q."""
 
     q: np.ndarray
-
-    @property
-    def unit_defect(self):
-        return float(np.max(np.abs(qnorm(self.q) - 1.0)))
 
 
 def _matrices(q):
@@ -116,22 +113,6 @@ def zeta_potential(plan, q, precondition_tol=1e-6):
     return chi[..., 0, 0].imag, diag
 
 
-def _absorbed_inputs(q, frak_f, zeta):
-    """(P, chi, Gamma1, G) of the absorbed equation at d = 1: chi = i zeta,
-    Gamma1 = 0 and G the (n, n, 1) vector pair of frak_f."""
-    p = _matrices(q)
-    zero = np.zeros_like(p[0])
-    f1, f2 = quat_to_complex_pair(frak_f)
-    return p, 1j * zeta[..., None, None], (zero, zero), (f1[..., None], f2[..., None])
-
-
-def transported(plan, q, frak_f, zeta):
-    """(q f, q i f, 2 q (d_z zeta) f) as (n, n, 4) tables: the transported
-    field, its i-turn and the right side of d1[q f] - d2[q i f]."""
-    _, rhs, pf, pif = absorbed_residual(plan, *_absorbed_inputs(q, frak_f, zeta))
-    return tuple(complex_pair_to_quat(x[..., 0], y[..., 0]) for x, y in (pf, pif, rhs))
-
-
 def contraction_chain(plan, frak_f, omega, q, zeta, pre_tol=1e-6):
     """Measured factor of the closure estimate chain.
 
@@ -150,6 +131,12 @@ def contraction_chain(plan, frak_f, omega, q, zeta, pre_tol=1e-6):
     if eq_res > pre_tol * max(f_l2, 1e-300):
         raise PreconditionError("frak_f does not near-solve the equation", eq_res)
 
-    out = p_contraction_chain(plan, *_absorbed_inputs(q, frak_f, zeta))
+    # (P, chi, Gamma1, G) of the absorbed equation at d = 1
+    p = _matrices(q)
+    zero = np.zeros_like(p[0])
+    f1, f2 = quat_to_complex_pair(frak_f)
+    out = p_contraction_chain(
+        plan, p, 1j * zeta[..., None, None], (zero, zero), (f1[..., None], f2[..., None])
+    )
     transport_res = out.pop("absorbed_residual")
     return {**out, "transport_residual": transport_res, "equation_residual": eq_res}

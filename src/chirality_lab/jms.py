@@ -355,9 +355,7 @@ def jms_norm_divergence(params, p_values=(1.0, 1.5), deltas=None):
     for p in p_values:
         values = [gradient_lp_annulus(params, p, d) for d in deltas]
         entry = {"p": p, "deltas": list(deltas), "values": values}
-        if p == 1.0:
-            entry["limit_quadrature"] = gradient_l1_limit(params)
-        else:
+        if p != 1.0:
             # fitted slope of the partial integrals vs delta, against the
             # asymptotic slope (2 - 2p) + p*beta / log(r0/delta)
             masses = np.asarray(values) ** p

@@ -37,7 +37,8 @@ reduce over the grid axes (0, 1) and contract the matrix axes.
 
 The stream potential chi of the 1i-line connection and the contraction
 measurement (the B fixed point and the weak-L^{2,inf} factor) complete the
-pipeline of p_gauge_structures.
+pipeline of p_gauge_structures, which runs every chain trial of the
+experiments, on systems.chain_quaternion (d = 1) or chain_doubled data.
 """
 
 from dataclasses import dataclass
@@ -458,6 +459,10 @@ def p_gauge_structures(plan, gamma, gamma1, g_pair, config=None, partial_ok=Fals
     generic antisymmetric data can be obstructed in the torus harmonic
     sector near t = 1, in which case the continuation stalls.  With
     partial_ok the largest-t partial gauge is used and reported.
+
+    When the gauge fails chi_potential's precondition (a partial gauge can),
+    the PreconditionError is returned as out["error"] next to "gauge" and
+    "t_reached", with no measurement; input checks still raise.
     """
     asd = qp_dagger_defect(gamma)
     if asd > 1e-10:
@@ -474,7 +479,10 @@ def p_gauge_structures(plan, gamma, gamma1, g_pair, config=None, partial_ok=Fals
             raise
         result = stall.result
         t_reached = stall.t_reached
-    chi, chi_diag = chi_potential(plan, result.p, precondition_tol=1e-2)
+    try:
+        chi, chi_diag = chi_potential(plan, result.p, precondition_tol=1e-2)
+    except PreconditionError as exc:
+        return {"gauge": result, "t_reached": t_reached, "error": exc}
     contraction = p_contraction_chain(plan, result.p, chi, gamma1, g_pair)
     return {
         "gauge": result,

@@ -5,7 +5,8 @@ equivalent forms: the conjugate-potential relation grad_perp v = S grad u,
 the projector splitting (P_L d_z f = 0, P_R d_zbar f = 0) for f = u + i v,
 the 2d frame form d_z f = R d_z(alpha) conj(f) for f = S0 Q u + i Q v, its
 quaternion packing d_L frak_f = -d_z(alpha) j frak_f, and the doubled
-2n-component quaternion system.
+2n-component quaternion system (chain_doubled; chain_quaternion packs the
+quaternion form as one at d = 1).
 
 Frame convention used throughout this module: Q = rotation2(alpha) and
 S = Q^t S0 Q, so that the frame field is f = S0 Q u + i Q v and the
@@ -28,7 +29,12 @@ from chirality_lab.chirality import (
     rotation2,
     s0_matrix,
 )
-from chirality_lab.field_core import complex_left, complex_pair_to_quat, left_j
+from chirality_lab.field_core import (
+    complex_left,
+    complex_pair_to_quat,
+    left_j,
+    quat_to_complex_pair,
+)
 from chirality_lab.hyperunitary import qp_dagger_defect, qp_matvec
 from chirality_lab.norms import l2_norm, pointwise_abs
 from chirality_lab.spectral_ops import random_band_limited
@@ -49,6 +55,7 @@ __all__ = [
     "chain_alpha",
     "manufacture_solution",
     "chain_doubled",
+    "chain_quaternion",
     "manufacture_doubled",
     "energy_identity",
     "rewrite_identity_residual",
@@ -415,6 +422,25 @@ def chain_doubled(plan, rng, grad_alpha):
     sys = manufacture_solution(plan, "adapted_frame", rng, grad_alpha=grad_alpha)
     b_coef = np.einsum("ij,...->...ij", ROT_GEN, plan.d_z(sys.alpha))
     return double_system(plan, sys.f_frame(), np.zeros_like(b_coef), b_coef)
+
+
+def chain_quaternion(plan, rng, grad_alpha):
+    """The quaternion form d_L frak = omega j frak, omega = d_z(alpha), of an
+    adapted_frame instance (equation sign +1), packed as a doubled system at
+    d = 1: Gamma = (0, omega) and Gamma1 = 0 as (n, n, 1, 1) tables and G
+    the pair of frak as (n, n, 1) tables.  The certificate's
+    doubled_residual is quaternion_residual(plan, frak, omega)."""
+    sys = manufacture_solution(
+        plan, "adapted_frame", rng, grad_alpha=grad_alpha, equation_sign=+1
+    )
+    omega = plan.d_z(sys.diagnostics["equation_alpha"])
+    frak = sys.frak_f()
+    g1, g2 = (z[..., None] for z in quat_to_complex_pair(frak))
+    zero = np.zeros(omega.shape + (1, 1), dtype=complex)
+    return DoubledSystem(
+        g1, g2, (zero, omega[..., None, None]), (zero, zero),
+        {"doubled_residual": quaternion_residual(plan, frak, omega)},
+    )
 
 
 def manufacture_doubled(plan, m, rng, b_norm=0.05):

@@ -126,7 +126,8 @@ def test_criterion_5_wente(tmp_path):
     reason="same-spectrum phase shuffling pins ||grad phi||_2 of both right "
     "sides, so the compensation gain cannot appear in this pairing; the "
     "measured win rate is ~0 (see the concentrated-mass comparison, which "
-    "wins 100%, and notes/decisions.md for the analysis)",
+    "wins 100%, and the docstring of compensation.jacobian_vs_concentrated "
+    "for the analysis)",
 )
 def test_criterion_5_jacobian_vs_shuffled_as_stated(tmp_path):
     plan = SpectralPlan(Grid2(128))

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 from types import SimpleNamespace
@@ -5,10 +6,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from chirality_lab import gauge, pgauge
+from chirality_lab import pgauge
 from chirality_lab.cli import main
 from chirality_lab.compensation import PreconditionError
-from chirality_lab.experiments import EXPERIMENTS, run_experiment
+from chirality_lab.experiments import (
+    EXPERIMENTS,
+    contraction_run,
+    matrix_contraction_run,
+    run_experiment,
+)
+from chirality_lab.field_core import Grid2
 from chirality_lab.reporting import (
     ANCHORS,
     ExperimentConfig,
@@ -17,6 +24,7 @@ from chirality_lab.reporting import (
     worst_of,
     write_svg_chart,
 )
+from chirality_lab.spectral_ops import SpectralPlan
 
 
 def test_config_defaults_and_validation():
@@ -81,51 +89,48 @@ TRIPPED = {
 
 
 def stub_chain(monkeypatch, mode):
-    """Replace both gauge chains by stubs whose first trial on each path
-    stalls, fails a precondition or leaves B unconverged (mode); every
-    later trial succeeds."""
+    """Replace the three stages of the chain pipeline by stubs whose first
+    trial on each path (matrix size d = 1 or d = 4) stalls, fails a
+    precondition or leaves B unconverged (mode); every later trial
+    succeeds."""
 
     def first_fails(fn):
-        calls = itertools.count()
-        return lambda *args, **kwargs: fn(next(calls) == 0, *args, **kwargs)
+        calls = collections.Counter()
 
-    def solve(field):
-        def run(fail, plan, *args, **kwargs):
-            t = 0.5 if fail and mode == "stall" else 1.0
-            res = SimpleNamespace(
-                residual=1e-10, theta=0.1, continuation_steps=5, t_reached=t,
-                levels=((t, 0.5, t == 1.0),), **field(plan.grid.n),
-            )
-            if t < 1.0:
-                raise gauge.GaugeStall(t, res)
-            return res
-        return first_fails(run)
+        def run(plan, table, *args, **kwargs):
+            # the matrix size of the gauge target, or of the gauge pair
+            d = np.shape(table)[-1]
+            calls[d] += 1
+            return fn(calls[d] == 1, plan, table, *args, **kwargs)
+        return run
 
-    def potential(fail, plan, *args, **kwargs):
+    def solve(fail, plan, v_target, *args, **kwargs):
+        t = 0.5 if fail and mode == "stall" else 1.0
+        eye = np.broadcast_to(np.eye(v_target.shape[-1], dtype=complex),
+                              v_target.shape)
+        res = SimpleNamespace(
+            residual=1e-10, theta=0.1, continuation_steps=5, t_reached=t,
+            levels=((t, 0.5, t == 1.0),), p=(eye.copy(), np.zeros_like(eye)),
+        )
+        if t < 1.0:
+            raise pgauge.GaugeStall(t, res)
+        return res
+
+    def potential(fail, plan, p, *args, **kwargs):
         if fail and mode == "error":
             raise PreconditionError("stub precondition", 1.0)
-        return np.zeros((plan.grid.n, plan.grid.n)), {}
+        return np.zeros_like(p[0]), {}
 
     def contract(fail, *args, **kwargs):
         return {"factor": 0.5, "b_converged": not (fail and mode == "b_unconverged"),
                 "absorbed_residual": 1e-9}
 
-    def unit_q(n):
-        return {"q": np.concatenate([np.ones((n, n, 1)), np.zeros((n, n, 3))], -1)}
-
-    def unit_p(n):
-        eye = np.broadcast_to(np.eye(2, dtype=complex), (n, n, 2, 2))
-        return {"p": (eye.copy(), np.zeros_like(eye))}
-
-    for module, name, fn in (
-        (gauge, "gauge_solve", solve(unit_q)),
-        (gauge, "zeta_potential", first_fails(potential)),
-        (gauge, "contraction_chain", first_fails(contract)),
-        (pgauge, "p_gauge_solve", solve(unit_p)),
-        (pgauge, "chi_potential", first_fails(potential)),
-        (pgauge, "p_contraction_chain", first_fails(contract)),
+    for name, fn in (
+        ("p_gauge_solve", solve),
+        ("chi_potential", potential),
+        ("p_contraction_chain", contract),
     ):
-        monkeypatch.setattr(module, name, fn)
+        monkeypatch.setattr(pgauge, name, first_fails(fn))
 
 
 def test_contraction_gates_fail_on_failed_trials(tmp_path, monkeypatch):
@@ -156,15 +161,34 @@ def test_contraction_gates_fail_on_failed_trials(tmp_path, monkeypatch):
             assert failed - set(gates) == (nan_gates if mode == "error" else set())
 
 
+def test_failed_trials_keep_their_gauge():
+    # real n = 16 chain data: these trials stall near t = 1 and their partial
+    # gauge fails chi's precondition; the record keeps the gauge's fields,
+    # so the stalled gate counts them as well as the errored one
+    plan16 = SpectralPlan(Grid2(16))
+    for run, seed, t_reached in (
+        (contraction_run, 0, 0.984375),
+        (contraction_run, 2, 0.984375),
+        (contraction_run, 3, 0.984375),
+        (matrix_contraction_run, 102, 0.96875),
+    ):
+        rec = run(plan16, seed, 0.1)
+        assert rec["stalled"], seed
+        assert rec["t_reached"] == t_reached, seed
+        assert np.isfinite(rec["residual"]) and rec["steps"] > 0, seed
+        assert "not divergence free" in rec["error"], seed
+        assert np.isnan(rec["factor"]) and not rec["b_converged"], seed
+
+
 def test_morrey_decay_solves_each_gauge_once(tmp_path, monkeypatch):
     calls = []
-    solve = gauge.gauge_solve
+    solve = pgauge.p_gauge_solve
 
     def counted(*args, **kwargs):
         calls.append(args)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(gauge, "gauge_solve", counted)
+    monkeypatch.setattr(pgauge, "p_gauge_solve", counted)
     report = run_experiment(ExperimentConfig(
         experiment="morrey-decay", grid_n=32, seed=0, trials=2, out=str(tmp_path)
     ))
@@ -237,6 +261,15 @@ def small_config(experiment, out, seed=0):
         experiment=experiment, grid_n=32, seed=seed, trials=3, out=str(out),
         eps0=0.05,
     )
+
+
+def test_cli_contraction_writes_its_trial_table_beside_the_metrics(tmp_path):
+    main(["contraction", "--out", str(tmp_path), "--grid-n", "16", "--trials", "2"])
+    metrics = (tmp_path / "contraction.csv").read_text().splitlines()
+    trials = (tmp_path / "contraction_trials.csv").read_text().splitlines()
+    assert metrics[0] == "name,value,threshold,pass"
+    assert trials[0].startswith("eps,seed,grid_n,")
+    assert len(trials) == 1 + 2 + 2  # two trials on each path
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from chirality_lab.compensation import PreconditionError
-from chirality_lab.experiments import chain_targets
-from chirality_lab.field_core import Grid2, qnorm
+from chirality_lab.field_core import Grid2, complex_pair_to_quat, qnorm
 from chirality_lab.gauge import (
     GaugeConfig,
     GaugeDivergence,
@@ -20,11 +19,12 @@ from chirality_lab.pgauge import (
     _perturbation,
     _projected_solve,
     p_connection,
+    p_gauge_structures,
     pl1_solve,
     pn_apply,
 )
 from chirality_lab.spectral_ops import SpectralPlan, random_band_limited
-from chirality_lab.systems import chain_alpha, manufacture_solution
+from chirality_lab.systems import chain_alpha, chain_quaternion, manufacture_solution
 from test_field_core import as_pair, as_quat
 
 
@@ -42,6 +42,11 @@ def pure_field(plan, rng, grad_norm, kmax=3):
     g = np.sqrt(np.sum(qnorm(gx) ** 2 + qnorm(gy) ** 2) * plan.grid.cell_measure)
     u *= grad_norm / g
     return u
+
+
+def chain_targets(omega):
+    """Gauge targets (w, g) = (0, -2 omega) for d_L f = omega j f."""
+    return np.zeros(omega.shape), -2.0 * omega
 
 
 def exp_pure(u):
@@ -217,7 +222,7 @@ def test_gauge_solve_manufactured_image(plan):
     res = gauge_solve(plan, v_t.imag, g_t, GaugeConfig(eps0=0.2, tol=1e-9))
     assert res.residual < 1e-8
     assert res.t_reached == 1.0
-    assert res.unit_defect < 1e-12
+    assert res.unitarity_defect < 1e-12
     # anti-self-duality along the way: the connection stays pure
     x1, _ = p_connection(plan, as_pair(res.q))
     assert np.max(np.abs(x1[0].real)) < 1e-12
@@ -247,7 +252,7 @@ def test_gauge_stall_carries_the_partial_quaternion_gauge():
     assert max(t for t, _, ok in stall.result.levels if ok) == stall.t_reached
     assert not stall.result.levels[-1][2]
     assert stall.result.q.shape == (16, 16, 4)
-    assert stall.result.unit_defect <= 1e-10
+    assert stall.result.unitarity_defect <= 1e-10
     assert np.max(np.abs(stall.result.q - np.array([1.0, 0, 0, 0]))) > 1e-3
 
 
@@ -332,6 +337,32 @@ def test_contraction_chain_small_alpha(plan):
     assert out["b_converged"]
     assert out["factor"] < 1.0
     assert out["transport_residual"] < 1e-5
+
+
+def test_chain_pipeline_at_d1_matches_the_adapters(plan):
+    # chain_quaternion packs the quaternion chain as a doubled system at
+    # d = 1: p_gauge_structures solves the adapters' gauge bit for bit, and
+    # its factor differs only through chi's rounding-level real part, which
+    # the adapters drop
+    rng = np.random.default_rng(15)
+    doubled = chain_quaternion(plan, rng, 0.05)
+    sys = manufacture_solution(plan, "adapted_frame", np.random.default_rng(15),
+                               grad_alpha=0.05, equation_sign=+1)
+    omega = plan.d_z(sys.diagnostics["equation_alpha"])
+    frak = sys.frak_f()
+    g_quat = complex_pair_to_quat(doubled.g1[..., 0], doubled.g2[..., 0])
+    assert np.array_equal(g_quat, frak)
+    assert doubled.certificate["doubled_residual"] < 1e-9 * l2_norm(plan.grid, frak)
+
+    res = gauge_solve(plan, *chain_targets(omega))
+    out = p_gauge_structures(
+        plan, doubled.gamma, doubled.gamma1, (doubled.g1, doubled.g2),
+        GaugeConfig(), partial_ok=True,
+    )
+    assert np.array_equal(as_quat(out["gauge"].p), res.q)
+    zeta, _ = zeta_potential(plan, res.q, precondition_tol=1e-2)
+    factor = contraction_chain(plan, frak, omega, res.q, zeta)["factor"]
+    assert out["contraction"]["factor"] == pytest.approx(factor, rel=1e-12)
 
 
 def test_contraction_chain_degenerate(plan):

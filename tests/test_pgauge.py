@@ -147,6 +147,21 @@ def test_p_gauge_structures_from_manufactured_doubled(plan):
     assert out["contraction"]["factor"] < 1.0
 
 
+def test_p_gauge_structures_returns_the_gauge_when_chi_fails():
+    # chain data at n = 16 stall at t = 0.96875, and the partial gauge's
+    # connection fails chi's precondition: the gauge comes back with the
+    # error and without a measurement
+    plan16 = SpectralPlan(Grid2(16))
+    doubled = chain_doubled(plan16, np.random.default_rng(102), 0.1)
+    out = p_gauge_structures(
+        plan16, doubled.gamma, doubled.gamma1, (doubled.g1, doubled.g2),
+        GaugeConfig(eps0=0.25, tol=1e-8), partial_ok=True,
+    )
+    assert out["t_reached"] == out["gauge"].t_reached == 0.96875
+    assert isinstance(out["error"], PreconditionError)
+    assert "contraction" not in out and "chi" not in out
+
+
 def test_p_gauge_rejects_non_asd(plan):
     n = plan.grid.n
     bad = (
