@@ -17,11 +17,17 @@ with the 1i-line component a skew-Hermitian table V and the jk-plane
 component a complex symmetric table T.  N(P) = (V, T) is solved by
 numerical continuation along t*(V, T) with a damped Newton step
 P <- P cay(s u) at each level, where cay is the Cayley retraction of
-hyperunitary.qp_cayley_asd.  The step starts at GaugeConfig.dt, doubles
-after each accepted level and, after a rejected one, halves until the next
-level lies below the failed one, so no level is tried twice at the same t
+hyperunitary.qp_cayley_asd.  The line search tries s = 1 and s = 1/2
+only: near an obstruction the residual sits on a floor that no shorter
+step lowers (backtracking as in Dennis & Schnabel, Numerical Methods for
+Unconstrained Optimization and Nonlinear Equations, SIAM 1996, 6.3).  The
+step starts at GaugeConfig.dt, doubles after each accepted level and, after
+a rejected one, halves until the next level lies below the failed one
 (step-length control as in Allgower & Georg, Introduction to Numerical
-Continuation Methods, SIAM 2003).  The linearization at P = I inverts in
+Continuation Methods, SIAM 2003).  So a rejected level is not retried at
+once, but the doubling after a later accepted level can clip the step to
+t = 1 again, and on data that stall near 1 the level t = 1 is tried after
+every such acceptance.  The linearization at P = I inverts in
 closed form (a Laplace solve for the 1i-line, a d_zbar solve for the
 jk-plane); the Newton solve iterates it against the commutator terms of
 the frozen connection, which the residual evaluation hands over.  The
@@ -74,9 +80,11 @@ __all__ = [
 ]
 
 # continuation budget: smallest step before a stall, Newton steps per level,
-# inner iterations per Newton step
+# smallest line-search fraction of a Newton step, inner iterations per
+# Newton step
 DT_MIN = 1e-4
 MAX_NEWTON = 20
+MIN_STEP_FRACTION = 0.5
 MAX_INNER = 120
 # fixed point for B in the contraction chain: relative change at which it
 # has converged, and its iteration budget
@@ -91,15 +99,28 @@ class GaugeDivergence(RuntimeError):
 
 
 class GaugeStall(RuntimeError):
-    def __init__(self, t_reached, result):
+    """The continuation stalled at t_reached; result is the partial gauge.
+    residual, bound and jk_mean are the last failed level's oscillatory
+    residual, its acceptance bound and its jk mean: the level failed
+    because residual (plus jk_mean at t = 1) exceeds bound."""
+
+    def __init__(self, t_reached, result, residual, bound, jk_mean):
         # the continuation stalls right after a rejected level
         t_failed, dt_failed, _ = result.levels[-1]
+        if t_failed >= 1.0 - 1e-12:
+            reason = f"residual with jk mean {residual + jk_mean:.2e}"
+        else:
+            reason = f"oscillatory residual {residual:.2e}"
         super().__init__(
             f"continuation stalled at t = {t_reached:.4f} "
-            f"(last failed level t = {t_failed:.6g}, dt = {dt_failed:.3g})"
+            f"(last failed level t = {t_failed:.6g}, dt = {dt_failed:.3g}: "
+            f"{reason} > bound {bound:.2e}, jk mean {jk_mean:.2e})"
         )
         self.t_reached = t_reached
         self.result = result
+        self.residual = residual
+        self.bound = bound
+        self.jk_mean = jk_mean
 
 
 @dataclass
@@ -219,27 +240,28 @@ def _projected_solve(plan, x1, x2, v_rhs, t_rhs, tol, max_iter):
     """
     u = np.zeros(v_rhs.shape, dtype=complex), np.zeros(v_rhs.shape, dtype=complex)
     scale = max(np.abs(v_rhs).max(), np.abs(t_rhs).max(), 1e-300)
+    # the perturbation of the zero start vanishes
+    rv, rt = v_rhs, t_rhs
     prev = np.inf
     bad = 0
-    change = np.inf
     for it in range(max_iter):
-        pv, pt = _perturbation(plan, x1, x2, u)
-        rv = v_rhs - pv
-        u_new = pl1_solve(plan, rv - rv.mean(axis=(0, 1)), t_rhs - pt)
+        if it:
+            pv, pt = _perturbation(plan, x1, x2, u)
+            rv, rt = v_rhs - pv, t_rhs - pt
+        u_new = pl1_solve(plan, rv - rv.mean(axis=(0, 1)), rt)
         change = _sup(u_new, u)
         u = u_new
         if change < tol * max(scale, _sup(u)):
             return u, it + 1
+        ratio = change / max(prev, 1e-300)
         if change > prev * 1.0001:
             bad += 1
             if bad >= 4:
-                raise GaugeDivergence(
-                    "preconditioned iteration diverges", change / max(prev, 1e-300)
-                )
+                raise GaugeDivergence("preconditioned iteration diverges", ratio)
         else:
             bad = 0
         prev = change
-    raise GaugeDivergence("iteration budget exhausted", change / max(prev, 1e-300))
+    raise GaugeDivergence("iteration budget exhausted", ratio)
 
 
 def p_gauge_solve(plan, v_target, t_target, config=None):
@@ -250,9 +272,12 @@ def p_gauge_solve(plan, v_target, t_target, config=None):
     The 1i-line target must be mean-zero (structural on the torus).  The
     first step is GaugeConfig.dt; it doubles (up to 1) after each accepted
     level.  After a rejected level it halves until the next level lies
-    below the failed one, so a level clipped at t = 1 is not tried again at
-    t = 1.  GaugeStall (carrying the partial result at the last accepted t)
-    is raised once the step drops below DT_MIN.  Intermediate levels are
+    below the failed one, so the retry lies below the failed t; t = 1 is
+    tried again after each later accepted level whose doubled step reaches
+    it.  Each Newton step's line search tries the fractions s = 1 and 1/2
+    of the step.  GaugeStall (carrying the partial result at the last
+    accepted t, and the failed level's residual against its bound) is
+    raised once the step drops below DT_MIN.  Intermediate levels are
     accepted at an oscillatory residual of 0.02 min(dt, GaugeConfig.dt)
     |target|, whatever the step has grown to.  The result lists every
     attempted level as (t, dt, accepted).
@@ -295,15 +320,20 @@ def p_gauge_solve(plan, v_target, t_target, config=None):
 
     tol_floor = max(cfg.tol, 1e-13 * max(target_size, 1.0))
 
-    def level_converged(res_osc, rmean, t_now, dt_now):
+    def level_bound(t_now, dt_now):
         # intermediate levels only need basin-tracking accuracy; the jk mean
         # follows quadratically and is enforced at the endpoint, where the
         # final Newton polish closes it.  The bound is capped at the first
         # step, so a partial gauge stays within 0.02 cfg.dt |target| however
         # far the step has grown.
         if t_now >= 1.0 - 1e-12:
-            return res_osc + rmean <= tol_floor
-        return res_osc <= max(tol_floor, 0.02 * min(dt_now, cfg.dt) * target_size)
+            return tol_floor
+        return max(tol_floor, 0.02 * min(dt_now, cfg.dt) * target_size)
+
+    def level_converged(res_osc, rmean, t_now, dt_now):
+        if t_now >= 1.0 - 1e-12:
+            res_osc += rmean
+        return res_osc <= level_bound(t_now, dt_now)
 
     def newton(p, t_now, dt_now):
         """Damped Newton from p at level t_now; returns the last field the
@@ -323,7 +353,7 @@ def p_gauge_solve(plan, v_target, t_target, config=None):
             u = plan.dealias(u[0]), plan.dealias(u[1])
             del r, conn
             s = 1.0
-            while s >= 1.0 / 32.0:
+            while s >= MIN_STEP_FRACTION:
                 p_try = qp_matmul(p, qp_cayley_asd((s * u[0], s * u[1])))
                 r, conn, (res2, _, _, rmean2) = residual(p_try, t_now)
                 if res2 < res * (1.0 - 0.25 * s) or level_converged(
@@ -347,10 +377,11 @@ def p_gauge_solve(plan, v_target, t_target, config=None):
             t = t_next
             dt = min(2.0 * dt, 1.0)
         else:
+            bound = level_bound(t_next, dt)
             while t + dt >= t_next:
                 dt *= 0.5
             if dt < DT_MIN:
-                raise GaugeStall(t, finish(t))
+                raise GaugeStall(t, finish(t), res, bound, rmean)
     return finish(1.0)
 
 
@@ -425,19 +456,22 @@ def p_contraction_chain(plan, p, chi, gamma1, g_pair):
     w = qp_matmul(qp_matmul(p, (1j * eye, np.zeros_like(eye))), qp_conj_t(p))
     ax, ay = _grad_pair(plan, (plan.inv_laplacian(rhs[0]), plan.inv_laplacian(rhs[1])))
     b = np.zeros_like(rhs[0]), np.zeros_like(rhs[1])
+    # grad A + grad_perp B, at the zero start B = 0
+    gx, gy = ax, ay
     converged = False
     for it in range(B_MAX_ITER):
-        bx, by = _grad_pair(plan, b)
-        t1 = qp_matvec(w, (ax[0] - by[0], ax[1] - by[1]))
-        t2 = qp_matvec(w, (ay[0] + bx[0], ay[1] + bx[1]))
+        t1 = qp_matvec(w, gx)
+        t2 = qp_matvec(w, gy)
         b_new = tuple(plan.inv_laplacian(-plan.div(u1, u2)) for u1, u2 in zip(t1, t2))
         change = _sup(b_new, b)
         b = b_new
+        bx, by = _grad_pair(plan, b)
         if change < B_TOL * max(_sup(b), 1e-300):
             converged = True
             break
+        gx = ax[0] - by[0], ax[1] - by[1]
+        gy = ay[0] + bx[0], ay[1] + bx[1]
     weak_pg = lorentz_weak_l2(grid, pointwise_abs(*pg))
-    bx, by = _grad_pair(plan, b)
     weak_a = lorentz_weak_l2(grid, pointwise_abs(*ax, *ay))
     weak_b = lorentz_weak_l2(grid, pointwise_abs(*bx, *by))
     return {

@@ -207,6 +207,34 @@ def test_lq_solve_divergence_reported(plan):
     assert err.value.contraction_estimate > 1.0
 
 
+def test_lq_solve_budget_reports_the_last_contraction(plan):
+    # the small-q0 case contracts; stopped after three iterations, the
+    # estimate is the ratio of the last two changes of the iterate
+    rng = np.random.default_rng(5)
+    q0 = exp_pure(pure_field(plan, rng, 0.05))
+    w = random_band_limited(plan, rng)
+    w -= w.mean()
+    g = random_band_limited(plan, rng) + 1j * random_band_limited(plan, rng)
+    with pytest.raises(GaugeDivergence) as err:
+        lq_at_d1(plan, q0, w, g, max_iter=3)
+    # replay the iteration u <- L_I^-1(rhs - pert(u)) from u = 0
+    x1, x2 = p_connection(plan, as_pair(q0))
+    v_rhs, t_rhs = as_targets(w, g)
+    u = np.zeros_like(v_rhs), np.zeros_like(v_rhs)
+    changes = []
+    for _ in range(3):
+        pv, pt = _perturbation(plan, x1, x2, u)
+        rv = v_rhs - pv
+        u_new = pl1_solve(plan, rv - rv.mean(axis=(0, 1)), t_rhs - pt)
+        changes.append(max(np.max(np.abs(u_new[0] - u[0])),
+                           np.max(np.abs(u_new[1] - u[1]))))
+        u = u_new
+    ratio = changes[2] / changes[1]
+    assert err.value.contraction_estimate == pytest.approx(ratio, rel=1e-12)
+    assert err.value.contraction_estimate < 1.0
+    assert f"estimated contraction {ratio:.3f}" in str(err.value)
+
+
 def test_gauge_solve_zero_targets(plan):
     n = plan.grid.n
     res = gauge_solve(plan, np.zeros((n, n)), np.zeros((n, n), dtype=complex))

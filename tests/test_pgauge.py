@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from chirality_lab import pgauge
 from chirality_lab.compensation import PreconditionError
 from chirality_lab.field_core import Grid2
 from chirality_lab.hyperunitary import (
@@ -160,6 +161,14 @@ def test_p_gauge_structures_returns_the_gauge_when_chi_fails():
     assert out["t_reached"] == out["gauge"].t_reached == 0.96875
     assert isinstance(out["error"], PreconditionError)
     assert "contraction" not in out and "chi" not in out
+    # the one data whose line search accepts a half step: the two-fraction
+    # search keeps every level; after 1 - 1/32 and t = 1 the step halves
+    # from 1/64 to 1/8192, all rejected
+    assert out["gauge"].levels == (
+        (0.0625, 0.0625, True), (0.1875, 0.125, True), (0.4375, 0.25, True),
+        (0.9375, 0.5, True), (1.0, 1.0, False), (0.96875, 0.03125, True),
+        (1.0, 0.0625, False),
+    ) + tuple((0.96875 + 2.0**-k, 2.0**-k, False) for k in range(6, 14))
 
 
 def test_p_gauge_rejects_non_asd(plan):
@@ -382,17 +391,33 @@ def test_continuation_step_doubles_after_each_accepted_level():
 
 
 @pytest.fixture(scope="module")
-def stall16():
-    # generic doubled data at n = 16 stalls just short of t = 1
+def stall16_run():
+    """The stall on generic doubled data at n = 16, which stalls just short
+    of t = 1, and the number of residual evaluations (pn_apply calls) it
+    took."""
     plan16 = SpectralPlan(Grid2(16))
     g, a, b = manufacture_doubled(plan16, 2, np.random.default_rng(0), b_norm=0.04)
     doubled = double_system(plan16, g, a, b)
     v_target = np.zeros_like(doubled.gamma[1])
-    with pytest.raises(GaugeStall) as err:
-        p_gauge_solve(
-            plan16, v_target, -2.0 * doubled.gamma[1], GaugeConfig(eps0=0.2, tol=1e-8)
-        )
-    return err.value
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return pn_apply(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pgauge, "pn_apply", counted)
+        with pytest.raises(GaugeStall) as err:
+            p_gauge_solve(
+                plan16, v_target, -2.0 * doubled.gamma[1],
+                GaugeConfig(eps0=0.2, tol=1e-8),
+            )
+    return err.value, len(calls)
+
+
+@pytest.fixture(scope="module")
+def stall16(stall16_run):
+    return stall16_run[0]
 
 
 def test_p_gauge_stall_carries_the_partial_gauge(stall16):
@@ -411,3 +436,28 @@ def test_rejected_level_is_not_retried_at_the_same_t(stall16):
     t_last, dt_last, accepted = levels[-1]
     assert not accepted
     assert f"t = {t_last:.6g}, dt = {dt_last:.3g}" in str(stall16)
+
+
+def test_stall_path_keeps_its_levels_and_its_work_bound(stall16_run):
+    stall, residual_evals = stall16_run
+    assert stall.t_reached == 0.9921875
+    # t = 1 is tried after each accepted level near it; the last six levels
+    # halve the step from 1/256 to 1/8192 just above t_reached
+    assert stall.result.levels == (
+        (0.0625, 0.0625, True), (0.1875, 0.125, True), (0.4375, 0.25, True),
+        (0.9375, 0.5, True), (1.0, 1.0, False), (0.96875, 0.03125, True),
+        (1.0, 0.0625, False), (0.984375, 0.015625, True), (1.0, 0.03125, False),
+        (0.9921875, 0.0078125, True), (1.0, 0.015625, False),
+    ) + tuple((0.9921875 + 2.0**-k, 2.0**-k, False) for k in range(8, 14))
+    # a rejected level takes one accepted Newton step and one failed
+    # two-fraction line search; a six-fraction search takes 95 evaluations
+    assert residual_evals <= 55
+
+
+def test_stall_names_the_failed_residual_and_its_bound(stall16):
+    assert stall16.residual > stall16.bound > 0.0
+    assert stall16.jk_mean >= 0.0
+    assert (
+        f"oscillatory residual {stall16.residual:.2e} > bound {stall16.bound:.2e}"
+        in str(stall16)
+    )
