@@ -32,7 +32,10 @@ closed form (a Laplace solve for the 1i-line, a d_zbar solve for the
 jk-plane); the Newton solve iterates it against the commutator terms of
 the frozen connection, which the residual evaluation hands over.  The
 connection and the iterate are both anti-self-dual, so each commutator
-[A, u] is A u - (A u)^dagger, one product.
+[A, u] is A u - (A u)^dagger, one product.  The evaluation of a field, N(P)
+with its connection, does not depend on t: an accepted field's evaluation
+is handed to the next level and to the result, and P = I, where both
+vanish, needs none.
 
 Torus bookkeeping: the 1i-line component of N is a divergence and has zero
 mean structurally, so targets must be mean-zero there.  The jk-plane mean
@@ -297,21 +300,26 @@ def p_gauge_solve(plan, v_target, t_target, config=None):
 
     eye = np.broadcast_to(np.eye(v_target.shape[-1], dtype=complex), v_target.shape)
     p = eye.copy(), np.zeros_like(eye)
+    # the evaluation (N(P), P^-1 grad P) of the accepted field p, or None
+    # once newton() has released it; N(I) and the connection of I vanish,
+    # so the first level starts from p's zero Y part, with no FFT
+    ev = (p[1], p[1]), ((p[1], p[1]), (p[1], p[1]))
     t = 0.0
     dt = cfg.dt
     levels = []
 
-    def residual(p_now, t_now):
-        """Residual tables (rv, rt) at level t_now, the connection of p_now,
-        and the norms (oscillatory, 1i-part, jk-part, jk-mean)."""
-        (nv, nt), conn = pn_apply(plan, p_now, check=False)
+    def level_residual(ev_now, t_now):
+        """Residual tables (rv, rt) of an evaluation at level t_now, and the
+        norms (oscillatory, 1i-part, jk-part, jk-mean)."""
+        (nv, nt), _ = ev_now
         rv = t_now * v_target - nv
         rt = t_now * t_target - nt
         ri, rjk, rmean = _residual_norms(plan, rv, rt)
-        return (rv, rt), conn, (ri + rjk, ri, rjk, rmean)
+        return (rv, rt), (ri + rjk, ri, rjk, rmean)
 
     def finish(t_now):
-        _, _, (_, ri, rjk, rmean) = residual(p, t_now)
+        ev_p = pn_apply(plan, p, check=False) if ev is None else ev
+        _, (_, ri, rjk, rmean) = level_residual(ev_p, t_now)
         theta = _grad_l2(plan, p) / target_size if target_size > 0 else 0.0
         steps = sum(accepted for _, _, accepted in levels)
         return PGaugeResult(
@@ -336,14 +344,25 @@ def p_gauge_solve(plan, v_target, t_target, config=None):
         return res_osc <= level_bound(t_now, dt_now)
 
     def newton(p, t_now, dt_now):
-        """Damped Newton from p at level t_now; returns the last field the
-        line search accepted with its oscillatory and jk-mean residuals.
-        The tables of one field are alive at a time: a residual and a
-        connection are six (n, n, d, d) tables."""
-        r, conn, (res, _, _, rmean) = residual(p, t_now)
+        """Damped Newton at level t_now from the accepted field p, whose
+        evaluation is ev (evaluated here if released); returns the last field
+        the line search accepted with its oscillatory and jk-mean residuals,
+        and leaves that field's evaluation in ev.
+
+        Memory: each Newton step releases N before its inner solve and the
+        connection before its line search, so while a trial is evaluated no
+        table of the field the step started from is alive (N, the connection
+        and the residual are eight (n, n, d, d) tables).  A rejected level
+        therefore leaves ev released, and its retry evaluates the start field
+        again."""
+        nonlocal ev
+        if ev is None:
+            ev = pn_apply(plan, p, check=False)
+        r, (res, _, _, rmean) = level_residual(ev, t_now)
         for _ in range(MAX_NEWTON):
             if level_converged(res, rmean, t_now, dt_now):
                 break
+            conn, ev = ev[1], None
             try:
                 u, _ = _projected_solve(
                     plan, *conn, *r, 1e-3 * res / max(target_size, 1e-300), MAX_INNER
@@ -355,16 +374,18 @@ def p_gauge_solve(plan, v_target, t_target, config=None):
             s = 1.0
             while s >= MIN_STEP_FRACTION:
                 p_try = qp_matmul(p, qp_cayley_asd((s * u[0], s * u[1])))
-                r, conn, (res2, _, _, rmean2) = residual(p_try, t_now)
+                ev_try = pn_apply(plan, p_try, check=False)
+                r, (res2, _, _, rmean2) = level_residual(ev_try, t_now)
                 if res2 < res * (1.0 - 0.25 * s) or level_converged(
                     res2, rmean2, t_now, dt_now
                 ):
-                    p, res, rmean = p_try, res2, rmean2
+                    p, ev, res, rmean = p_try, ev_try, res2, rmean2
                     break
-                del r, conn
+                del r, ev_try
                 s *= 0.5
             else:
                 break
+            del ev_try
         return p, res, rmean
 
     while t < 1.0 - 1e-12:
@@ -377,6 +398,8 @@ def p_gauge_solve(plan, v_target, t_target, config=None):
             t = t_next
             dt = min(2.0 * dt, 1.0)
         else:
+            # ev belongs to p_next, or is released
+            ev = None
             bound = level_bound(t_next, dt)
             while t + dt >= t_next:
                 dt *= 0.5
@@ -395,9 +418,11 @@ def chi_potential(plan, p, precondition_tol=1e-6):
     the divergence does not vanish.
     """
     grid = plan.grid
-    x1, x2 = p_connection(plan, p)
-    a1, a2 = x1[0], x2[0]
-    grad_p_l2 = _grad_l2(plan, p)
+    # one gradient serves the connection and ||grad P||_2
+    g1, g2 = _grad_pair(plan, p)
+    pct = qp_conj_t(p)
+    a1, a2 = qp_matmul(pct, g1)[0], qp_matmul(pct, g2)[0]
+    grad_p_l2 = l2_norm(grid, *g1, *g2)
     scale = max(grad_p_l2**2, 1e-300)
     dres = l2_norm(grid, plan.div(a1, a2))
     if dres > precondition_tol * scale:
@@ -452,8 +477,8 @@ def p_contraction_chain(plan, p, chi, gamma1, g_pair):
         return {"degenerate": True, "factor": np.nan, "b_converged": False,
                 "b_iterations": 0, "absorbed_residual": res}
     grid = plan.grid
-    eye = np.broadcast_to(np.eye(p[0].shape[-1], dtype=complex), p[0].shape)
-    w = qp_matmul(qp_matmul(p, (1j * eye, np.zeros_like(eye))), qp_conj_t(p))
+    # P i = (i X, -i Y), the right-i rule of _jk_of
+    w = qp_matmul((1j * p[0], -1j * p[1]), qp_conj_t(p))
     ax, ay = _grad_pair(plan, (plan.inv_laplacian(rhs[0]), plan.inv_laplacian(rhs[1])))
     b = np.zeros_like(rhs[0]), np.zeros_like(rhs[1])
     # grad A + grad_perp B, at the zero start B = 0

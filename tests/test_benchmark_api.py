@@ -13,6 +13,8 @@ import sys
 
 import pytest
 
+from chirality_lab import pgauge
+
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench")
 
 
@@ -42,3 +44,21 @@ def test_workload_runs_one_checked_operation(workloads, name):
         if not ok
     ]
     assert not failed, failed
+
+
+def test_matrix_chain_operation_evaluates_each_field_once(workloads, monkeypatch):
+    # the count that perfbench/run.py --trace 1 reports as
+    # pgauge.residual_evals: one per trial of the six Newton steps of five
+    # levels; neither the identity start nor an accepted field is evaluated
+    # again
+    workload = workloads["matrix-chain"]
+    plan, instances = workload.setup(1)
+    real, calls = pgauge.pn_apply, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pgauge, "pn_apply", counted)
+    workload.run(plan, instances[0])
+    assert len(calls) == 6

@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -450,8 +453,12 @@ def test_stall_path_keeps_its_levels_and_its_work_bound(stall16_run):
         (0.9921875, 0.0078125, True), (1.0, 0.015625, False),
     ) + tuple((0.9921875 + 2.0**-k, 2.0**-k, False) for k in range(8, 14))
     # a rejected level takes one accepted Newton step and one failed
-    # two-fraction line search; a six-fraction search takes 95 evaluations
-    assert residual_evals <= 55
+    # two-fraction line search; a six-fraction search takes 95 evaluations.
+    # An accepted field's evaluation is handed to the next level, but a
+    # rejected level releases its start field's, so the 10 rejected levels
+    # each evaluate their start field once more: at the retry, and after
+    # the last one for the partial result (37 distinct fields)
+    assert residual_evals <= 47
 
 
 def test_stall_names_the_failed_residual_and_its_bound(stall16):
@@ -461,3 +468,57 @@ def test_stall_names_the_failed_residual_and_its_bound(stall16):
         f"oscillatory residual {stall16.residual:.2e} > bound {stall16.bound:.2e}"
         in str(stall16)
     )
+
+
+@pytest.fixture(scope="module")
+def clean32():
+    """The plan and the jk-plane table Gamma_Y (d = 4) of chain data at
+    n = 32, which the continuation solves to t = 1 without a rejection."""
+    plan32 = SpectralPlan(Grid2(32))
+    return plan32, chain_doubled(plan32, np.random.default_rng(0), 0.05).gamma[1]
+
+
+CLEAN32_CONFIG = GaugeConfig(eps0=0.15, tol=1e-8)
+
+
+def test_each_field_is_evaluated_once(clean32, monkeypatch):
+    # N(P) and the connection do not depend on t: the accepted field's
+    # evaluation is handed to the next level and to the result, and the
+    # identity, whose N and connection vanish, is never evaluated
+    plan32, gamma_y = clean32
+    fields, identities = [], []
+
+    def hashed(plan_, p, check=True):
+        fields.append(hashlib.sha256(p[0].tobytes() + p[1].tobytes()).digest())
+        identities.append(np.array_equal(p[0], np.eye(4)) and not p[1].any())
+        return pn_apply(plan_, p, check)
+
+    monkeypatch.setattr(pgauge, "pn_apply", hashed)
+    res = p_gauge_solve(
+        plan32, np.zeros_like(gamma_y), -2.0 * gamma_y, CLEAN32_CONFIG
+    )
+    assert res.t_reached == 1.0 and res.residual < 1e-8
+    assert all(accepted for _, _, accepted in res.levels)
+    assert fields and len(set(fields)) == len(fields)
+    assert not any(identities)
+
+
+def test_solve_keeps_the_live_peak_of_one_field(clean32):
+    # handing evaluations on must not raise the live peak: each Newton step
+    # releases N before its inner solve and the connection before its line
+    # search.  The peak reads 30.04 (n, n, d, d) tables here; keeping the
+    # start field's evaluation through the step reads 32.04
+    plan32, gamma_y = clean32
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        p_gauge_solve(plan32, np.zeros_like(gamma_y), -2.0 * gamma_y, CLEAN32_CONFIG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    # the two targets are tables of the traced span too
+    assert (peak - base) / gamma_y.nbytes <= 31
