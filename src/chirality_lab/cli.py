@@ -10,8 +10,8 @@ jms | full-chain.
 
 A flat "key = value" config file provides defaults; command line flags win.
 Reports land in --out as <experiment>.json / <experiment>.csv (both by
-default, or only the requested formats).  Exit code 0 iff every thresholded
-metric passes.
+default, or only the requested formats).  Exit code 0 iff every metric
+passes.
 """
 
 import argparse
@@ -72,9 +72,8 @@ def main(argv=None):
         atomic_write(base + ".csv", report.metrics_csv())
 
     for metric in report.metrics:
-        d = metric.as_dict()
-        status = {True: "pass", False: "FAIL", None: "info"}[d["pass"]]
-        print(f"[{status}] {d['name']} = {d['value']}")
+        status = "pass" if metric.passed else "FAIL"
+        print(f"[{status}] {metric.name} = {float(metric.value)}")
     print(
         f"{config.experiment}: "
         f"{'all thresholds met' if report.all_passed else 'THRESHOLD FAILURES'} "

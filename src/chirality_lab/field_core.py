@@ -14,7 +14,6 @@ import numpy as np
 
 __all__ = [
     "Grid2",
-    "qnorm",
     "left_i",
     "right_i",
     "left_j",
@@ -66,16 +65,11 @@ class Grid2:
 
 
 # ---------------------------------------------------------------------------
-# the packed (..., 4) table: magnitude, unit shuffles and the pair packing
+# the packed (..., 4) table: unit shuffles and the pair packing
 # ---------------------------------------------------------------------------
 
 # perfbench reports this setting; the kernels are numpy only
 HAVE_COMPILED_KERNELS = False
-
-
-def qnorm(a):
-    a = np.asarray(a, dtype=np.float64)
-    return np.sqrt(np.sum(a * a, axis=-1))
 
 
 def left_i(a):

@@ -34,7 +34,6 @@ __all__ = [
     "jms_solution_gradient",
     "jms_residual_study",
     "jms_norm_divergence",
-    "grad_u_coefficient_l2",
 ]
 
 
@@ -367,12 +366,3 @@ def jms_norm_divergence(params, p_values=(1.0, 1.5), deltas=None):
         table.append(entry)
     return table
 
-
-def grad_u_coefficient_l2(params):
-    """Radial quadrature of the squared coefficient-gradient bound
-    (1 / (r log(r0/r)))^2 over the unit ball: finite, = 2 pi / log(r0).
-    Computed in the log variable t = log(r0/r), where it is 2 pi t^-2."""
-    val, _ = integrate.quad(
-        lambda t: 2 * np.pi * t**-2, np.log(params.r0), np.inf, limit=200
-    )
-    return val

@@ -444,7 +444,7 @@ def chi_potential(plan, p, precondition_tol=1e-6):
 
 def absorbed_residual(plan, p, chi, gamma1, g_pair):
     """Residual of d1(PG) - d2(P i G) = 2 P (-i d_L chi + Gamma1) G;
-    returns (residual, right side, P G, P i G)."""
+    returns (residual, right side, P G)."""
     pg = qp_matvec(p, g_pair)
     ig = (1j * g_pair[0], 1j * g_pair[1])
     pig = qp_matvec(p, ig)
@@ -455,7 +455,7 @@ def absorbed_residual(plan, p, chi, gamma1, g_pair):
     rhs_inner = qp_matvec(m_tot, g_pair)
     rhs = qp_matvec(p, rhs_inner)
     rhs = (2.0 * rhs[0], 2.0 * rhs[1])
-    return l2_norm(plan.grid, lhs[0] - rhs[0], lhs[1] - rhs[1]), rhs, pg, pig
+    return l2_norm(plan.grid, lhs[0] - rhs[0], lhs[1] - rhs[1]), rhs, pg
 
 
 def p_contraction_chain(plan, p, chi, gamma1, g_pair):
@@ -472,7 +472,7 @@ def p_contraction_chain(plan, p, chi, gamma1, g_pair):
     which is below one exactly when the chain contracts at this scale; it
     is NaN (and the record degenerate) for zero data.
     """
-    res, rhs, pg, _ = absorbed_residual(plan, p, chi, gamma1, g_pair)
+    res, rhs, pg = absorbed_residual(plan, p, chi, gamma1, g_pair)
     if _sup(pg) == 0.0:
         return {"degenerate": True, "factor": np.nan, "b_converged": False,
                 "b_iterations": 0, "absorbed_residual": res}

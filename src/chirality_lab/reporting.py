@@ -2,9 +2,10 @@
 
 Reports serialize as JSON with the schema
 {experiment, config, anchors, metrics: [{name, value, threshold, pass}],
-wall_ms} plus one CSV row per metric.  All writes are atomic (temp file +
-rename).  wall_ms is the only volatile field; canonical_json() omits it so
-byte-level determinism can be checked.
+wall_ms} plus one CSV row per metric.  Every metric is a gate: threshold
+is always a number and pass always a boolean.  All writes are atomic
+(temp file + rename).  wall_ms is the only volatile field; canonical_json()
+omits it so byte-level determinism can be checked.
 """
 
 import json
@@ -156,13 +157,15 @@ def worst_of(values, higher_is_better=False):
 class Metric:
     name: str
     value: float
-    threshold: float | None = None
+    threshold: float
     higher_is_better: bool = False
+
+    def __post_init__(self):
+        if self.threshold is None:
+            raise TypeError(f"metric {self.name!r} needs a threshold")
 
     @property
     def passed(self):
-        if self.threshold is None:
-            return None
         if not np.isfinite(self.value):
             return False
         if self.higher_is_better:
@@ -172,7 +175,7 @@ class Metric:
     def as_dict(self):
         return {
             "name": self.name,
-            "value": None if self.value is None else float(self.value),
+            "value": float(self.value),
             "threshold": self.threshold,
             "pass": self.passed,
         }
@@ -186,12 +189,12 @@ class RunReport:
     metrics: list = field(default_factory=list)
     wall_ms: float = 0.0
 
-    def add(self, name, value, threshold=None, higher_is_better=False):
+    def add(self, name, value, threshold, higher_is_better=False):
         self.metrics.append(Metric(name, value, threshold, higher_is_better))
 
     @property
     def all_passed(self):
-        return all(m.passed is not False for m in self.metrics)
+        return all(m.passed for m in self.metrics)
 
     def payload(self, include_wall=True):
         data = {
@@ -225,8 +228,6 @@ class RunReport:
 
 
 def _fmt(v):
-    if v is None:
-        return ""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, np.integer):

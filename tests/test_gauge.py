@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from chirality_lab.compensation import PreconditionError
-from chirality_lab.field_core import Grid2, complex_pair_to_quat, qnorm
+from chirality_lab.field_core import Grid2, complex_pair_to_quat
 from chirality_lab.gauge import (
     GaugeConfig,
     GaugeDivergence,
@@ -39,7 +39,9 @@ def pure_field(plan, rng, grad_norm, kmax=3):
     for c in range(1, 4):
         u[..., c] = random_band_limited(plan, rng, kmax=kmax, rms=1.0)
     gx, gy = plan.dx(u), plan.dy(u)
-    g = np.sqrt(np.sum(qnorm(gx) ** 2 + qnorm(gy) ** 2) * plan.grid.cell_measure)
+    g = np.sqrt(
+        np.sum(pointwise_abs(gx) ** 2 + pointwise_abs(gy) ** 2) * plan.grid.cell_measure
+    )
     u *= grad_norm / g
     return u
 

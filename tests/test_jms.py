@@ -3,7 +3,6 @@ import pytest
 
 from chirality_lab.jms import (
     JmsParams,
-    grad_u_coefficient_l2,
     gradient_l1_limit,
     gradient_lp_annulus,
     jms_alpha,
@@ -209,8 +208,3 @@ def test_larger_beta_converges_faster():
         limit = gradient_l1_limit(p)
         rel.append(abs(vals[-1] - limit) / limit)
     assert rel[1] < rel[0]
-
-
-def test_coefficient_gradient_l2_finite(params):
-    val = grad_u_coefficient_l2(params)
-    assert val == pytest.approx(2 * np.pi / np.log(params.r0), rel=1e-6)
