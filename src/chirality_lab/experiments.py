@@ -107,11 +107,11 @@ def _write_trials_csv(path, recs):
 
 def _add_trial_gates(report, path, recs):
     """A stalled, errored or B-unconverged trial of a path fails its gate."""
-    report.add(f"{path}_stalled_trials", float(sum(r["stalled"] for r in recs)), 0)
-    report.add(f"{path}_errored_trials", float(sum("error" in r for r in recs)), 0)
+    report.add(f"{path}_stalled_trials", float(sum(r["stalled"] for r in recs)), 0.0)
+    report.add(f"{path}_errored_trials", float(sum("error" in r for r in recs)), 0.0)
     report.add(
         f"{path}_b_unconverged_trials",
-        float(sum(not r["b_converged"] for r in recs)), 0,
+        float(sum(not r["b_converged"] for r in recs)), 0.0,
     )
 
 
@@ -403,7 +403,7 @@ def gauge_sweep(config):
         for eps in eps_values
     ]
     report.add("max_residual", worst_of(r["residual"] for r in recs), 1e-8)
-    report.add("max_continuation_steps", worst_of(r["steps"] for r in recs), 64)
+    report.add("max_continuation_steps", worst_of(r["steps"] for r in recs), 64.0)
     _add_trial_gates(report, "quaternion", recs)
     report.add(
         "linearization_order", _linearization_order(plan, config.seed + 3), 1.9,

@@ -92,11 +92,11 @@ def linearization_order(plan, u, ts=(0.1, 0.05, 0.025)):
     """Measured order of || N(exp(t u)) - t L1(u) || in t (expected 2) for a
     pure-quaternion table u; L1(u) = (Lap u_i, 2 d_zbar(u_j + i u_k))."""
     x, y = _matrices(u)
-    lv, lt = plan.laplacian(x), 2.0 * plan.d_zbar(y)
+    lv_hat, lt = plan.spectrum(plan.laplacian(x)), 2.0 * plan.d_zbar(y)
     vals = []
     for t in ts:
-        (nv, nt), _ = pn_apply(plan, qp_exp_asd((t * x, t * y)), check=False)
-        ri, rjk, rmean = _residual_norms(plan, nv - t * lv, nt - t * lt)
+        (nv_hat, nt), _ = pn_apply(plan, qp_exp_asd((t * x, t * y)), check=False)
+        ri, rjk, rmean = _residual_norms(plan, nv_hat - t * lv_hat, nt - t * lt)
         vals.append(ri + rjk + rmean)
     fit = np.polyfit(np.log(ts), np.log(vals), 1)
     return float(fit[0]), vals

@@ -11,18 +11,20 @@ the group of quaternion matrices with conj(P)^t P = I.  The complex
 embedding [[X, Y], [-conj(Y), conj(X)]] is multiplication-compatible, so
 at d >= 2 a product is one batched matmul, [X1, Y1] times the embedding
 of M2, whose result is [X, Y] side by side; at d = 1 the formula above
-stays, as four einsums.  The embedding sends anti-self-dual matrices to
-skew-Hermitian ones, which gives a vectorized exponential via eigh, and
-the Cayley transform (I - u/2)^-1 (I + u/2), the group-preserving
-retraction of Lie-group integrators (Iserles, Munthe-Kaas, Norsett &
-Zanna, Acta Numerica 2000), as one batched solve.  At d = 1 the matrices
-are quaternions and both maps have closed forms.
+stays, as four einsums.  Products that reuse one left factor build its row
+[X1, Y1] once (qp_row_matmul).  The embedding sends anti-self-dual
+matrices to skew-Hermitian ones, which gives a vectorized exponential via
+eigh, and the Cayley transform (I - u/2)^-1 (I + u/2), the
+group-preserving retraction of Lie-group integrators (Iserles,
+Munthe-Kaas, Norsett & Zanna, Acta Numerica 2000), as one batched solve.
+At d = 1 the matrices are quaternions and both maps have closed forms.
 """
 
 import numpy as np
 
 __all__ = [
     "qp_matmul",
+    "qp_row_matmul",
     "qp_matvec",
     "qp_conj_t",
     "qp_dagger_defect",
@@ -36,12 +38,27 @@ __all__ = [
 
 def qp_matmul(m1, m2):
     x1, y1 = m1
-    dim = x1.shape[-1]
-    if dim > 1:
-        # the top block row of the complex embedding of M1 M2
-        xy = np.concatenate((x1, y1), axis=-1) @ _embed(m2)
-        return xy[..., :dim], xy[..., dim:]
-    x2, y2 = m2
+    if x1.shape[-1] > 1:
+        return qp_row_matmul(np.concatenate((x1, y1), axis=-1), m2)
+    return _einsum_matmul(m1, m2)
+
+
+def qp_row_matmul(row, m2):
+    """M1 M2 for M1 given by the top block row [X1 | Y1] of its complex
+    embedding, so that products that reuse one M1 build its row once.  M1
+    may have any number of rows and M2 any number of columns.  When M2 has
+    d >= 2 rows, one batched matmul with the embedding of M2, whose result
+    is the top block row of the product; at d = 1 the einsum formula on the
+    two halves of the row."""
+    if m2[0].shape[-2] == 1:
+        return _einsum_matmul((row[..., :1], row[..., 1:]), m2)
+    cols = m2[0].shape[-1]
+    xy = row @ _embed(m2)
+    return xy[..., :cols], xy[..., cols:]
+
+
+def _einsum_matmul(m1, m2):
+    (x1, y1), (x2, y2) = m1, m2
     x = np.einsum("...ij,...jk->...ik", x1, x2) - np.einsum(
         "...ij,...jk->...ik", y1, np.conj(y2)
     )
@@ -56,8 +73,10 @@ def qp_matvec(m, v):
     v1, v2 = v
     if x.shape[-1] > 1:
         # a vector is a one-column matrix
-        out = np.concatenate((x, y), axis=-1) @ _embed((v1[..., None], v2[..., None]))
-        return out[..., 0], out[..., 1]
+        out = qp_row_matmul(
+            np.concatenate((x, y), axis=-1), (v1[..., None], v2[..., None])
+        )
+        return out[0][..., 0], out[1][..., 0]
     out1 = np.einsum("...ij,...j->...i", x, v1) - np.einsum(
         "...ij,...j->...i", y, np.conj(v2)
     )

@@ -22,6 +22,7 @@ __all__ = [
     "lorentz_weak_l2",
     "lorentz_l21",
     "sobolev_neg_1_2",
+    "spectral_neg_1_2",
     "morrey_profile",
     "MorreyFit",
     "pointwise_abs",
@@ -129,9 +130,10 @@ def sobolev_neg_1_2(plan, f):
     The zero mode is the torus proxy for homogeneity; inputs must be
     mean-zero, otherwise the value would silently depend on the dropped mode.
     Trailing component axes are contracted as in ``pointwise_abs``, all in one
-    batched transform.  A complex table a + ib counts as the pair (a, b):
-    for real a, b and the even weight |k|^-2 the cross terms at k and -k
-    cancel, so ||a + ib||^2 = ||a||^2 + ||b||^2.
+    batched transform: the half spectrum of a real table, the full spectrum
+    of a complex one (see ``spectral_neg_1_2``).  A complex table a + ib
+    counts as the pair (a, b): for real a, b and the even weight |k|^-2 the
+    cross terms at k and -k cancel, so ||a + ib||^2 = ||a||^2 + ||b||^2.
     """
     f = np.asarray(f)
     l2 = l2_norm(plan.grid, f)
@@ -141,11 +143,25 @@ def sobolev_neg_1_2(plan, f):
             f"sobolev_neg_1_2 needs a mean-zero field (|mean|={mean:.3e}); "
             "subtract the mean first"
         )
-    power = np.abs(plan.fourier_coefficients(f)) ** 2
+    return spectral_neg_1_2(plan, plan.spectrum(f))
+
+
+def spectral_neg_1_2(plan, F):
+    """|| |k|^-1 f_hat || of f from its spectrum F = plan.spectrum(f), zero
+    mode dropped (so F needs no mean projection); trailing axes contract.
+
+    F is a full spectrum, or the rfft2 half spectrum of a real table, whose
+    columns 1..n - cols stand for two modes each, k and -k: the same sum
+    with those columns counted twice.
+    """
+    n = plan.grid.n
+    cols = F.shape[1]
+    weight = -plan.multipliers(2).inv_lap[:, :cols]
+    weight[:, 1 : n - cols + 1] *= 2.0
+    power = F.real**2 + F.imag**2
     if power.ndim > 2:
         power = power.reshape(power.shape[:2] + (-1,)).sum(axis=-1)
-    nz = plan.k2abs > 0
-    return float(np.sqrt(np.sum(power[nz] / plan.k2abs[nz]) * plan.grid.area))
+    return float(np.sqrt(np.sum(weight * power) * plan.grid.area) / n**2)
 
 
 @dataclass

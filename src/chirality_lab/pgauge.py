@@ -32,10 +32,22 @@ closed form (a Laplace solve for the 1i-line, a d_zbar solve for the
 jk-plane); the Newton solve iterates it against the commutator terms of
 the frozen connection, which the residual evaluation hands over.  The
 connection and the iterate are both anti-self-dual, so each commutator
-[A, u] is A u - (A u)^dagger, one product.  The evaluation of a field, N(P)
+[A, u] is A u - (A u)^dagger, and the two blocks of the connection,
+stacked, take one product together.  The evaluation of a field, N(P)
 with its connection, does not depend on t: an accepted field's evaluation
 is handed to the next level and to the result, and P = I, where both
 vanish, needs none.
+
+The Newton step stays in Fourier space between its pointwise products,
+through the spectrum level of SpectralPlan (batched transforms of tables
+stacked on a leading axis, and the multipliers).  An evaluation takes
+grad P with one forward transform of (X, Y) and one inverse of the four
+derivatives, and keeps the 1i-part of N as a spectrum: it is used only
+through its H^-1 norm and as the Newton right side.  Each inner iteration
+makes one batched forward transform of the commutator terms and one
+batched inverse of the new iterate, and the step is dealiased on the last
+iterate's spectrum.  The result's theta reads ||grad P||_2 from the held
+connection, since P acts isometrically: ||grad P||_2 = ||P^-1 grad P||_2.
 
 Torus bookkeeping: the 1i-line component of N is a divergence and has zero
 mean structurally, so targets must be mean-zero there.  The jk-plane mean
@@ -61,13 +73,14 @@ from chirality_lab.hyperunitary import (
     qp_dagger_defect,
     qp_matmul,
     qp_matvec,
+    qp_row_matmul,
 )
 from chirality_lab.norms import (
     l2_norm,
     lorentz_l21,
     lorentz_weak_l2,
     pointwise_abs,
-    sobolev_neg_1_2,
+    spectral_neg_1_2,
 )
 
 __all__ = [
@@ -160,22 +173,24 @@ def _unitarity_defect(p):
     )
 
 
+def _gradient_of_spectra(plan, f_hat):
+    """Values of the d1 and then the d2 derivatives of the k tables whose
+    spectra f_hat are stacked on the leading axis, as 2k stacked tables; one
+    batched inverse transform."""
+    sym = plan.multipliers(f_hat.ndim - 1)
+    k = len(f_hat)
+    g = np.empty((2 * k,) + f_hat.shape[1:], dtype=complex)
+    np.multiply(f_hat, sym.d1, out=g[:k])
+    np.multiply(f_hat, sym.d2, out=g[k:])
+    return plan.inverse(g, out=g)
+
+
 def _grad_pair(plan, m):
-    """Gradient of a complex-pair table as (d1 pair, d2 pair)."""
-    (x1, x2), (y1, y2) = plan.grad(m[0]), plan.grad(m[1])
-    return (x1, y1), (x2, y2)
-
-
-def _grad_l2(plan, p):
-    gx, gy = _grad_pair(plan, p)
-    return l2_norm(plan.grid, *gx, *gy)
-
-
-def _sup(u, v=None):
-    """Sup norm of the pair u, or of u - v."""
-    if v is not None:
-        u = (u[0] - v[0], u[1] - v[1])
-    return max(float(np.max(np.abs(u[0]))), float(np.max(np.abs(u[1]))))
+    """Gradient of a complex-pair table as (d1 pair, d2 pair): one forward
+    transform of (X, Y) and one inverse of the four derivatives."""
+    w = np.stack(m)
+    g = _gradient_of_spectra(plan, plan.forward(w, out=w))
+    return (g[0], g[1]), (g[2], g[3])
 
 
 def p_connection(plan, p):
@@ -189,73 +204,129 @@ def _jk_of(x1, x2):
     return x1[1] + 1j * x2[1]
 
 
+def _div_of_spectra(sym, a1_hat, a2_hat):
+    """Spectrum of d1 a1 + d2 a2 from the spectra of a1 and a2."""
+    div = sym.d1 * a1_hat
+    div += sym.d2 * a2_hat
+    return div
+
+
 def pn_apply(plan, p, check=True):
-    """N(P) as (complex skew-Hermitian table V, complex symmetric table T),
-    and the connection (X1, X2) = P^-1 grad P it was computed from."""
+    """N(P) and the connection (X1, X2) = P^-1 grad P it was computed from.
+
+    N(P) comes as (spectrum of the complex skew-Hermitian table V, complex
+    symmetric table T): V, the divergence of the connection's 1i-line, is
+    used only through its H^-1 norm and as the Newton right side, so it
+    stays a spectrum."""
     if check:
         defect = _unitarity_defect(p)
         if defect > 1e-9:
             raise ValueError(f"field is not hyper-unitary (defect {defect:.3e})")
     x1, x2 = p_connection(plan, p)
-    return (plan.div(x1[0], x2[0]), _jk_of(x1, x2)), (x1, x2)
+    w = np.stack((x1[0], x2[0]))
+    plan.forward(w, out=w)
+    nv_hat = _div_of_spectra(plan.multipliers(w.ndim - 1), w[0], w[1])
+    return (nv_hat, _jk_of(x1, x2)), (x1, x2)
 
 
-def pl1_solve(plan, v_rhs, t_rhs):
-    """Invert the base linearization: Lap X_u = V, 2 d_zbar Y_u = T."""
-    return plan.inv_laplacian(v_rhs), plan.cauchy_solve(0.5 * t_rhs)
+def pl1_solve(plan, v_hat, t_hat):
+    """Invert the base linearization on spectra, Lap X_u = V and
+    2 d_zbar Y_u = T; the zero modes are dropped, which projects out the
+    means.  Returns the spectra of X_u and Y_u stacked on a leading axis."""
+    sym = plan.multipliers(v_hat.ndim)
+    out = np.empty((2,) + v_hat.shape, dtype=complex)
+    np.multiply(v_hat, sym.inv_lap, out=out[0])
+    np.multiply(t_hat, sym.inv_dzbar, out=out[1])
+    out[1] *= 0.5
+    return out
 
 
-def _asd_commutator(a, b):
-    """[A, B] = A B - (A B)^dagger, exact when A and B are both
-    anti-self-dual, since then (A B)^dagger = B A."""
-    ab = qp_matmul(a, b)
-    ab_t = qp_conj_t(ab)
-    return ab[0] - ab_t[0], ab[1] - ab_t[1]
+def _stacked_rows(*ms):
+    """Top block row [X | Y] of the complex embedding of the d x d
+    quaternion matrices ms stacked on top of each other."""
+    return np.concatenate(
+        (np.concatenate([m[0] for m in ms], axis=-2),
+         np.concatenate([m[1] for m in ms], axis=-2)),
+        axis=-1,
+    )
 
 
-def _perturbation(plan, x1, x2, u):
-    """L_P(u) - L_I(u): commutator terms of the frozen connection (x1, x2),
-    which is anti-self-dual like u, so each takes one product."""
-    c1 = _asd_commutator(x1, u)
-    c2 = _asd_commutator(x2, u)
-    return plan.div(c1[0], c2[0]), _jk_of(c1, c2)
+def _asd_commutators(a_rows, b):
+    """Yields [A_l, B] = A_l B - (A_l B)^dagger for the matrices A_l whose
+    stacked rows are a_rows (_stacked_rows), in order: one product for all
+    of them, and exact when every A_l and B are anti-self-dual, since then
+    (A_l B)^dagger = B A_l."""
+    x, y = qp_row_matmul(a_rows, b)
+    d = b[0].shape[-1]
+    for k in range(0, x.shape[-2], d):
+        xl, yl = x[..., k : k + d, :], y[..., k : k + d, :]
+        yield xl - np.conj(np.swapaxes(xl, -1, -2)), yl + np.swapaxes(yl, -1, -2)
 
 
-def _residual_norms(plan, v, t):
-    """(negative-Sobolev norm of the 1i-part, L2 of the oscillatory jk-part,
-    L2 carried by the jk mean); the matrix axes are contracted."""
-    v0 = v - v.mean(axis=(0, 1))
+def _perturbation_spectra(plan, conn_rows, u, out):
+    """Spectra of L_P(u) - L_I(u), the commutator terms of the frozen
+    connection (x1, x2), given by its stacked rows; it is anti-self-dual like
+    u, so both take one product.  out, three tables stacked on its leading
+    axis, receives the 1i-parts of [x1, u] and [x2, u] and the jk-part of
+    the pair and takes one batched forward transform; returns the spectra of
+    the div term and of the jk term, the latter a view of out."""
+    commutators = _asd_commutators(conn_rows, u)
+    out[0], out[2] = next(commutators)
+    c = next(commutators)
+    out[1] = c[0]
+    out[2] += 1j * c[1]
+    del c, commutators
+    plan.forward(out, out=out)
+    return _div_of_spectra(plan.multipliers(out.ndim - 1), out[0], out[1]), out[2]
+
+
+def _residual_norms(plan, v_hat, t):
+    """(negative-Sobolev norm of the 1i-part, given as a spectrum, L2 of the
+    oscillatory jk-part, L2 carried by the jk mean); the matrix axes are
+    contracted."""
     t_mean = t.mean(axis=(0, 1))
     mean_l2 = float(np.sqrt(np.sum(np.abs(t_mean) ** 2)) * plan.grid.length)
-    return sobolev_neg_1_2(plan, v0), l2_norm(plan.grid, t - t_mean), mean_l2
+    return spectral_neg_1_2(plan, v_hat), l2_norm(plan.grid, t - t_mean), mean_l2
 
 
-def _projected_solve(plan, x1, x2, v_rhs, t_rhs, tol, max_iter):
-    """Solve the mean-projected L_P(u) = (V, T) for the connection (x1, x2)
-    of P by the stationary iteration u <- L_I^-1(rhs - pert(u)), which
-    converges geometrically while the connection is small.
+def _projected_solve(plan, conn_rows, v_hat, t_hat, tol, max_iter):
+    """Solve the mean-projected L_P(u) = (V, T), given as spectra, for the
+    connection (x1, x2) of P, given as _stacked_rows(x1, x2), by the
+    stationary iteration u <- L_I^-1(rhs - pert(u)), which converges
+    geometrically while the connection is small.
 
+    The iteration runs in Fourier space between its pointwise products:
+    each step forms the commutator terms in one batched forward transform,
+    the new iterate's spectrum as L_I^-1 of the right side minus their
+    div/jk parts, and both parts of u in one batched inverse transform, for
+    the next products and the sup-norm test against the right side's values.
     The jk-plane mean is a harmonic sector reachable only at second order
-    in the connection, so the solve projects it out; the outer Newton flow
-    carries the mean along and closes it at the end of the continuation.
-    Returns (u, iterations); raises GaugeDivergence when the iteration
-    stops contracting.
+    in the connection, so the solve projects it out (the zero modes of
+    L_I^-1); the outer Newton flow carries the mean along and closes it at
+    the end of the continuation.  Returns (u, the spectra of u's two parts
+    stacked on a leading axis, iterations); raises GaugeDivergence when the
+    iteration stops contracting.
     """
-    u = np.zeros(v_rhs.shape, dtype=complex), np.zeros(v_rhs.shape, dtype=complex)
-    scale = max(np.abs(v_rhs).max(), np.abs(t_rhs).max(), 1e-300)
+    rhs = np.stack((v_hat, t_hat))
+    scale = max(float(np.max(np.abs(plan.inverse(rhs, out=rhs)))), 1e-300)
+    del rhs
+    work = np.empty((3,) + v_hat.shape, dtype=complex)
+    u = np.zeros((2,) + v_hat.shape, dtype=complex)
     # the perturbation of the zero start vanishes
-    rv, rt = v_rhs, t_rhs
+    rv, rt = v_hat, t_hat
     prev = np.inf
     bad = 0
     for it in range(max_iter):
         if it:
-            pv, pt = _perturbation(plan, x1, x2, u)
-            rv, rt = v_rhs - pv, t_rhs - pt
-        u_new = pl1_solve(plan, rv - rv.mean(axis=(0, 1)), rt)
-        change = _sup(u_new, u)
+            rv, rt = _perturbation_spectra(plan, conn_rows, (u[0], u[1]), work)
+            np.subtract(v_hat, rv, out=rv)
+            np.subtract(t_hat, rt, out=rt)
+        u_hat = pl1_solve(plan, rv, rt)
+        u_new = plan.inverse(u_hat)
+        change = float(np.max(np.abs(u_new - u)))
         u = u_new
-        if change < tol * max(scale, _sup(u)):
-            return u, it + 1
+        if change < tol * max(scale, float(np.max(np.abs(u)))):
+            return (u[0], u[1]), u_hat, it + 1
         ratio = change / max(prev, 1e-300)
         if change > prev * 1.0001:
             bad += 1
@@ -292,9 +363,9 @@ def p_gauge_solve(plan, v_target, t_target, config=None):
     v_scale = max(float(np.max(np.abs(v_target))), 1e-300)
     if np.max(np.abs(v_mean)) > 1e-10 * v_scale:
         raise ValueError("the 1i-line target must be mean-zero on the torus")
-    target_size = sobolev_neg_1_2(plan, v_target - v_mean) + l2_norm(
-        plan.grid, t_target
-    )
+    # the 1i-line enters the residual as a spectrum, as N's does
+    v_hat = plan.spectrum(v_target)
+    target_size = spectral_neg_1_2(plan, v_hat) + l2_norm(plan.grid, t_target)
     if target_size > cfg.eps0:
         raise ValueError(f"target norm {target_size:.3e} exceeds eps0 = {cfg.eps0}")
 
@@ -311,16 +382,21 @@ def p_gauge_solve(plan, v_target, t_target, config=None):
     def level_residual(ev_now, t_now):
         """Residual tables (rv, rt) of an evaluation at level t_now, and the
         norms (oscillatory, 1i-part, jk-part, jk-mean)."""
-        (nv, nt), _ = ev_now
-        rv = t_now * v_target - nv
-        rt = t_now * t_target - nt
-        ri, rjk, rmean = _residual_norms(plan, rv, rt)
-        return (rv, rt), (ri + rjk, ri, rjk, rmean)
+        (nv_hat, nt), _ = ev_now
+        rv_hat = t_now * v_hat
+        rv_hat -= nv_hat
+        rt = t_now * t_target
+        rt -= nt
+        ri, rjk, rmean = _residual_norms(plan, rv_hat, rt)
+        return (rv_hat, rt), (ri + rjk, ri, rjk, rmean)
 
     def finish(t_now):
         ev_p = pn_apply(plan, p, check=False) if ev is None else ev
         _, (_, ri, rjk, rmean) = level_residual(ev_p, t_now)
-        theta = _grad_l2(plan, p) / target_size if target_size > 0 else 0.0
+        # P acts isometrically, so ||grad P||_2 = ||P^-1 grad P||_2
+        x1, x2 = ev_p[1]
+        grad_l2 = l2_norm(plan.grid, *x1, *x2)
+        theta = grad_l2 / target_size if target_size > 0 else 0.0
         steps = sum(accepted for _, _, accepted in levels)
         return PGaugeResult(
             p, ri + rjk + rmean, ri, rjk, rmean, theta, steps, t_now, tuple(levels)
@@ -349,12 +425,15 @@ def p_gauge_solve(plan, v_target, t_target, config=None):
         the line search accepted with its oscillatory and jk-mean residuals,
         and leaves that field's evaluation in ev.
 
-        Memory: each Newton step releases N before its inner solve and the
-        connection before its line search, so while a trial is evaluated no
-        table of the field the step started from is alive (N, the connection
-        and the residual are eight (n, n, d, d) tables).  A rejected level
-        therefore leaves ev released, and its retry evaluates the start field
-        again."""
+        Memory: each Newton step releases N and the connection before its
+        inner solve, which holds the connection as its stacked rows, and
+        releases those before its line search, so while a trial is evaluated
+        no table of the field the step started from is alive (N, the
+        connection and the residual are eight (n, n, d, d) tables).  The
+        residual's jk-part becomes the solve's right side in place, and the
+        step is dealiased and transformed back in place.  A rejected level
+        therefore leaves ev released, and its retry evaluates the start
+        field again."""
         nonlocal ev
         if ev is None:
             ev = pn_apply(plan, p, check=False)
@@ -362,15 +441,22 @@ def p_gauge_solve(plan, v_target, t_target, config=None):
         for _ in range(MAX_NEWTON):
             if level_converged(res, rmean, t_now, dt_now):
                 break
-            conn, ev = ev[1], None
+            conn, ev = _stacked_rows(*ev[1]), None
+            rv_hat, rt = r
+            del r
             try:
-                u, _ = _projected_solve(
-                    plan, *conn, *r, 1e-3 * res / max(target_size, 1e-300), MAX_INNER
+                _, u_hat, _ = _projected_solve(
+                    plan, conn, rv_hat, plan.forward(rt[None], out=rt[None])[0],
+                    1e-3 * res / max(target_size, 1e-300), MAX_INNER,
                 )
             except GaugeDivergence:
                 break
-            u = plan.dealias(u[0]), plan.dealias(u[1])
-            del r, conn
+            del rv_hat, rt, conn
+            # dealias the step: product tails must not compound
+            u_hat *= plan.multipliers(u_hat.ndim - 1).keep
+            u = plan.inverse(u_hat, out=u_hat)
+            u = u[0], u[1]
+            del u_hat
             s = 1.0
             while s >= MIN_STEP_FRACTION:
                 p_try = qp_matmul(p, qp_cayley_asd((s * u[0], s * u[1])))
@@ -385,7 +471,7 @@ def p_gauge_solve(plan, v_target, t_target, config=None):
                 s *= 0.5
             else:
                 break
-            del ev_try
+            del ev_try, u
         return p, res, rmean
 
     while t < 1.0 - 1e-12:
@@ -465,7 +551,9 @@ def p_contraction_chain(plan, p, chi, gamma1, g_pair):
     field P G satisfies d1[P G] - d2[P i G] = 2 P (-i d_L chi + Gamma1) G.
     A is the mean-zero potential of that right side; B closes the
     divergence-free remainder through Lap B = -div(w (grad A + grad_perp B)),
-    w = P i P^-1, solved by fixed point.  The returned factor is
+    w = P i P^-1, solved by fixed point in Fourier space: per iteration one
+    forward transform of w (grad A + grad_perp B) and one inverse of B with
+    its gradient.  The returned factor is
 
         (||grad A||_{2,inf} + ||grad B||_{2,inf}) / ||P G||_{2,inf}
 
@@ -473,32 +561,59 @@ def p_contraction_chain(plan, p, chi, gamma1, g_pair):
     is NaN (and the record degenerate) for zero data.
     """
     res, rhs, pg = absorbed_residual(plan, p, chi, gamma1, g_pair)
-    if _sup(pg) == 0.0:
+    if not (pg[0].any() or pg[1].any()):
         return {"degenerate": True, "factor": np.nan, "b_converged": False,
                 "b_iterations": 0, "absorbed_residual": res}
     grid = plan.grid
-    # P i = (i X, -i Y), the right-i rule of _jk_of
-    w = qp_matmul((1j * p[0], -1j * p[1]), qp_conj_t(p))
-    ax, ay = _grad_pair(plan, (plan.inv_laplacian(rhs[0]), plan.inv_laplacian(rhs[1])))
-    b = np.zeros_like(rhs[0]), np.zeros_like(rhs[1])
-    # grad A + grad_perp B, at the zero start B = 0
-    gx, gy = ax, ay
+    sym = plan.multipliers(rhs[0].ndim)
+    # P i = (i X, -i Y), the right-i rule of _jk_of; the top row [X | Y] of
+    # w's complex embedding is built once for all its products
+    w_row = np.concatenate(
+        qp_matmul((1j * p[0], -1j * p[1]), qp_conj_t(p)), axis=-1
+    )
+    # grad A from the spectrum of A; a gradient of the pair (X, Y) is the
+    # stack (d1 X, d1 Y, d2 X, d2 Y)
+    a_hat = np.stack(rhs)
+    plan.forward(a_hat, out=a_hat)
+    a_hat *= sym.inv_lap
+    grad_a = _gradient_of_spectra(plan, a_hat)
+    del a_hat
+    b = np.zeros_like(grad_a[:2])
+    # the directions of grad A + grad_perp B, at the zero start B = 0
+    g = grad_a[:2], grad_a[2:]
     converged = False
     for it in range(B_MAX_ITER):
-        t1 = qp_matvec(w, gx)
-        t2 = qp_matvec(w, gy)
-        b_new = tuple(plan.inv_laplacian(-plan.div(u1, u2)) for u1, u2 in zip(t1, t2))
-        change = _sup(b_new, b)
-        b = b_new
-        bx, by = _grad_pair(plan, b)
-        if change < B_TOL * max(_sup(b), 1e-300):
+        # w (grad A + grad_perp B) as one product with the two directions
+        # as columns, then B = -inv_lap div of it: the four tables take one
+        # forward transform, and B with its gradient one inverse
+        columns = np.stack((g[0][0], g[1][0]), -1), np.stack((g[0][1], g[1][1]), -1)
+        del g
+        x, y = qp_row_matmul(w_row, columns)
+        del columns
+        wg = np.empty_like(grad_a)
+        wg[0::2] = np.moveaxis(x, -1, 0)
+        wg[1::2] = np.moveaxis(y, -1, 0)
+        del x, y
+        plan.forward(wg, out=wg)
+        bg = np.empty((6,) + b.shape[1:], dtype=complex)  # B, then its gradient
+        b_hat = bg[:2]
+        np.multiply(wg[:2], sym.d1, out=b_hat)
+        b_hat += sym.d2 * wg[2:]
+        del wg
+        b_hat *= -sym.inv_lap
+        np.multiply(b_hat, sym.d1, out=bg[2:4])
+        np.multiply(b_hat, sym.d2, out=bg[4:])
+        plan.inverse(bg, out=bg)
+        change = float(np.max(np.abs(bg[:2] - b)))
+        b, grad_b = bg[:2], bg[2:]
+        if change < B_TOL * max(float(np.max(np.abs(b))), 1e-300):
             converged = True
             break
-        gx = ax[0] - by[0], ax[1] - by[1]
-        gy = ay[0] + bx[0], ay[1] + bx[1]
+        # the next directions (d1 A - d2 B, d2 A + d1 B)
+        g = grad_a[:2] - grad_b[2:], grad_a[2:] + grad_b[:2]
     weak_pg = lorentz_weak_l2(grid, pointwise_abs(*pg))
-    weak_a = lorentz_weak_l2(grid, pointwise_abs(*ax, *ay))
-    weak_b = lorentz_weak_l2(grid, pointwise_abs(*bx, *by))
+    weak_a = lorentz_weak_l2(grid, pointwise_abs(*grad_a))
+    weak_b = lorentz_weak_l2(grid, pointwise_abs(*grad_b))
     return {
         "degenerate": False,
         "factor": float((weak_a + weak_b) / max(weak_pg, 1e-300)),

@@ -10,7 +10,9 @@ written: no bytecode is cached there.
 import importlib
 import os
 import sys
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from chirality_lab import pgauge
@@ -62,3 +64,35 @@ def test_matrix_chain_operation_evaluates_each_field_once(workloads, monkeypatch
     monkeypatch.setattr(pgauge, "pn_apply", counted)
     workload.run(plan, instances[0])
     assert len(calls) == 6
+
+
+# the numpy.fft entry points that perfbench/run.py --trace 1 counts
+FFT_ENTRY_POINTS = (
+    "fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
+    "rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft",
+)
+
+
+def test_matrix_chain_operation_keeps_its_inner_work(workloads, monkeypatch):
+    # pgauge.inner_iterations and spectral_ops.fft_calls of the traced run:
+    # one pl1_solve per inner iteration of the six Newton steps, and the
+    # FFT calls of the whole chain.  The Fourier-space Newton step takes one
+    # batched transform each way per inner iteration and 99 FFT calls per
+    # operation; with seven separate transforms per inner iteration the
+    # operation took 323
+    workload = workloads["matrix-chain"]
+    plan, instances = workload.setup(1)
+    counts = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(pgauge, "pl1_solve", counting("pl1_solve", pgauge.pl1_solve))
+    for name in FFT_ENTRY_POINTS:
+        monkeypatch.setattr(np.fft, name, counting("fft", getattr(np.fft, name)))
+    workload.run(plan, instances[0])
+    assert counts["pl1_solve"] == 16
+    assert counts["fft"] <= 99

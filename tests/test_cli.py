@@ -332,9 +332,9 @@ def test_anchor_coverage(tmp_path):
         )
         report = run_experiment(cfg)
         for m in report.payload()["metrics"]:
-            # the integer gates (0 failed trials, 64 steps) stay ints in
-            # the report; a bool is not a threshold
-            assert type(m["threshold"]) in (int, float), (name, m)
+            # every threshold is a float, the trial-count and step gates
+            # too; a bool or an int is not
+            assert type(m["threshold"]) is float, (name, m)
             assert type(m["pass"]) is bool, (name, m)
         unknown = set(report.anchors) - ANCHORS
         assert not unknown, f"{name} emits unregistered anchors {unknown}"

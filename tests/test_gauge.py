@@ -12,12 +12,12 @@ from chirality_lab.gauge import (
     linearization_order,
     zeta_potential,
 )
-from chirality_lab.hyperunitary import qp_exp_asd, qp_matmul
+from chirality_lab.hyperunitary import qp_commutator, qp_exp_asd, qp_matmul
 from chirality_lab.norms import l2_norm, pointwise_abs
 from chirality_lab.pgauge import (
     MAX_INNER,
-    _perturbation,
     _projected_solve,
+    _stacked_rows,
     p_connection,
     p_gauge_structures,
     pl1_solve,
@@ -64,8 +64,8 @@ def exp_pure(u):
 
 def n_at_d1(plan, q, check=True):
     """N(q) as (V = i w, g) tables through pn_apply."""
-    (v, t), _ = pn_apply(plan, as_pair(q), check)
-    return v[..., 0, 0], t[..., 0, 0]
+    (v_hat, t), _ = pn_apply(plan, as_pair(q), check)
+    return plan.inverse(v_hat[None])[0, ..., 0, 0], t[..., 0, 0]
 
 
 def l1_at_d1(plan, u):
@@ -77,10 +77,36 @@ def as_targets(w, g):
     return 1j * w[..., None, None], g[..., None, None]
 
 
+def pl1_values(plan, v, t):
+    """pl1_solve, which acts on spectra, on value tables (V, T)."""
+    u = plan.inverse(pl1_solve(plan, plan.spectrum(v), plan.spectrum(t)))
+    return u[0], u[1]
+
+
 def lq_at_d1(plan, q0, w, g, max_iter=MAX_INNER):
-    """The mean-projected Newton solve L_q0(u) = (w, g)."""
+    """The mean-projected Newton solve L_q0(u) = (w, g): (u, iterations)."""
     x1, x2 = p_connection(plan, as_pair(q0))
-    return _projected_solve(plan, x1, x2, *as_targets(w, g), 1e-11, max_iter)
+    v, t = as_targets(w, g)
+    u, _, iters = _projected_solve(
+        plan, _stacked_rows(x1, x2), plan.spectrum(v), plan.spectrum(t), 1e-11,
+        max_iter,
+    )
+    return u, iters
+
+
+# The physical-space reference of the spectral Newton solve: the same
+# iteration with every operator applied to value tables.
+
+def l1_inverse(plan, v, t):
+    """Inverse of the base linearization on values: Lap X_u = V - mean(V),
+    2 d_zbar Y_u = T - mean(T)."""
+    return plan.inv_laplacian(v), plan.cauchy_solve(0.5 * t)
+
+
+def perturbation(plan, x1, x2, u):
+    """L_q(u) - L_I(u) on values: the commutator terms of the connection."""
+    c1, c2 = qp_commutator(x1, u), qp_commutator(x2, u)
+    return plan.div(c1[0], c2[0]), c1[1] + 1j * c2[1]
 
 
 def test_n_apply_identity(plan):
@@ -145,19 +171,19 @@ def test_l1_solve_round_trip(plan):
     g = random_band_limited(plan, rng) + 1j * random_band_limited(plan, rng)
     g -= g.mean()
     v, t = as_targets(w, g)
-    u = pl1_solve(plan, v, t)
+    u = pl1_values(plan, v, t)
     lv, lt = l1_at_d1(plan, u)
     assert l2_norm(plan.grid, lv - v) < 1e-11 * l2_norm(plan.grid, w)
     assert l2_norm(plan.grid, lt - t) < 1e-11 * l2_norm(plan.grid, g)
     zero = np.zeros((n, n, 1, 1), dtype=complex)
-    assert np.max(pointwise_abs(*pl1_solve(plan, zero, zero))) == 0.0
+    assert np.max(pointwise_abs(*pl1_values(plan, zero, zero))) == 0.0
 
 
 def test_l1_solve_plane_wave(plan):
     g2 = plan.grid
     k = 2 * np.pi * 3 / g2.length
     f = np.cos(k * g2.x1)
-    u = pl1_solve(plan, *as_targets(f, np.zeros((g2.n, g2.n), dtype=complex)))
+    u = pl1_values(plan, *as_targets(f, np.zeros((g2.n, g2.n), dtype=complex)))
     # the i-component is the imaginary part of X, the jk-plane is Y
     assert np.max(np.abs(u[0][..., 0, 0] + 1j * f / k**2)) < 1e-12
     assert np.max(np.abs(u[1])) < 1e-14
@@ -172,7 +198,7 @@ def test_lq_solve_reduces_to_l1_at_identity(plan):
     w -= w.mean()
     g = random_band_limited(plan, rng) + 1j * random_band_limited(plan, rng)
     u, iters = lq_at_d1(plan, q1, w, g)
-    u_ref = pl1_solve(plan, *as_targets(w, g - g.mean()))
+    u_ref = l1_inverse(plan, *as_targets(w, g - g.mean()))
     diff = pointwise_abs(u[0] - u_ref[0], u[1] - u_ref[1])
     assert np.max(diff) < 1e-10 * max(np.max(pointwise_abs(*u_ref)), 1e-10)
 
@@ -188,7 +214,7 @@ def test_lq_solve_converges_small_q0(plan):
     # forward-apply: L1(u) + commutator terms reproduce the right side
     x1, x2 = p_connection(plan, as_pair(q0))
     lw, lg = l1_at_d1(plan, u)
-    pw, pg = _perturbation(plan, x1, x2, u)
+    pw, pg = perturbation(plan, x1, x2, u)
     w, g = as_targets(w, g)
     res_w = l2_norm(plan.grid, lw + pw - w)
     res_g = l2_norm(plan.grid, (lg + pg) - g)
@@ -225,9 +251,8 @@ def test_lq_solve_budget_reports_the_last_contraction(plan):
     u = np.zeros_like(v_rhs), np.zeros_like(v_rhs)
     changes = []
     for _ in range(3):
-        pv, pt = _perturbation(plan, x1, x2, u)
-        rv = v_rhs - pv
-        u_new = pl1_solve(plan, rv - rv.mean(axis=(0, 1)), t_rhs - pt)
+        pv, pt = perturbation(plan, x1, x2, u)
+        u_new = l1_inverse(plan, v_rhs - pv, t_rhs - pt)
         changes.append(max(np.max(np.abs(u_new[0] - u[0])),
                            np.max(np.abs(u_new[1] - u[1]))))
         u = u_new

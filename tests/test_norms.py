@@ -13,6 +13,7 @@ from chirality_lab.norms import (
     morrey_profile,
     pointwise_abs,
     sobolev_neg_1_2,
+    spectral_neg_1_2,
 )
 from chirality_lab.spectral_ops import SpectralPlan, random_band_limited
 
@@ -137,6 +138,26 @@ def test_sobolev_neg(plan, grid):
     assert sobolev_neg_1_2(plan, d) <= a_l2 * (1 + 1e-12)
     with pytest.raises(ValueError):
         sobolev_neg_1_2(plan, h + 1.0)
+
+
+@given(
+    n=st.integers(4, 24).map(lambda k: 2 * k),
+    trailing=st.sampled_from([(), (3,), (2, 2)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_half_and_full_spectrum_give_one_negative_sobolev_norm(n, trailing, seed):
+    # the half spectrum counts its interior columns twice: a real table has
+    # the H^-1 norm of the same table held as complex, and a complex table
+    # that of its real and imaginary parts together
+    plan_n = SpectralPlan(Grid2(n))
+    rng = np.random.default_rng(seed)
+    re, im = (rng.standard_normal((n, n) + trailing) for _ in range(2))
+    re, im = re - re.mean(axis=(0, 1)), im - im.mean(axis=(0, 1))
+    half = spectral_neg_1_2(plan_n, plan_n.spectrum(re))
+    assert half == pytest.approx(sobolev_neg_1_2(plan_n, re + 0j), rel=1e-12)
+    assert sobolev_neg_1_2(plan_n, re + 1j * im) == pytest.approx(
+        np.hypot(half, sobolev_neg_1_2(plan_n, im)), rel=1e-12
+    )
 
 
 def test_parseval_agreement(plan, grid):

@@ -22,12 +22,14 @@ from chirality_lab.hyperunitary import (
     qp_matvec,
     random_asd,
 )
-from chirality_lab.norms import sobolev_neg_1_2
+from chirality_lab.norms import lorentz_weak_l2, pointwise_abs, sobolev_neg_1_2
 from chirality_lab.pgauge import (
     GaugeConfig,
     GaugeStall,
-    _asd_commutator,
+    _asd_commutators,
+    _stacked_rows,
     _unitarity_defect,
+    absorbed_residual,
     chi_potential,
     p_contraction_chain,
     p_gauge_solve,
@@ -104,7 +106,8 @@ def test_pn_apply_structure(plan):
     rng = np.random.default_rng(1)
     u = smooth_asd_field(plan, rng, 4, 0.05)
     p = qp_exp_asd(u)
-    (v, t), _ = pn_apply(plan, p)
+    (v_hat, t), _ = pn_apply(plan, p)
+    v = plan.inverse(v_hat[None])[0]
     assert np.max(np.abs(v + np.conj(np.swapaxes(v, -1, -2)))) < 1e-10
     assert np.max(np.abs(t - np.swapaxes(t, -1, -2))) < 1e-10
     assert np.max(np.abs(v.mean(axis=(0, 1)))) < 1e-13 * max(np.abs(v).max(), 1e-10)
@@ -114,7 +117,8 @@ def test_p_gauge_solve_manufactured_image(plan):
     rng = np.random.default_rng(2)
     u = smooth_asd_field(plan, rng, 4, 0.004)
     p_star = qp_exp_asd(u)
-    (v_t, t_t), _ = pn_apply(plan, p_star)
+    (v_hat, t_t), _ = pn_apply(plan, p_star)
+    v_t = plan.inverse(v_hat[None])[0]
     res = p_gauge_solve(plan, v_t, t_t, GaugeConfig(eps0=0.5, tol=1e-8))
     assert res.residual < 1e-8
     assert res.t_reached == 1.0
@@ -134,6 +138,48 @@ def test_p_gauge_structures_from_doubled_n2_chain(plan):
     assert out["absorbed_residual"] < 1e-7
     assert out["contraction"]["factor"] < 1.0
     assert out["contraction"]["b_converged"]
+
+
+def value_space_contraction_factor(plan, p, chi, gamma1, g_pair, iterations):
+    """The contraction factor with the B fixed point run on value tables for
+    a given number of iterations: the reference of the spectral loop."""
+    _, rhs, pg = absorbed_residual(plan, p, chi, gamma1, g_pair)
+    w = qp_matmul((1j * p[0], -1j * p[1]), qp_conj_t(p))
+    (ax_x, ay_x), (ax_y, ay_y) = (plan.grad(plan.inv_laplacian(r)) for r in rhs)
+    ax, ay = (ax_x, ax_y), (ay_x, ay_y)
+    bx = by = (0.0, 0.0)
+    for _ in range(iterations):
+        gx = ax[0] - by[0], ax[1] - by[1]
+        gy = ay[0] + bx[0], ay[1] + bx[1]
+        t1, t2 = qp_matvec(w, gx), qp_matvec(w, gy)
+        b = [plan.inv_laplacian(-plan.div(u1, u2)) for u1, u2 in zip(t1, t2)]
+        (bx_x, by_x), (bx_y, by_y) = (plan.grad(part) for part in b)
+        bx, by = (bx_x, bx_y), (by_x, by_y)
+    weak = lambda *tables: lorentz_weak_l2(plan.grid, pointwise_abs(*tables))
+    return (weak(*ax, *ay) + weak(*bx, *by)) / weak(*pg)
+
+
+def test_spectral_b_loop_matches_the_value_space_iteration(monkeypatch):
+    # converged, and stopped by the iteration budget after one and two
+    # iterations: the factor is the value-space loop's to rounding
+    plan32 = SpectralPlan(Grid2(32))
+    doubled = chain_doubled(plan32, np.random.default_rng(3), 0.05)
+    g_pair = (doubled.g1, doubled.g2)
+    out = p_gauge_structures(
+        plan32, doubled.gamma, doubled.gamma1, g_pair, GaugeConfig(eps0=0.2, tol=1e-8)
+    )
+    p, chi = out["gauge"].p, out["chi"]
+    runs = [(out["contraction"], True)]
+    for budget in (1, 2):
+        monkeypatch.setattr(pgauge, "B_MAX_ITER", budget)
+        record = p_contraction_chain(plan32, p, chi, doubled.gamma1, g_pair)
+        runs.append((record, False))
+    for record, converged in runs:
+        assert record["b_converged"] is converged
+        ref = value_space_contraction_factor(
+            plan32, p, chi, doubled.gamma1, g_pair, record["b_iterations"]
+        )
+        assert record["factor"] == pytest.approx(ref, rel=1e-12)
 
 
 def test_p_gauge_structures_from_manufactured_doubled(plan):
@@ -371,10 +417,17 @@ def test_closed_form_cayley_at_d1_matches_the_embedded_solve(seed, theta):
 
 @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2, 4]))
 def test_asd_commutator_matches_the_general_one_on_the_algebra(seed, dim):
+    # one product for the commutators of a stack of left factors
     rng = np.random.default_rng(seed)
-    a, b = random_asd(rng, (8, 8), dim), random_asd(rng, (8, 8), dim)
-    for part, ref_part in zip(_asd_commutator(a, b), qp_commutator(a, b)):
-        assert np.max(np.abs(part - ref_part)) <= 1e-14 * np.max(np.abs(ref_part))
+    a, c, b = (random_asd(rng, (8, 8), dim) for _ in range(3))
+    for left in ([a], [a, c]):
+        out = list(_asd_commutators(_stacked_rows(*left), b))
+        assert len(out) == len(left)
+        for comm, m in zip(out, left):
+            for part, ref_part in zip(comm, qp_commutator(m, b)):
+                assert part.shape == ref_part.shape
+                err = np.max(np.abs(part - ref_part))
+                assert err <= 1e-14 * np.max(np.abs(ref_part))
 
 
 # -- the continuation's step policy ----------------------------------------
