@@ -14,7 +14,7 @@ Three estimators live here:
   which controls ||Re h||_2 by ||Im h||_2 and ||g||_L1.
 
 * ``wente_solve``: potential with Laplacian equal to a Jacobian, plus the
-  norm diagnostics that exhibit the compensation gain.
+  sup-norm ratio that exhibits the compensation gain.
 """
 
 from dataclasses import dataclass
@@ -26,7 +26,6 @@ from chirality_lab.norms import (
     l2_norm,
     linf_norm,
     lorentz_l21,
-    lorentz_weak_l2,
     lp_norm,
     pointwise_abs,
     sobolev_neg_1_2,
@@ -159,7 +158,6 @@ class RealFromImagDiagnostics:
     identity_lhs: float   # Re int h0^2
     identity_rhs: float   # -Re int g T
     identity_residual: float
-    empirical_c: float    # max(re_sq - im_sq, 0) / ||g||_1^2
 
 
 def real_from_imag_bound(plan, h, g, precondition_tol=1e-10):
@@ -186,7 +184,6 @@ def real_from_imag_bound(plan, h, g, precondition_tol=1e-10):
     re_sq = l2_norm(grid, h0.real) ** 2
     im_sq = l2_norm(grid, h0.imag) ** 2
     g_l1 = lp_norm(grid, g, 1)
-    emp_c = (re_sq - im_sq) / g_l1**2 if g_l1 > 0 else np.inf
     return RealFromImagDiagnostics(
         re_sq=re_sq,
         im_sq=im_sq,
@@ -195,48 +192,29 @@ def real_from_imag_bound(plan, h, g, precondition_tol=1e-10):
         identity_lhs=lhs,
         identity_rhs=rhs,
         identity_residual=abs(lhs - rhs),
-        empirical_c=max(emp_c, 0.0) if np.isfinite(emp_c) else emp_c,
     )
 
 
 @dataclass
 class WenteDiagnostics:
-    phi_linf: float
-    grad_phi_l2: float
-    grad_phi_l21: float
     grad_a_l2: float
     grad_b_l2: float
-    grad_a_weak: float
     ratio_linf: float        # ||phi||_inf / (||grad a||_2 ||grad b||_2)
-    ratio_l21: float         # ||grad phi||_{2,1} / (||grad a||_2 ||grad b||_2)
-    ratio_weak_strong: float  # ||grad phi||_{2,1} / (||grad a||_{2,inf} ||grad b||_2)
 
 
 def wente_solve(plan, a, b):
     """phi = -inv_laplacian(grad a . grad_perp b), mean zero, with the
-    compensation diagnostics."""
+    compensation ratio ||phi||_inf / (||grad a||_2 ||grad b||_2)."""
     grid = plan.grid
     ax, ay = plan.grad(a)
     px, py = plan.grad_perp(b)
-    rhs = ax * px + ay * py
-    phi = -plan.inv_laplacian(rhs)
-    grad_phi = pointwise_abs(*plan.grad(phi))
-    ga = pointwise_abs(ax, ay)
-    gb = pointwise_abs(px, py)
-    a2, b2 = l2_norm(grid, ga), l2_norm(grid, gb)
-    aw = lorentz_weak_l2(grid, ga)
-    l21 = lorentz_l21(grid, grad_phi)
-    prod = max(a2 * b2, 1e-300)
+    phi = -plan.inv_laplacian(ax * px + ay * py)
+    a2 = l2_norm(grid, pointwise_abs(ax, ay))
+    b2 = l2_norm(grid, pointwise_abs(px, py))
     return phi, WenteDiagnostics(
-        phi_linf=linf_norm(grid, phi),
-        grad_phi_l2=l2_norm(grid, grad_phi),
-        grad_phi_l21=l21,
         grad_a_l2=a2,
         grad_b_l2=b2,
-        grad_a_weak=aw,
-        ratio_linf=linf_norm(grid, phi) / prod,
-        ratio_l21=l21 / prod,
-        ratio_weak_strong=l21 / max(aw * b2, 1e-300),
+        ratio_linf=linf_norm(grid, phi) / max(a2 * b2, 1e-300),
     )
 
 

@@ -5,7 +5,7 @@ import os
 
 import numpy as np
 
-from chirality_lab import compensation, gauge, jms, norms, pgauge, systems
+from chirality_lab import compensation, jms, norms, pgauge, systems
 from chirality_lab.chirality import extract_frame, rotation2, validate_chirality
 from chirality_lab.field_core import Grid2, complex_pair_to_quat
 from chirality_lab.hyperunitary import qp_commutator, qp_dagger_defect, random_asd
@@ -152,13 +152,13 @@ def _real_from_imag(plan, h):
 
 
 def _linearization_order(plan, seed):
-    """Linearization order of the gauge operator at a random pure quaternion."""
+    """Linearization order of the gauge operator at a random pure quaternion
+    u_i i + u_j j + u_k k, the 1 x 1 anti-self-dual pair (i u_i, u_j + i u_k)."""
     rng = np.random.default_rng(seed)
-    n = plan.grid.n
-    u = np.zeros((n, n, 4))
-    for comp in range(1, 4):
-        u[..., comp] = random_band_limited(plan, rng, kmax=3, rms=1.0)
-    return gauge.linearization_order(plan, u)[0]
+    u_i, u_j, u_k = (random_band_limited(plan, rng, kmax=3, rms=1.0) for _ in range(3))
+    x = (1j * u_i)[..., None, None]
+    y = (u_j + 1j * u_k)[..., None, None]
+    return pgauge.linearization_order(plan, (x, y))[0]
 
 
 def ops_verify(config):

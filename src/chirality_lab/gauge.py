@@ -14,10 +14,12 @@ here are format adapters at its boundary: an (n, n, 4) table
 q = z1 + z2 j becomes the pair (z1, z2) of (n, n, 1, 1) tables, the i-line
 target w the 1i-line target V = i w, the jk table g the T table, and the
 stream potential zeta is chi / i.  Results come back as (n, n, 4) tables.
-GaugeConfig, GaugeStall and GaugeDivergence are the solver's own.
 
-The experiments run p_gauge_structures on systems.chain_quaternion; these
-adapters serve the benchmark's quat-chain workload and the tests.
+The experiments run p_gauge_structures on systems.chain_quaternion.  This
+module is the boundary of the benchmark's quat-chain workload and keeps
+only what that workload calls: GaugeResult, gauge_solve, zeta_potential
+and contraction_chain, and the solver's GaugeConfig and GaugeStall, which
+gauge_solve takes and raises.
 """
 
 from dataclasses import dataclass
@@ -26,30 +28,24 @@ import numpy as np
 
 from chirality_lab.compensation import PreconditionError
 from chirality_lab.field_core import complex_pair_to_quat, quat_to_complex_pair
-from chirality_lab.hyperunitary import qp_exp_asd
 from chirality_lab.norms import l2_norm
 from chirality_lab.pgauge import (
     GaugeConfig,
-    GaugeDivergence,
     GaugeStall,
     PGaugeResult,
-    _residual_norms,
     chi_potential,
     p_contraction_chain,
     p_gauge_solve,
-    pn_apply,
 )
 from chirality_lab.systems import quaternion_residual
 
 __all__ = [
     "GaugeConfig",
     "GaugeResult",
-    "GaugeDivergence",
     "GaugeStall",
     "gauge_solve",
     "zeta_potential",
     "contraction_chain",
-    "linearization_order",
 ]
 
 
@@ -86,20 +82,6 @@ def gauge_solve(plan, w_target, g_target, config=None):
     except GaugeStall as stall:
         stall.result = _quaternion_result(stall.result)
         raise
-
-
-def linearization_order(plan, u, ts=(0.1, 0.05, 0.025)):
-    """Measured order of || N(exp(t u)) - t L1(u) || in t (expected 2) for a
-    pure-quaternion table u; L1(u) = (Lap u_i, 2 d_zbar(u_j + i u_k))."""
-    x, y = _matrices(u)
-    lv_hat, lt = plan.spectrum(plan.laplacian(x)), 2.0 * plan.d_zbar(y)
-    vals = []
-    for t in ts:
-        (nv_hat, nt), _ = pn_apply(plan, qp_exp_asd((t * x, t * y)), check=False)
-        ri, rjk, rmean = _residual_norms(plan, nv_hat - t * lv_hat, nt - t * lt)
-        vals.append(ri + rjk + rmean)
-    fit = np.polyfit(np.log(ts), np.log(vals), 1)
-    return float(fit[0]), vals
 
 
 def zeta_potential(plan, q, precondition_tol=1e-6):

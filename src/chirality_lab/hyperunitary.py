@@ -12,12 +12,15 @@ embedding [[X, Y], [-conj(Y), conj(X)]] is multiplication-compatible, so
 at d >= 2 a product is one batched matmul, [X1, Y1] times the embedding
 of M2, whose result is [X, Y] side by side; at d = 1 the formula above
 stays, as four einsums.  Products that reuse one left factor build its row
-[X1, Y1] once (qp_row_matmul).  The embedding sends anti-self-dual
-matrices to skew-Hermitian ones, which gives a vectorized exponential via
-eigh, and the Cayley transform (I - u/2)^-1 (I + u/2), the
-group-preserving retraction of Lie-group integrators (Iserles,
-Munthe-Kaas, Norsett & Zanna, Acta Numerica 2000), as one batched solve.
-At d = 1 the matrices are quaternions and both maps have closed forms.
+[X1, Y1] once (qp_row_matmul); a vector is a one-column matrix
+(qp_matvec).
+
+The group's one retraction is the Cayley transform (I - u/2)^-1 (I + u/2)
+of an anti-self-dual u, the group-preserving map of Lie-group integrators
+(Iserles, Munthe-Kaas, Norsett & Zanna, Acta Numerica 2000), which agrees
+with exp to second order in u.  At d >= 2 it is one batched solve of the
+complex embedding; at d = 1 the matrices are quaternions and it has a
+closed form.
 """
 
 import numpy as np
@@ -28,7 +31,6 @@ __all__ = [
     "qp_matvec",
     "qp_conj_t",
     "qp_dagger_defect",
-    "qp_exp_asd",
     "qp_cayley_asd",
     "qp_commutator",
     "project_asd",
@@ -69,21 +71,9 @@ def _einsum_matmul(m1, m2):
 
 
 def qp_matvec(m, v):
-    x, y = m
-    v1, v2 = v
-    if x.shape[-1] > 1:
-        # a vector is a one-column matrix
-        out = qp_row_matmul(
-            np.concatenate((x, y), axis=-1), (v1[..., None], v2[..., None])
-        )
-        return out[0][..., 0], out[1][..., 0]
-    out1 = np.einsum("...ij,...j->...i", x, v1) - np.einsum(
-        "...ij,...j->...i", y, np.conj(v2)
-    )
-    out2 = np.einsum("...ij,...j->...i", x, v2) + np.einsum(
-        "...ij,...j->...i", y, np.conj(v1)
-    )
-    return out1, out2
+    """M v for a quaternion vector v = (v1, v2): the one-column product."""
+    x, y = qp_matmul(m, (v[0][..., None], v[1][..., None]))
+    return x[..., 0], y[..., 0]
 
 
 def qp_conj_t(m):
@@ -135,50 +125,20 @@ def _embed(m):
     return out
 
 
-def qp_exp_asd(u):
-    """exp of an anti-self-dual matrix field; the result satisfies
-    conj(P)^t P = I.  At d = 1, where u is the pure quaternion a i + Y j,
-    the closed form cos|u| + sinc|u| u; otherwise eigh of the
-    skew-Hermitian complex embedding."""
-    if u[0].shape[-1] == 1:
-        return _exp_asd_d1(u)
-    return _exp_asd_eigh(u)
-
-
-def _exp_asd_d1(u):
-    # only the skew-Hermitian part i a of X enters, as in the eigh path
-    a = u[0].imag
-    y = u[1]
-    theta = np.sqrt(a * a + y.real * y.real + y.imag * y.imag)
-    s = np.sinc(theta / np.pi)
-    return np.cos(theta) + 1j * (s * a), s * y
-
-
-def _exp_asd_eigh(u):
-    x, _ = u
-    dim = x.shape[-1]
-    e = _embed(u)
-    herm = 1j * e  # Hermitian
-    w, v = np.linalg.eigh(herm)
-    phase = np.exp(-1j * w)
-    expd = np.einsum("...ij,...j,...kj->...ik", v, phase, np.conj(v))
-    return expd[..., :dim, :dim], expd[..., :dim, dim:]
-
-
 def qp_cayley_asd(u):
     """Cayley transform (I - u/2)^-1 (I + u/2) = 2 (I - u/2)^-1 - I of an
-    anti-self-dual matrix field: like exp it satisfies conj(P)^t P = I, and
+    anti-self-dual matrix field: the result satisfies conj(P)^t P = I, and
     it agrees with exp to second order in u.  At d = 1, where u is the pure
     quaternion a i + Y j, the closed form ((1 - q) + u) / (1 + q) with
     q = |u|^2 / 4; otherwise one batched solve of the complex embedding.
-    Only the anti-self-dual part of u enters, as in exp."""
+    Only the anti-self-dual part of u enters."""
     if u[0].shape[-1] == 1:
         return _cayley_asd_d1(u)
     return _cayley_asd_solve(u)
 
 
 def _cayley_asd_d1(u):
-    # only the skew-Hermitian part i a of X enters, as in exp
+    # only the skew-Hermitian part i a of X enters
     a = u[0].imag
     y = u[1]
     q = 0.25 * (a * a + y.real * y.real + y.imag * y.imag)
@@ -186,8 +146,8 @@ def _cayley_asd_d1(u):
 
 
 def _cayley_asd_solve(u):
-    # only the anti-self-dual part of u enters, as in exp, so rounding in u
-    # does not leave the group; the left d columns of 2 (I - u/2)^-1 in the
+    # only the anti-self-dual part of u enters, so rounding in u does not
+    # leave the group; the left d columns of 2 (I - u/2)^-1 in the
     # embedding are [2 X_inv; -2 conj(Y_inv)] for the inverse X_inv + Y_inv j
     x, y = project_asd(u)
     dim = x.shape[-1]

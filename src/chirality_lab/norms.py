@@ -151,16 +151,16 @@ def spectral_neg_1_2(plan, F):
     mode dropped (so F needs no mean projection); trailing axes contract.
 
     F is a full spectrum, or the rfft2 half spectrum of a real table, whose
-    columns 1..n - cols stand for two modes each, k and -k: the same sum
-    with those columns counted twice.
+    columns 1..n//2 - 1 stand for two modes each, k and -k: the same sum
+    with those columns counted twice.  The weight is the inverse
+    Laplacian's symbol, which plan.multipliers cuts to F's columns.
     """
     n = plan.grid.n
-    cols = F.shape[1]
-    weight = -plan.multipliers(2).inv_lap[:, :cols]
-    weight[:, 1 : n - cols + 1] *= 2.0
     power = F.real**2 + F.imag**2
     if power.ndim > 2:
         power = power.reshape(power.shape[:2] + (-1,)).sum(axis=-1)
+    weight = -plan.multipliers(power).inv_lap
+    weight[:, 1 : n - F.shape[1] + 1] *= 2.0
     return float(np.sqrt(np.sum(weight * power) * plan.grid.area) / n**2)
 
 
@@ -169,7 +169,6 @@ class MorreyFit:
     alpha: float
     radii: list
     values: list
-    fit_residual: float
     degenerate: bool
 
 
@@ -181,9 +180,7 @@ def morrey_profile(grid, f, center, radii):
         raise ValueError("need at least 4 radii for a decay fit")
     values = [lorentz_weak_l2(grid, f, Ball(center, r)) for r in radii]
     if any(v <= 0.0 for v in values):
-        return MorreyFit(np.nan, list(radii), values, np.nan, True)
+        return MorreyFit(np.nan, list(radii), values, True)
     logs_r = np.log(np.asarray(radii, dtype=float))
-    logs_v = np.log(np.asarray(values))
-    coeffs, res, *_ = np.polyfit(logs_r, logs_v, 1, full=True)
-    fit_residual = float(res[0]) if len(res) else 0.0
-    return MorreyFit(float(coeffs[0]), list(radii), values, fit_residual, False)
+    slope = np.polyfit(logs_r, np.log(np.asarray(values)), 1)[0]
+    return MorreyFit(float(slope), list(radii), values, False)

@@ -56,10 +56,13 @@ intermediate continuation levels track the path to basin accuracy and the
 endpoint Newton closes the mean where a solution exists.  Residual tables
 reduce over the grid axes (0, 1) and contract the matrix axes.
 
-The stream potential chi of the 1i-line connection and the contraction
-measurement (the B fixed point and the weak-L^{2,inf} factor) complete the
-pipeline of p_gauge_structures, which runs every chain trial of the
-experiments, on systems.chain_quaternion (d = 1) or chain_doubled data.
+The stream potential chi of the 1i-line of the connection (p_connection,
+the one P^-1 grad P of the module) and the contraction measurement (the B
+fixed point and the weak-L^{2,inf} factor) complete the pipeline of
+p_gauge_structures, which runs every chain trial of the experiments, on
+systems.chain_quaternion (d = 1) or chain_doubled data.
+linearization_order checks the operator against its linearization at
+P = I along the Newton step's retraction.
 """
 
 from dataclasses import dataclass
@@ -90,6 +93,7 @@ __all__ = [
     "PGaugeResult",
     "pn_apply",
     "p_gauge_solve",
+    "linearization_order",
     "chi_potential",
     "p_contraction_chain",
     "p_gauge_structures",
@@ -106,6 +110,8 @@ MAX_INNER = 120
 # has converged, and its iteration budget
 B_TOL = 1e-11
 B_MAX_ITER = 400
+# steps t of linearization_order's fit
+LINEARIZATION_STEPS = (0.1, 0.05, 0.025)
 
 
 class GaugeDivergence(RuntimeError):
@@ -177,7 +183,7 @@ def _gradient_of_spectra(plan, f_hat):
     """Values of the d1 and then the d2 derivatives of the k tables whose
     spectra f_hat are stacked on the leading axis, as 2k stacked tables; one
     batched inverse transform."""
-    sym = plan.multipliers(f_hat.ndim - 1)
+    sym = plan.multipliers(f_hat[0])
     k = len(f_hat)
     g = np.empty((2 * k,) + f_hat.shape[1:], dtype=complex)
     np.multiply(f_hat, sym.d1, out=g[:k])
@@ -185,18 +191,13 @@ def _gradient_of_spectra(plan, f_hat):
     return plan.inverse(g, out=g)
 
 
-def _grad_pair(plan, m):
-    """Gradient of a complex-pair table as (d1 pair, d2 pair): one forward
-    transform of (X, Y) and one inverse of the four derivatives."""
-    w = np.stack(m)
-    g = _gradient_of_spectra(plan, plan.forward(w, out=w))
-    return (g[0], g[1]), (g[2], g[3])
-
-
 def p_connection(plan, p):
+    """P^-1 grad P as the pair (P^-1 d1 P, P^-1 d2 P): one forward transform
+    of (X, Y), one inverse of the four derivatives and two products."""
     pct = qp_conj_t(p)
-    g1, g2 = _grad_pair(plan, p)
-    return qp_matmul(pct, g1), qp_matmul(pct, g2)
+    g = np.stack(p)
+    g = _gradient_of_spectra(plan, plan.forward(g, out=g))
+    return qp_matmul(pct, (g[0], g[1])), qp_matmul(pct, (g[2], g[3]))
 
 
 def _jk_of(x1, x2):
@@ -225,7 +226,7 @@ def pn_apply(plan, p, check=True):
     x1, x2 = p_connection(plan, p)
     w = np.stack((x1[0], x2[0]))
     plan.forward(w, out=w)
-    nv_hat = _div_of_spectra(plan.multipliers(w.ndim - 1), w[0], w[1])
+    nv_hat = _div_of_spectra(plan.multipliers(w[0]), w[0], w[1])
     return (nv_hat, _jk_of(x1, x2)), (x1, x2)
 
 
@@ -233,7 +234,7 @@ def pl1_solve(plan, v_hat, t_hat):
     """Invert the base linearization on spectra, Lap X_u = V and
     2 d_zbar Y_u = T; the zero modes are dropped, which projects out the
     means.  Returns the spectra of X_u and Y_u stacked on a leading axis."""
-    sym = plan.multipliers(v_hat.ndim)
+    sym = plan.multipliers(v_hat)
     out = np.empty((2,) + v_hat.shape, dtype=complex)
     np.multiply(v_hat, sym.inv_lap, out=out[0])
     np.multiply(t_hat, sym.inv_dzbar, out=out[1])
@@ -277,7 +278,7 @@ def _perturbation_spectra(plan, conn_rows, u, out):
     out[2] += 1j * c[1]
     del c, commutators
     plan.forward(out, out=out)
-    return _div_of_spectra(plan.multipliers(out.ndim - 1), out[0], out[1]), out[2]
+    return _div_of_spectra(plan.multipliers(out[0]), out[0], out[1]), out[2]
 
 
 def _residual_norms(plan, v_hat, t):
@@ -453,7 +454,7 @@ def p_gauge_solve(plan, v_target, t_target, config=None):
                 break
             del rv_hat, rt, conn
             # dealias the step: product tails must not compound
-            u_hat *= plan.multipliers(u_hat.ndim - 1).keep
+            u_hat *= plan.multipliers(u_hat[0]).keep
             u = plan.inverse(u_hat, out=u_hat)
             u = u[0], u[1]
             del u_hat
@@ -494,6 +495,23 @@ def p_gauge_solve(plan, v_target, t_target, config=None):
     return finish(1.0)
 
 
+def linearization_order(plan, u):
+    """Measured order in t of || N(cay(t u)) - t L1(u) || (expected 2) for
+    an anti-self-dual pair u, at the steps LINEARIZATION_STEPS; cay is the
+    Newton step's retraction, L1(u) = (Lap X_u, 2 d_zbar Y_u) the
+    linearization at P = I and the norm the continuation's residual norm.
+    Returns (order, the norms)."""
+    x, y = u
+    lv_hat, lt = plan.spectrum(plan.laplacian(x)), 2.0 * plan.d_zbar(y)
+    vals = []
+    for t in LINEARIZATION_STEPS:
+        (nv_hat, nt), _ = pn_apply(plan, qp_cayley_asd((t * x, t * y)), check=False)
+        ri, rjk, rmean = _residual_norms(plan, nv_hat - t * lv_hat, nt - t * lt)
+        vals.append(ri + rjk + rmean)
+    fit = np.polyfit(np.log(LINEARIZATION_STEPS), np.log(vals), 1)
+    return float(fit[0]), vals
+
+
 def chi_potential(plan, p, precondition_tol=1e-6):
     """Stream potential chi of the 1i-line a of the connection,
     a = mean(a) + grad_perp(chi).
@@ -504,11 +522,11 @@ def chi_potential(plan, p, precondition_tol=1e-6):
     the divergence does not vanish.
     """
     grid = plan.grid
-    # one gradient serves the connection and ||grad P||_2
-    g1, g2 = _grad_pair(plan, p)
-    pct = qp_conj_t(p)
-    a1, a2 = qp_matmul(pct, g1)[0], qp_matmul(pct, g2)[0]
-    grad_p_l2 = l2_norm(grid, *g1, *g2)
+    x1, x2 = p_connection(plan, p)
+    # P acts isometrically, so ||grad P||_2 = ||P^-1 grad P||_2
+    grad_p_l2 = l2_norm(grid, *x1, *x2)
+    a1, a2 = x1[0], x2[0]
+    del x1, x2
     scale = max(grad_p_l2**2, 1e-300)
     dres = l2_norm(grid, plan.div(a1, a2))
     if dres > precondition_tol * scale:
@@ -565,7 +583,6 @@ def p_contraction_chain(plan, p, chi, gamma1, g_pair):
         return {"degenerate": True, "factor": np.nan, "b_converged": False,
                 "b_iterations": 0, "absorbed_residual": res}
     grid = plan.grid
-    sym = plan.multipliers(rhs[0].ndim)
     # P i = (i X, -i Y), the right-i rule of _jk_of; the top row [X | Y] of
     # w's complex embedding is built once for all its products
     w_row = np.concatenate(
@@ -575,6 +592,7 @@ def p_contraction_chain(plan, p, chi, gamma1, g_pair):
     # stack (d1 X, d1 Y, d2 X, d2 Y)
     a_hat = np.stack(rhs)
     plan.forward(a_hat, out=a_hat)
+    sym = plan.multipliers(a_hat[0])
     a_hat *= sym.inv_lap
     grad_a = _gradient_of_spectra(plan, a_hat)
     del a_hat
@@ -619,7 +637,6 @@ def p_contraction_chain(plan, p, chi, gamma1, g_pair):
         "factor": float((weak_a + weak_b) / max(weak_pg, 1e-300)),
         "b_converged": converged,
         "b_iterations": it + 1,
-        "weak_transported": weak_pg,
         "absorbed_residual": res,
     }
 

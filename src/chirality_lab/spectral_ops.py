@@ -29,9 +29,14 @@ stacked on a new leading axis, so their grid axes are 1 and 2, and
 transform all of them in one batched call, in place when ``out`` is the
 input; each stacked table stays contiguous, and a multiplier broadcast
 over it runs over whole grids even when its trailing axes are single
-entries.  ``multipliers`` hands out the full-spectrum symbols shaped to
-broadcast over a table's trailing axes, and ``spectrum`` gives one table's
-spectrum for spectral sums: the half spectrum of a real table.
+entries.  ``spectrum`` gives one table's spectrum for spectral sums: the
+half spectrum of a real table.
+
+``multipliers`` is the one symbol shaper of both levels: given a spectrum,
+full or half, it hands out every symbol cut to the spectrum's columns and
+shaped to broadcast over its trailing axes, built once per (columns, rank)
+and cached on the plan.  The value-level operators apply their symbols by
+name through it.
 
 numpy.fft is used rather than scipy.fft: importing scipy.fft, which no
 program module needs otherwise, took 0.34 s and raised the peak RSS by
@@ -56,9 +61,12 @@ __all__ = [
 ]
 
 
-# full-spectrum symbols: derivatives, the inverse Laplacian and the inverse
-# of d_zbar (zero mode dropped), and the two-thirds dealiasing mask
-Multipliers = namedtuple("Multipliers", "d1 d2 inv_lap inv_dzbar keep")
+# the symbols of the operators: derivatives, d_z and d_zbar, the Laplacian,
+# its inverse and the inverse of d_zbar and its square (zero mode dropped),
+# and the two-thirds dealiasing mask
+Multipliers = namedtuple(
+    "Multipliers", "d1 d2 dz dzbar lap inv_lap inv_dzbar inv_dzbar_sq keep"
+)
 
 
 def _fft(f):
@@ -70,9 +78,10 @@ def _ifft(F):
 
 
 class SpectralPlan:
-    """Wavenumber tables and Fourier-multiplier machinery for one grid.
+    """Fourier-multiplier machinery for one grid.
 
-    Immutable after construction; safe to share.  Wavenumbers follow
+    The symbols are fixed at construction and only views of them are
+    cached later, so a plan is safe to share.  Wavenumbers follow
     k = 2 pi * integer / L.
     """
 
@@ -80,33 +89,39 @@ class SpectralPlan:
         self.grid = grid
         n = grid.n
         k = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.spacing)
-        self.k1 = k[:, None] * np.ones((1, n))
-        self.k2 = np.ones((n, 1)) * k[None, :]
-        self.k2abs = self.k1**2 + self.k2**2
+        k1 = k[:, None] * np.ones((1, n))
+        k2 = np.ones((n, 1)) * k[None, :]
+        k2abs = k1**2 + k2**2
 
         nyq = n // 2
         odd_mask1 = np.ones((n, n))
         odd_mask1[nyq, :] = 0.0
         odd_mask2 = np.ones((n, n))
         odd_mask2[:, nyq] = 0.0
-        self._sym_d1 = 1j * self.k1 * odd_mask1
-        self._sym_d2 = 1j * self.k2 * odd_mask2
-        self._sym_dz = 0.5 * (self._sym_d1 - 1j * self._sym_d2)
-        self._sym_dzbar = 0.5 * (self._sym_d1 + 1j * self._sym_d2)
+        d1 = 1j * k1 * odd_mask1
+        d2 = 1j * k2 * odd_mask2
+        dzbar = 0.5 * (d1 + 1j * d2)
 
-        nonzero = self.k2abs > 0.0
-        self._inv_lap = np.zeros((n, n))
-        self._inv_lap[nonzero] = -1.0 / self.k2abs[nonzero]
+        nonzero = k2abs > 0.0
+        inv_lap = np.zeros((n, n))
+        inv_lap[nonzero] = -1.0 / k2abs[nonzero]
 
-        ok = (np.abs(self._sym_dzbar) > 0.0) & (odd_mask1 > 0) & (odd_mask2 > 0)
-        self._inv_dzbar = np.zeros((n, n), dtype=complex)
-        self._inv_dzbar[ok] = 1.0 / self._sym_dzbar[ok]
-        self._inv_dzbar_sq = self._inv_dzbar**2
+        ok = (np.abs(dzbar) > 0.0) & (odd_mask1 > 0) & (odd_mask2 > 0)
+        inv_dzbar = np.zeros((n, n), dtype=complex)
+        inv_dzbar[ok] = 1.0 / dzbar[ok]
 
         kmax = np.pi * n / grid.length
-        self._keep = (np.abs(self.k1) < 2.0 / 3.0 * kmax) & (
-            np.abs(self.k2) < 2.0 / 3.0 * kmax
+        keep = (np.abs(k1) < 2.0 / 3.0 * kmax) & (np.abs(k2) < 2.0 / 3.0 * kmax)
+        self._symbols = Multipliers(
+            d1=d1, d2=d2, dz=0.5 * (d1 - 1j * d2), dzbar=dzbar, lap=-k2abs,
+            inv_lap=inv_lap, inv_dzbar=inv_dzbar, inv_dzbar_sq=inv_dzbar**2,
+            keep=keep,
         )
+        # every caller shares these tables through the views handed out
+        for sym in self._symbols:
+            sym.flags.writeable = False
+        # Multipliers by (spectrum columns, spectrum rank)
+        self._shaped = {}
 
     # -- spectrum level -----------------------------------------------------
 
@@ -130,16 +145,20 @@ class SpectralPlan:
         # ifftn, not ifft2: numpy 2.4's ifft2 drops its out argument
         return np.fft.ifftn(w_hat, axes=(1, 2), out=out)
 
-    def multipliers(self, ndim):
-        """The full-spectrum Multipliers shaped to broadcast over a
-        spectrum of ndim axes: the trailing axes are singletons."""
-        tail = (1,) * (ndim - 2)
-        return Multipliers(*(
-            sym.reshape(sym.shape + tail)
-            for sym in (
-                self._sym_d1, self._sym_d2, self._inv_lap, self._inv_dzbar, self._keep
+    def multipliers(self, F):
+        """The Multipliers cut to the columns of the spectrum F (the rfft2
+        half spectrum keeps columns 0..n//2) and shaped to broadcast over its
+        trailing axes, which become singletons; built once per (columns,
+        rank).  For spectra stacked on a leading axis pass one of them."""
+        key = F.shape[1], F.ndim
+        sym = self._shaped.get(key)
+        if sym is None:
+            cols = F.shape[1]
+            shape = (self.grid.n, cols) + (1,) * (F.ndim - 2)
+            sym = self._shaped[key] = Multipliers(
+                *(s[:, :cols].reshape(shape) for s in self._symbols)
             )
-        ))
+        return sym
 
     # -- multiplier application ------------------------------------------
 
@@ -157,33 +176,29 @@ class SpectralPlan:
             return np.fft.irfft2(F, s=(self.grid.n, self.grid.n), axes=(0, 1))
         return _ifft(F)
 
-    def _sym(self, sym, F):
-        """sym cut to the columns of the spectrum F and shaped to broadcast
-        over its trailing axes."""
-        sym = sym[:, : F.shape[1]]
-        return sym.reshape(sym.shape + (1,) * (F.ndim - 2))
-
     # the spectra are fresh arrays, so multipliers are applied in place:
     # fewer full-size temporaries, the same products
 
-    def _apply(self, sym, f):
-        """Multiplier sym applied to f; real f needs a Hermitian sym."""
+    def _apply(self, name, f):
+        """The multiplier of that name applied to f; real f needs a
+        Hermitian one."""
         (F,), real = self._spectra(f)
-        F *= self._sym(sym, F)
+        F *= getattr(self.multipliers(F), name)
         return self._inverse(F, real)
 
     # -- derivatives ------------------------------------------------------
 
     def dx(self, f):
-        return self._apply(self._sym_d1, f)
+        return self._apply("d1", f)
 
     def dy(self, f):
-        return self._apply(self._sym_d2, f)
+        return self._apply("d2", f)
 
     def grad(self, f):
         (F,), real = self._spectra(f)
-        fx = self._inverse(self._sym(self._sym_d1, F) * F, real)
-        F *= self._sym(self._sym_d2, F)
+        sym = self.multipliers(F)
+        fx = self._inverse(sym.d1 * F, real)
+        F *= sym.d2
         return fx, self._inverse(F, real)
 
     def grad_perp(self, f):
@@ -193,28 +208,30 @@ class SpectralPlan:
     def div(self, a1, a2):
         """d1 a1 + d2 a2 for component tables of one shape."""
         (F1, F2), real = self._spectra(a1, a2)
-        F1 *= self._sym(self._sym_d1, F1)
-        F2 *= self._sym(self._sym_d2, F2)
+        sym = self.multipliers(F1)
+        F1 *= sym.d1
+        F2 *= sym.d2
         F1 += F2
         return self._inverse(F1, real)
 
     def curl(self, a1, a2):
         """d1 a2 - d2 a1 for component tables of one shape."""
         (F1, F2), real = self._spectra(a1, a2)
-        F2 *= self._sym(self._sym_d1, F2)
-        F1 *= self._sym(self._sym_d2, F1)
+        sym = self.multipliers(F1)
+        F2 *= sym.d1
+        F1 *= sym.d2
         F2 -= F1
         return self._inverse(F2, real)
 
     def laplacian(self, f):
-        return self._apply(-self.k2abs, f)
+        return self._apply("lap", f)
 
     def d_z(self, f):
         """(d1 - i d2)/2 on complex tables."""
-        return self._apply(self._sym_dz, np.asarray(f, dtype=complex))
+        return self._apply("dz", np.asarray(f, dtype=complex))
 
     def d_zbar(self, f):
-        return self._apply(self._sym_dzbar, np.asarray(f, dtype=complex))
+        return self._apply("dzbar", np.asarray(f, dtype=complex))
 
     # quaternion Cauchy-Riemann-Fueter operators; i acts by component shuffle
     def d_left(self, q):
@@ -229,7 +246,7 @@ class SpectralPlan:
 
     def inv_laplacian(self, f):
         """Mean-zero g with Lap g = f - mean(f)."""
-        return self._apply(self._inv_lap, f)
+        return self._apply("inv_lap", f)
 
     def cauchy_solve(self, g):
         """Mean-zero h with d_zbar h = g - mean(g).
@@ -237,7 +254,7 @@ class SpectralPlan:
         Torus analogue of convolving with the plane Cauchy kernel normalized
         so that d_zbar of it is a delta; realized by symbol division.
         """
-        return self._apply(self._inv_dzbar, np.asarray(g, dtype=complex))
+        return self._apply("inv_dzbar", np.asarray(g, dtype=complex))
 
     def inv_dzbar_sq(self, g):
         """Second antiderivative under d_zbar (zero mode and Nyquist dropped).
@@ -245,16 +262,15 @@ class SpectralPlan:
         The output T satisfies d_zbar(d_zbar T) = g - mean, so for
         d_zbar h = g one has d_zbar T = h - mean(h).
         """
-        return self._apply(self._inv_dzbar_sq, np.asarray(g, dtype=complex))
+        return self._apply("inv_dzbar_sq", np.asarray(g, dtype=complex))
 
     # -- decompositions and helpers ---------------------------------------
 
     def hodge_decompose(self, a1, a2):
         """Split a = grad(alpha) + grad_perp(beta) + constant mean vector."""
         (F1, F2), real = self._spectra(a1, a2)
-        d1, d2, inv = (
-            self._sym(sym, F1) for sym in (self._sym_d1, self._sym_d2, self._inv_lap)
-        )
+        sym = self.multipliers(F1)
+        d1, d2, inv = sym.d1, sym.d2, sym.inv_lap
         alpha = self._inverse(inv * (d1 * F1 + d2 * F2), real)
         beta = self._inverse(inv * (d1 * F2 - d2 * F1), real)
         mean = np.array([np.mean(a1), np.mean(a2)])

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from chirality_lab import compensation, experiments, gauge
+from chirality_lab import compensation, experiments, pgauge
 from chirality_lab.field_core import Grid2
 from chirality_lab.reporting import ANCHORS, ExperimentConfig, worst_of
 from chirality_lab.spectral_ops import (
@@ -186,12 +186,11 @@ def test_criterion_7_gauge_solver(tmp_path):
             f"    eps={eps}: residual {rec['residual']:.2e}, steps {rec['steps']}, "
             f"theta {rec['theta']:.4f}, {elapsed:.1f} s"
         )
+    # the pure quaternion u_i i + u_j j + u_k k as a 1 x 1 anti-self-dual pair
     rng = np.random.default_rng(11)
-    n = plan.grid.n
-    u = np.zeros((n, n, 4))
-    for c in range(1, 4):
-        u[..., c] = random_band_limited(plan, rng, kmax=3, rms=1.0)
-    order, _ = gauge.linearization_order(plan, u)
+    u_i, u_j, u_k = (random_band_limited(plan, rng, kmax=3, rms=1.0) for _ in range(3))
+    u = (1j * u_i)[..., None, None], (u_j + 1j * u_k)[..., None, None]
+    order, _ = pgauge.linearization_order(plan, u)
     ok = all(
         res < 1e-8 and steps <= 64 and elapsed < 120.0
         for res, steps, elapsed, _ in worst.values()

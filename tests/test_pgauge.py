@@ -11,13 +11,11 @@ from chirality_lab.field_core import Grid2
 from chirality_lab.hyperunitary import (
     _cayley_asd_d1,
     _cayley_asd_solve,
-    _exp_asd_eigh,
     project_asd,
     qp_cayley_asd,
     qp_commutator,
     qp_conj_t,
     qp_dagger_defect,
-    qp_exp_asd,
     qp_matmul,
     qp_matvec,
     random_asd,
@@ -80,10 +78,10 @@ def test_entrywise_sobolev_batched_matches_entry_loop(plan):
     assert batched == pytest.approx(np.sqrt(total), rel=1e-12)
 
 
-def test_exp_asd_is_unitary(plan):
+def test_cayley_asd_is_unitary(plan):
     rng = np.random.default_rng(0)
     u = smooth_asd_field(plan, rng, 4, 0.2)
-    p = qp_exp_asd(u)
+    p = qp_cayley_asd(u)
     prod = qp_matmul(qp_conj_t(p), p)
     eye = np.eye(4)
     assert np.max(np.abs(prod[0] - eye)) < 1e-12
@@ -105,7 +103,7 @@ def test_pn_apply_structure(plan):
     # V is pointwise skew-Hermitian, T symmetric; V has zero mean
     rng = np.random.default_rng(1)
     u = smooth_asd_field(plan, rng, 4, 0.05)
-    p = qp_exp_asd(u)
+    p = qp_cayley_asd(u)
     (v_hat, t), _ = pn_apply(plan, p)
     v = plan.inverse(v_hat[None])[0]
     assert np.max(np.abs(v + np.conj(np.swapaxes(v, -1, -2)))) < 1e-10
@@ -116,7 +114,7 @@ def test_pn_apply_structure(plan):
 def test_p_gauge_solve_manufactured_image(plan):
     rng = np.random.default_rng(2)
     u = smooth_asd_field(plan, rng, 4, 0.004)
-    p_star = qp_exp_asd(u)
+    p_star = qp_cayley_asd(u)
     (v_hat, t_t), _ = pn_apply(plan, p_star)
     v_t = plan.inverse(v_hat[None])[0]
     res = p_gauge_solve(plan, v_t, t_t, GaugeConfig(eps0=0.5, tol=1e-8))
@@ -252,7 +250,7 @@ def test_chi_potential_identity(plan):
 
 def test_chi_potential_precondition(plan):
     # a generic hyper-unitary field: its 1i-line connection has divergence
-    p = qp_exp_asd(smooth_asd_field(plan, np.random.default_rng(21), 2, 0.3))
+    p = qp_cayley_asd(smooth_asd_field(plan, np.random.default_rng(21), 2, 0.3))
     with pytest.raises(PreconditionError):
         chi_potential(plan, p, precondition_tol=1e-10)
 
@@ -313,41 +311,13 @@ def test_hyper_unitary_algebra_at_d1_is_the_quaternion_algebra(seed, scale):
     s=st.sampled_from([1.0, 0.5, 1.0 / 32.0]),
 )
 def test_retractions_land_in_the_group(seed, dim, scale, s):
-    # the continuation's retraction P cay(s u), and P exp(s u), from
-    # P = exp(scale v)
+    # the continuation's retraction P cay(s u), from P = cay(scale v)
     rng = np.random.default_rng(seed)
     v = random_asd(rng, (8, 8), dim)
-    p = qp_exp_asd((scale * v[0], scale * v[1]))
+    p = qp_cayley_asd((scale * v[0], scale * v[1]))
     w = random_asd(rng, (8, 8), dim)
     w = (scale * w[0], scale * w[1])
-    for retract in (qp_cayley_asd, qp_exp_asd):
-        assert _unitarity_defect(qp_matmul(p, retract((s * w[0], s * w[1])))) <= 1e-12
-
-
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    theta=st.one_of(
-        st.floats(0.0, 1e-6),
-        st.builds(
-            lambda k, eps: k * np.pi + eps,
-            st.integers(1, 4),
-            st.floats(-1e-6, 1e-6),
-        ),
-        st.floats(0.0, 20.0),
-    ),
-)
-def test_closed_form_exp_at_d1_matches_the_embedding(seed, theta):
-    # |u| near 0 and near multiples of pi, where sinc and cos turn
-    rng = np.random.default_rng(seed)
-    u = random_asd(rng, (16,), 1)
-    size = np.sqrt(np.abs(u[0]) ** 2 + np.abs(u[1]) ** 2)
-    u = (theta * u[0] / size, theta * u[1] / size)
-    p = qp_exp_asd(u)
-    ref = _exp_asd_eigh(u)
-    for part, ref_part in zip(p, ref):
-        assert part.shape == ref_part.shape
-        assert np.max(np.abs(part - ref_part)) <= 1e-14
-    assert _unitarity_defect(p) <= 1e-14
+    assert _unitarity_defect(qp_matmul(p, qp_cayley_asd((s * w[0], s * w[1])))) <= 1e-12
 
 
 def random_matrix_pair(rng, shape):
@@ -365,21 +335,28 @@ def test_embedded_product_matches_the_einsum_formula(seed, dim):
     v1, v2 = random_matrix_pair(rng, (8, 8, dim))
     mm = lambda a, b: np.einsum("...ij,...jk->...ik", a, b)
     mv = lambda a, b: np.einsum("...ij,...j->...i", a, b)
+    column = qp_matmul((x1, y1), (v1[..., None], v2[..., None]))
+    # (out, reference, whether they agree bit for bit)
     cases = [
         (
             qp_matmul((x1, y1), (x2, y2)),
             (mm(x1, x2) - mm(y1, np.conj(y2)), mm(x1, y2) + mm(y1, np.conj(x2))),
+            dim == 1,
         ),
         (
             qp_matvec((x1, y1), (v1, v2)),
             (mv(x1, v1) - mv(y1, np.conj(v2)), mv(x1, v2) + mv(y1, np.conj(v1))),
+            dim == 1,
         ),
+        # a vector is the one-column matrix at every d
+        (qp_matvec((x1, y1), (v1, v2)), (column[0][..., 0], column[1][..., 0]), True),
     ]
-    for out, ref in cases:
+    for out, ref, exact in cases:
         for part, ref_part in zip(out, ref):
             assert part.shape == ref_part.shape
-            if dim == 1:
-                # d = 1 keeps the einsum formula, bit for bit
+            if exact:
+                # d = 1 keeps the einsum formula, and qp_matvec is the
+                # one-column product, bit for bit
                 assert np.array_equal(part, ref_part)
             else:
                 err = np.max(np.abs(part - ref_part))

@@ -287,8 +287,17 @@ def test_spectrum_level_matches_the_operators(n, length, trailing, seed):
     assert w_hat is w
     for part, table in zip(w_hat, (f, g)):
         assert np.array_equal(part, np.fft.fft2(table, axes=(0, 1)))
-    sym = plan.multipliers(f.ndim)
+    sym = plan.multipliers(w_hat[0])
     assert np.array_equal(np.squeeze(sym.keep), s["keep"] > 0)
+    # shaped once per (columns, rank): another spectrum of the same shape
+    # gets the same object, and a real table's half spectrum the first
+    # n//2 + 1 columns of every full symbol
+    assert plan.multipliers(w_hat[1]) is sym
+    assert not any(table.flags.writeable for table in sym)
+    half = plan.multipliers(plan.spectrum(f.real))
+    for cut, full in zip(half, sym):
+        assert cut.shape == (n, n // 2 + 1) + (1,) * len(trailing)
+        assert np.array_equal(cut, full[:, : n // 2 + 1])
     cases = [
         (sym.d1 * w_hat, (plan.dx(f), plan.dx(g))),
         (sym.d2 * w_hat, (plan.dy(f), plan.dy(g))),
