@@ -11,7 +11,7 @@ jms | full-chain.
 A flat "key = value" config file provides defaults; command line flags win.
 Reports land in --out as <experiment>.json / <experiment>.csv (both by
 default, or only the requested formats).  Exit code 0 iff every metric
-passes.
+passes, 1 on a failed gate, 2 on a bad configuration (no report).
 """
 
 import argparse

@@ -47,6 +47,8 @@ __all__ = [
 
 # width of the concentrated bump of jacobian_vs_concentrated, in grid cells
 BUMP_WIDTH_CELLS = 2.5
+# real_from_imag_bound's relative L2 tolerance on d_zbar h = g
+PRECONDITION_TOL = 1e-10
 
 
 class PreconditionError(ValueError):
@@ -95,42 +97,27 @@ class BBDiagnostics:
     f_neg_sobolev: float
     g_l1: float
     ratio: float
-    grad_residual: float
-    imag_mismatch: float
 
 
 def bb_reconstruct(plan, data):
     """Recover the mean-zero u with grad u = f + g (up to dropped means).
 
     Returns (u, diagnostics).  The reconstruction depends only on f + g,
-    not on the particular split; ``grad_residual`` reports how far the
-    data is from being an exact gradient.
+    not on the particular split.
     """
     if data.grid != plan.grid:
         raise ValueError("data and plan grids differ")
     grid = plan.grid
     w1 = np.zeros((grid.n, grid.n))
-    w2 = np.zeros((grid.n, grid.n))
     for k in range(2):
-        alpha, beta, _ = plan.hodge_decompose(data.a[k, 0], data.a[k, 1])
-        dk = plan.dx if k == 0 else plan.dy
-        w1 += dk(alpha)
-        w2 += dk(beta)
+        alpha, _, _ = plan.hodge_decompose(data.a[k, 0], data.a[k, 1])
+        w1 += (plan.dx if k == 0 else plan.dy)(alpha)
 
     g_c = data.g[0] + 1j * data.g[1]
-    v = plan.cauchy_solve(0.5 * g_c)
-    u = w1 + v.real
+    u = w1 + plan.cauchy_solve(0.5 * g_c).real
     u -= u.mean()
 
     f1, f2 = data.f(plan)
-    ux, uy = plan.grad(u)
-    rx = ux - (f1 + data.g[0] - np.mean(data.g[0]))
-    ry = uy - (f2 + data.g[1] - np.mean(data.g[1]))
-    grad_residual = l2_norm(grid, rx, ry)
-
-    mismatch = w2 + v.imag
-    mismatch -= mismatch.mean()
-
     f_sob = np.sqrt(
         sobolev_neg_1_2(plan, f1 - f1.mean()) ** 2
         + sobolev_neg_1_2(plan, f2 - f2.mean()) ** 2
@@ -143,8 +130,6 @@ def bb_reconstruct(plan, data):
         f_neg_sobolev=f_sob,
         g_l1=g_l1,
         ratio=l2_u / denom if denom > 0 else np.inf,
-        grad_residual=grad_residual,
-        imag_mismatch=l2_norm(grid, mismatch),
     )
     return u, diag
 
@@ -160,10 +145,11 @@ class RealFromImagDiagnostics:
     identity_residual: float
 
 
-def real_from_imag_bound(plan, h, g, precondition_tol=1e-10):
+def real_from_imag_bound(plan, h, g):
     """Both sides of the real-part recovery bound, plus the pairing identity.
 
-    Requires d_zbar h = g on the grid (checked).  The identity
+    Requires d_zbar h = g on the grid, to PRECONDITION_TOL relative to the
+    larger of ||g||_2 and ||h||_2 (checked).  The identity
     Re int h0^2 = -Re int g T uses the mean-zero part h0 of h; a nonzero
     mean is reported through re_sq/im_sq of the full field elsewhere.
     """
@@ -172,7 +158,7 @@ def real_from_imag_bound(plan, h, g, precondition_tol=1e-10):
     g = np.asarray(g, dtype=complex)
     res = l2_norm(grid, plan.d_zbar(h) - g)
     scale = max(l2_norm(grid, g), l2_norm(grid, h), 1e-300)
-    if res > precondition_tol * scale:
+    if res > PRECONDITION_TOL * scale:
         raise PreconditionError("d_zbar h != g", res)
 
     h0 = h - h.mean()

@@ -79,13 +79,13 @@ def _quaternion_trial(plan, rng, seed, grad_alpha, tol):
     return record, doubled
 
 
-def contraction_run(plan, seed, grad_alpha, tol=1e-8):
+def contraction_run(plan, seed, grad_alpha, tol):
     """One quaternion-path contraction measurement; returns a record dict.
     Gauge stalls (expected at large data) are recorded, not raised."""
     return _quaternion_trial(plan, np.random.default_rng(seed), seed, grad_alpha, tol)[0]
 
 
-def matrix_contraction_run(plan, seed, grad_alpha, tol=1e-8):
+def matrix_contraction_run(plan, seed, grad_alpha, tol):
     """One doubled-path measurement from the 2d chain; returns the record
     of contraction_run with gamma_l2."""
     doubled = systems.chain_doubled(plan, np.random.default_rng(seed), grad_alpha)
@@ -549,7 +549,7 @@ def contraction(config):
     return report
 
 
-def _harmonic_control(grid, center, radius, delta=0.5):
+def _harmonic_control(grid, center, radius, delta):
     """L2 ratio of a degree-one harmonic gradient over B(delta r) vs
     B(3r/4): equals (4 delta / 3) exactly in the continuum."""
     gx = np.ones((grid.n, grid.n))  # grad of Re(z - z0): constant
@@ -685,7 +685,7 @@ def jms_experiment(config):
     params = jms.JmsParams(beta=config.beta, r0=config.r0)
     report = RunReport("jms", config.echo(), ["jms-counterexample"])
 
-    study = jms.jms_residual_study(params, grids=(128, 256, 512), excision=0.1)
+    study = jms.jms_residual_study(params)
     report.add(
         "weak_residual_order_min",
         worst_of(study["orders"]["weak_residual"], higher_is_better=True), 2.0,
@@ -713,7 +713,7 @@ def jms_experiment(config):
     report.add("solution_gradient_fd_rel_err", worst_of(errs_u), 1e-6)
     report.add("matrix_gradient_fd_rel_err", worst_of(errs_a), 1e-6)
 
-    table = jms.jms_norm_divergence(params, p_values=(1.0, 1.5))
+    table = jms.jms_norm_divergence(params)
     rows = []
     for entry in table:
         for i, (d, v) in enumerate(zip(entry["deltas"], entry["values"])):

@@ -28,11 +28,11 @@ class Grid2:
     """Periodic square grid: n points per side on [0, L)^2.
 
     n must be even and at least 8 so the FFT layer can apply one uniform
-    Nyquist policy.  With ``origin_singular=True`` the coordinates are
-    shifted by half a cell so no sample hits the torus origin.
+    Nyquist policy.  The first sample sits at the origin; a singularity
+    placed at the half-cell point (h/2, h/2) is hit by no sample.
     """
 
-    def __init__(self, n, length=2.0 * np.pi, origin_singular=False):
+    def __init__(self, n, length=2.0 * np.pi):
         if n < 8 or n % 2 != 0:
             raise ValueError(f"grid size must be even and >= 8, got {n}")
         if length <= 0:
@@ -41,8 +41,7 @@ class Grid2:
         self.length = float(length)
         self.spacing = self.length / self.n
         self.cell_measure = self.spacing**2
-        self.offset = 0.5 * self.spacing if origin_singular else 0.0
-        coords = self.offset + self.spacing * np.arange(self.n)
+        coords = self.spacing * np.arange(self.n)
         self.x1, self.x2 = np.meshgrid(coords, coords, indexing="ij")
 
     @property
@@ -54,14 +53,13 @@ class Grid2:
             isinstance(other, Grid2)
             and self.n == other.n
             and self.length == other.length
-            and self.offset == other.offset
         )
 
     def __hash__(self):
-        return hash((self.n, self.length, self.offset))
+        return hash((self.n, self.length))
 
     def __repr__(self):
-        return f"Grid2(n={self.n}, length={self.length:.6g}, offset={self.offset:.6g})"
+        return f"Grid2(n={self.n}, length={self.length:.6g})"
 
 
 # ---------------------------------------------------------------------------

@@ -88,11 +88,10 @@ def zeta_potential(plan, q, precondition_tol=1e-6):
     """Stream potential of the i-line of the connection.
 
     Requires the first gauge equation (i-line divergence zero); returns
-    (zeta, diagnostics) with the compensation ratio
-    ||grad zeta||_{2,1} / ||grad q||_2^2.
+    (zeta, the L2 norm of that divergence), as pgauge.chi_potential does.
     """
-    chi, diag = chi_potential(plan, _matrices(q), precondition_tol)
-    return chi[..., 0, 0].imag, diag
+    chi, dres = chi_potential(plan, _matrices(q), precondition_tol)
+    return chi[..., 0, 0].imag, dres
 
 
 def contraction_chain(plan, frak_f, omega, q, zeta, pre_tol=1e-6):

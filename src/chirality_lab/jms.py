@@ -1,16 +1,18 @@
 """The explicit low-regularity counterexample for divergence-form equations
 with a merely symmetric (non-involutive) coefficient matrix.
 
-Everything here is pointwise-analytic: the coefficient field
+Everything here is planar and pointwise-analytic: the coefficient field
 
     A(x) = I + alpha(|x|) (I - x x^t / |x|^2),
-    alpha(r) = -beta n / ((n-1) log(r0/r)) + beta (beta+1) / ((n-1) log(r0/r)^2)
+    alpha(r) = -2 beta / log(r0/r) + beta (beta+1) / log(r0/r)^2
 
-is uniformly elliptic for alpha >= -1/2, and u(x) = x1 / (r^2 log(r0/r)^beta)
-solves div(A grad u) = 0 away from the origin while failing to be W^{1,p}
-for every p > 1.  No torus FFT is involved; the singular, non-periodic
-structure is evaluated on sample points and verified by finite differences,
-quadrature, and a compactly supported weak-form battery.
+(the n-dimensional alpha at n = 2, the dimension of the solution, the weak
+battery and the quadrature) is uniformly elliptic for alpha >= -1/2, and
+u(x) = x1 / (r^2 log(r0/r)^beta) solves div(A grad u) = 0 away from the
+origin while failing to be W^{1,p} for every p > 1.  No torus FFT is
+involved; the singular, non-periodic structure is evaluated on sample points
+and verified by finite differences, quadrature, and a compactly supported
+weak-form battery.
 """
 
 from dataclasses import dataclass
@@ -23,6 +25,12 @@ from scipy import integrate
 R_OUTER = 0.5
 N_THETA = 256
 ORACLE_PANELS = 20000
+# the residual study's sample grids and excised disk |x| < EXCISION; the
+# norm study's exponents p and annulus radii delta, largest first
+STUDY_GRIDS = (128, 256, 512)
+EXCISION = 0.1
+NORM_P_VALUES = (1.0, 1.5)
+NORM_DELTAS = tuple(10.0 ** (-k) for k in range(1, 6))
 
 __all__ = [
     "JmsParams",
@@ -39,25 +47,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class JmsParams:
-    """beta > 1 and r0 large enough that alpha >= -1/2 on (0, 1].
+    """beta > 1 and r0 > 1 large enough that alpha >= -1/2 on (0, 1].
 
-    The constraint is checked numerically at construction; for n = 2 the
-    exact requirement is log(r0) >= 3 + sqrt(6)/2, so the default
-    r0 = e^4.5 has margin (e^4 does not).
+    r0 > 1 keeps log(r0/r) positive on (0, 1].  The alpha constraint is
+    checked numerically at construction; the exact requirement is
+    log(r0) >= 3 + sqrt(6)/2, so the default r0 = e^4.5 has margin (e^4
+    does not).
     """
 
     beta: float = 1.5
     r0: float = float(np.exp(4.5))
-    n: int = 2
 
     def __post_init__(self):
         if self.beta <= 1:
             raise ValueError("beta must exceed 1")
-        if self.n < 2:
-            raise ValueError("dimension must be at least 2")
+        if not self.r0 > 1:  # log(r0/r) must be positive on (0, 1]
+            raise ValueError("r0 must exceed 1")
         r = np.geomspace(1e-12, 1.0, 4001)
         amin = float(np.min(jms_alpha(r, self)))
-        if amin < -0.5:
+        if not amin >= -0.5:  # a NaN alpha fails too
             raise ValueError(
                 f"alpha dips to {amin:.4f} < -1/2 on (0, 1]; increase r0"
             )
@@ -70,15 +78,15 @@ def _log_ratio(r, params):
 def jms_alpha(r, params):
     r = np.asarray(r, dtype=float)
     ell = _log_ratio(r, params)
-    b, n = params.beta, params.n
-    return -b * n / ((n - 1) * ell) + b * (b + 1) / ((n - 1) * ell**2)
+    b = params.beta
+    return -2 * b / ell + b * (b + 1) / ell**2
 
 
 def jms_alpha_prime(r, params):
     r = np.asarray(r, dtype=float)
     ell = _log_ratio(r, params)
-    b, n = params.beta, params.n
-    return -b * n / ((n - 1) * r * ell**2) + 2 * b * (b + 1) / ((n - 1) * r * ell**3)
+    b = params.beta
+    return -2 * b / (r * ell**2) + 2 * b * (b + 1) / (r * ell**3)
 
 
 def _radial_projector(x):
@@ -195,11 +203,11 @@ def _bump_prime(t):
     return out
 
 
-def _test_battery(excision):
+def _test_battery():
     """Tensor bumps with analytic gradients, supported in the annulus
-    excision < |x| < 1."""
+    EXCISION < |x| < 1."""
     cells = []
-    lo, hi = excision, 1.0
+    lo, hi = EXCISION, 1.0
     mid = 0.5 * (lo + hi)
     for cx, cy, s in [
         (mid, 0.0, 0.4 * (hi - lo)),
@@ -209,26 +217,25 @@ def _test_battery(excision):
         (-mid / np.sqrt(2), -mid / np.sqrt(2), 0.3 * (hi - lo)),
     ]:
         r_support = np.hypot(cx, cy)
-        s_eff = min(s, 0.9 * (r_support - excision), 0.9 * (1.0 - r_support))
+        s_eff = min(s, 0.9 * (r_support - EXCISION), 0.9 * (1.0 - r_support))
         cells.append((cx, cy, s_eff))
     return cells
 
 
-def weak_residual(params, grid_n, excision, battery=None, mirrored=False):
+def weak_residual(params, grid_n, mirrored=False):
     """int A grad u . grad phi over compactly supported tensor bumps,
     evaluated by midpoint quadrature on an (grid_n)^2 sample grid."""
-    battery = battery or _test_battery(excision)
     h = 2.0 / grid_n
     coords = -1.0 + h * (np.arange(grid_n) + 0.5)
     xg, yg = np.meshgrid(coords, coords, indexing="ij")
     pts = np.stack([xg, yg], axis=-1)
     r = np.hypot(xg, yg)
-    valid = r > 0.5 * excision
+    valid = r > 0.5 * EXCISION
     flux = np.zeros_like(pts)
     flux[valid] = _flux(pts[valid], params)
 
     values = []
-    for cx, cy, s in battery:
+    for cx, cy, s in _test_battery():
         if mirrored:
             cx = -cx
         tx = (xg - cx) / s
@@ -240,8 +247,9 @@ def weak_residual(params, grid_n, excision, battery=None, mirrored=False):
     return np.asarray(values)
 
 
-def jms_residual_study(params, grids=(128, 256, 512), excision=0.1):
-    """Convergence of the strong and weak residuals under refinement.
+def jms_residual_study(params):
+    """Convergence of the strong and weak residuals under refinement on the
+    STUDY_GRIDS, outside the disk of radius EXCISION.
 
     Returns per-grid tables and the observed orders (log2 of successive
     ratios).  The weak battery is fixed across grids so the quadrature
@@ -249,18 +257,18 @@ def jms_residual_study(params, grids=(128, 256, 512), excision=0.1):
     """
     rng = np.random.default_rng(0)
     theta = rng.uniform(0, 2 * np.pi, 400)
-    rad = np.exp(rng.uniform(np.log(excision), 0.0, 400))
+    rad = np.exp(rng.uniform(np.log(EXCISION), 0.0, 400))
     sample = np.stack([rad * np.cos(theta), rad * np.sin(theta)], axis=-1)
 
     rows = []
-    for n in grids:
+    for n in STUDY_GRIDS:
         h = 2.0 / n
         strong = strong_residual(sample, params, h)
-        weak = weak_residual(params, n, excision)
+        weak = weak_residual(params, n)
         rows.append(
             {
                 "grid_n": n,
-                "excision": excision,
+                "excision": EXCISION,
                 "strong_residual": float(np.max(np.abs(strong))),
                 "weak_residual": float(np.max(np.abs(weak))),
             }
@@ -273,8 +281,8 @@ def jms_residual_study(params, grids=(128, 256, 512), excision=0.1):
             for i in range(len(vals) - 1)
         ]
         orders[key] = rates
-    parity = weak_residual(params, grids[0], excision) + weak_residual(
-        params, grids[0], excision, mirrored=True
+    parity = weak_residual(params, STUDY_GRIDS[0]) + weak_residual(
+        params, STUDY_GRIDS[0], mirrored=True
     )
     return {
         "rows": rows,
@@ -343,23 +351,21 @@ def gradient_l1_limit(params):
     return val
 
 
-def jms_norm_divergence(params, p_values=(1.0, 1.5), deltas=None):
-    """Gradient norms on shrinking annuli: convergence for p = 1,
-    divergence for p > 1 with the rate of the explicit asymptotic
-    integrand r^(1-2p) log(r0/r)^(-p beta)."""
-    if deltas is None:
-        deltas = [10.0 ** (-k) for k in range(1, 6)]
-    deltas = sorted(deltas, reverse=True)
+def jms_norm_divergence(params):
+    """Gradient norms on the shrinking annuli NORM_DELTAS, for each p of
+    NORM_P_VALUES: convergence for p = 1, divergence for p > 1 with the rate
+    of the explicit asymptotic integrand r^(1-2p) log(r0/r)^(-p beta)."""
     table = []
-    for p in p_values:
-        values = [gradient_lp_annulus(params, p, d) for d in deltas]
-        entry = {"p": p, "deltas": list(deltas), "values": values}
+    for p in NORM_P_VALUES:
+        values = [gradient_lp_annulus(params, p, d) for d in NORM_DELTAS]
+        entry = {"p": p, "deltas": list(NORM_DELTAS), "values": values}
         if p != 1.0:
             # fitted slope of the partial integrals vs delta, against the
             # asymptotic slope (2 - 2p) + p*beta / log(r0/delta)
             masses = np.asarray(values) ** p
-            slopes = np.diff(np.log(masses)) / np.diff(np.log(deltas))
-            mid = np.sqrt(np.asarray(deltas[:-1]) * np.asarray(deltas[1:]))
+            slopes = np.diff(np.log(masses)) / np.diff(np.log(NORM_DELTAS))
+            deltas = np.asarray(NORM_DELTAS)
+            mid = np.sqrt(deltas[:-1] * deltas[1:])
             predicted = (2 - 2 * p) + p * params.beta / np.log(params.r0 / mid)
             entry["fitted_slopes"] = slopes.tolist()
             entry["predicted_slopes"] = predicted.tolist()

@@ -86,16 +86,15 @@ def lp_norm(grid, f, p, region=None):
     return float((np.sum(vals**p) * grid.cell_measure) ** (1.0 / p))
 
 
-def linf_norm(grid, f, region=None):
-    vals = _region_values(grid, f, region)
-    return float(vals.max()) if vals.size else 0.0
+def linf_norm(grid, f):
+    return float(np.max(pointwise_abs(f)))
 
 
-def l2_norm(grid, *tables, region=None):
-    """L2 norm of a group of tables: the root of the summed squared L2
-    norms of the tables.  For one table sqrt(x**2) == x, so it is the
-    table's lp_norm with p = 2."""
-    return float(np.sqrt(sum(lp_norm(grid, f, 2, region) ** 2 for f in tables)))
+def l2_norm(grid, *tables):
+    """L2 norm of a group of tables over the whole grid: the root of the
+    summed squared L2 norms of the tables.  For one table sqrt(x**2) == x,
+    so it is the table's lp_norm with p = 2."""
+    return float(np.sqrt(sum(lp_norm(grid, f, 2) ** 2 for f in tables)))
 
 
 def _decreasing_rearrangement(grid, f, region):

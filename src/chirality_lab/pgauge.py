@@ -80,7 +80,6 @@ from chirality_lab.hyperunitary import (
 )
 from chirality_lab.norms import (
     l2_norm,
-    lorentz_l21,
     lorentz_weak_l2,
     pointwise_abs,
     spectral_neg_1_2,
@@ -196,7 +195,7 @@ def p_connection(plan, p):
     of (X, Y), one inverse of the four derivatives and two products."""
     pct = qp_conj_t(p)
     g = np.stack(p)
-    g = _gradient_of_spectra(plan, plan.forward(g, out=g))
+    g = _gradient_of_spectra(plan, plan.forward(g))
     return qp_matmul(pct, (g[0], g[1])), qp_matmul(pct, (g[2], g[3]))
 
 
@@ -225,7 +224,7 @@ def pn_apply(plan, p, check=True):
             raise ValueError(f"field is not hyper-unitary (defect {defect:.3e})")
     x1, x2 = p_connection(plan, p)
     w = np.stack((x1[0], x2[0]))
-    plan.forward(w, out=w)
+    plan.forward(w)
     nv_hat = _div_of_spectra(plan.multipliers(w[0]), w[0], w[1])
     return (nv_hat, _jk_of(x1, x2)), (x1, x2)
 
@@ -277,7 +276,7 @@ def _perturbation_spectra(plan, conn_rows, u, out):
     out[1] = c[0]
     out[2] += 1j * c[1]
     del c, commutators
-    plan.forward(out, out=out)
+    plan.forward(out)
     return _div_of_spectra(plan.multipliers(out[0]), out[0], out[1]), out[2]
 
 
@@ -447,7 +446,7 @@ def p_gauge_solve(plan, v_target, t_target, config=None):
             del r
             try:
                 _, u_hat, _ = _projected_solve(
-                    plan, conn, rv_hat, plan.forward(rt[None], out=rt[None])[0],
+                    plan, conn, rv_hat, plan.forward(rt[None])[0],
                     1e-3 * res / max(target_size, 1e-300), MAX_INNER,
                 )
             except GaugeDivergence:
@@ -517,9 +516,8 @@ def chi_potential(plan, p, precondition_tol=1e-6):
     a = mean(a) + grad_perp(chi).
 
     Requires the first gauge equation (1i-line divergence zero); returns
-    (chi, diagnostics) with the compensation ratio
-    ||grad chi||_{2,1} / ||grad P||_2^2, and raises PreconditionError when
-    the divergence does not vanish.
+    (chi, the L2 norm of that divergence), and raises PreconditionError
+    when it exceeds precondition_tol * ||grad P||_2^2.
     """
     grid = plan.grid
     x1, x2 = p_connection(plan, p)
@@ -527,23 +525,10 @@ def chi_potential(plan, p, precondition_tol=1e-6):
     grad_p_l2 = l2_norm(grid, *x1, *x2)
     a1, a2 = x1[0], x2[0]
     del x1, x2
-    scale = max(grad_p_l2**2, 1e-300)
     dres = l2_norm(grid, plan.div(a1, a2))
-    if dres > precondition_tol * scale:
+    if dres > precondition_tol * max(grad_p_l2**2, 1e-300):
         raise PreconditionError("1i-line of the connection is not divergence free", dres)
-    chi = plan.inv_laplacian(plan.curl(a1, a2))
-    cx, cy = plan.grad(chi)
-    rel_res = l2_norm(
-        grid, (a1 - a1.mean(axis=(0, 1))) + cy, (a2 - a2.mean(axis=(0, 1))) - cx
-    )
-    l21 = lorentz_l21(grid, pointwise_abs(cx, cy))
-    return chi, {
-        "divergence_residual": dres,
-        "stream_residual": rel_res,
-        "grad_potential_l21": l21,
-        "grad_gauge_l2": grad_p_l2,
-        "wente_ratio": l21 / scale,
-    }
+    return plan.inv_laplacian(plan.curl(a1, a2)), dres
 
 
 def absorbed_residual(plan, p, chi, gamma1, g_pair):
@@ -591,7 +576,7 @@ def p_contraction_chain(plan, p, chi, gamma1, g_pair):
     # grad A from the spectrum of A; a gradient of the pair (X, Y) is the
     # stack (d1 X, d1 Y, d2 X, d2 Y)
     a_hat = np.stack(rhs)
-    plan.forward(a_hat, out=a_hat)
+    plan.forward(a_hat)
     sym = plan.multipliers(a_hat[0])
     a_hat *= sym.inv_lap
     grad_a = _gradient_of_spectra(plan, a_hat)
@@ -612,7 +597,7 @@ def p_contraction_chain(plan, p, chi, gamma1, g_pair):
         wg[0::2] = np.moveaxis(x, -1, 0)
         wg[1::2] = np.moveaxis(y, -1, 0)
         del x, y
-        plan.forward(wg, out=wg)
+        plan.forward(wg)
         bg = np.empty((6,) + b.shape[1:], dtype=complex)  # B, then its gradient
         b_hat = bg[:2]
         np.multiply(wg[:2], sym.d1, out=b_hat)
@@ -671,7 +656,7 @@ def p_gauge_structures(plan, gamma, gamma1, g_pair, config=None, partial_ok=Fals
         result = stall.result
         t_reached = stall.t_reached
     try:
-        chi, chi_diag = chi_potential(plan, result.p, precondition_tol=1e-2)
+        chi, _ = chi_potential(plan, result.p, precondition_tol=1e-2)
     except PreconditionError as exc:
         return {"gauge": result, "t_reached": t_reached, "error": exc}
     contraction = p_contraction_chain(plan, result.p, chi, gamma1, g_pair)
@@ -679,7 +664,6 @@ def p_gauge_structures(plan, gamma, gamma1, g_pair, config=None, partial_ok=Fals
         "gauge": result,
         "t_reached": t_reached,
         "chi": chi,
-        "chi_diagnostics": chi_diag,
         "absorbed_residual": contraction["absorbed_residual"],
         "contraction": contraction,
     }

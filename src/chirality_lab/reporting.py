@@ -16,6 +16,9 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from chirality_lab.field_core import Grid2
+from chirality_lab.jms import JmsParams
+
 __all__ = [
     "ANCHORS",
     "ExperimentConfig",
@@ -98,14 +101,17 @@ class ExperimentConfig:
     out: str = "."
 
     def __post_init__(self):
-        for name in ("grid_n", "length", "eps0", "beta", "r0", "tol"):
+        for name in ("eps0", "tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"config field {name} must be positive")
         if self.seed < 0 or self.trials < 0:
             raise ValueError("seed and trials must be nonnegative")
+        # the grid and the jms parameters hold the rules on their fields
+        Grid2(self.grid_n, self.length)
+        JmsParams(self.beta, self.r0)
 
     @classmethod
-    def from_file(cls, path, overrides=None):
+    def from_file(cls, path, overrides):
         values = {}
         with open(path) as fh:
             for lineno, raw in enumerate(fh, 1):
@@ -117,7 +123,7 @@ class ExperimentConfig:
                 key, val = (s.strip() for s in line.split("=", 1))
                 values[key] = val
         merged = cls._coerce(values)
-        merged.update(overrides or {})
+        merged.update(overrides)
         return cls(**merged)
 
     @staticmethod
@@ -261,13 +267,12 @@ def write_csv(path, header, rows):
     atomic_write(path, "\n".join(lines) + "\n")
 
 
-def write_svg_chart(path, series, title="", logx=False, logy=False,
-                    width=640, height=420):
-    """Minimal deterministic SVG line chart.
+def write_svg_chart(path, series, title="", logx=False, logy=False):
+    """Minimal deterministic SVG line chart, 640 x 420.
 
     series: list of (label, xs, ys).  No text beyond axis bounds and labels.
     """
-    pad = 56.0
+    width, height, pad = 640, 420, 56.0
     xs_all = np.concatenate([np.asarray(x, dtype=float) for _, x, _ in series])
     ys_all = np.concatenate([np.asarray(y, dtype=float) for _, _, y in series])
     if logx:

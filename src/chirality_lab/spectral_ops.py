@@ -26,10 +26,10 @@ hodge_decompose) transform each input once.
 Solvers that stay in Fourier space between pointwise products use the
 spectrum level.  ``forward`` and ``inverse`` take same-shape complex tables
 stacked on a new leading axis, so their grid axes are 1 and 2, and
-transform all of them in one batched call, in place when ``out`` is the
-input; each stacked table stays contiguous, and a multiplier broadcast
-over it runs over whole grids even when its trailing axes are single
-entries.  ``spectrum`` gives one table's spectrum for spectral sums: the
+transform all of them in one batched call: ``forward`` always in place,
+``inverse`` into ``out`` when given.  Each stacked table stays contiguous,
+and a multiplier broadcast over it runs over whole grids even when its
+trailing axes are single entries.  ``spectrum`` gives one table's spectrum for spectral sums: the
 half spectrum of a real table.
 
 ``multipliers`` is the one symbol shaper of both levels: given a spectrum,
@@ -133,11 +133,11 @@ class SpectralPlan:
             return np.fft.rfft2(f, axes=(0, 1))
         return _fft(f)
 
-    def forward(self, w, out=None):
+    def forward(self, w):
         """Full spectra of the complex tables stacked on the leading axis of
-        w, whose grid axes are 1 and 2: one batched transform, into out
-        (which may be w itself) when given."""
-        return np.fft.fft2(w, axes=(1, 2), out=out)
+        w, whose grid axes are 1 and 2: one batched transform, in place;
+        returns w."""
+        return np.fft.fft2(w, axes=(1, 2), out=w)
 
     def inverse(self, w_hat, out=None):
         """Complex tables of the full spectra stacked on the leading axis of
@@ -298,7 +298,8 @@ def random_band_limited(plan, rng, kmax=None, rms=1.0):
     return f
 
 
-def random_band_limited_complex(plan, rng, kmax=None, rms=1.0):
-    re = random_band_limited(plan, rng, kmax, rms)
-    im = random_band_limited(plan, rng, kmax, rms)
+def random_band_limited_complex(plan, rng):
+    """(re + i im) / sqrt(2) for two random_band_limited draws."""
+    re = random_band_limited(plan, rng)
+    im = random_band_limited(plan, rng)
     return (re + 1j * im) / np.sqrt(2.0)

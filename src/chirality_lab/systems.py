@@ -443,7 +443,7 @@ def chain_quaternion(plan, rng, grad_alpha):
     )
 
 
-def manufacture_doubled(plan, m, rng, b_norm=0.05):
+def manufacture_doubled(plan, m, rng, b_norm):
     """Exact (g, A, B) with d_z g = A g + B conj(g): pick g bounded away
     from zero and an antisymmetric mean-zero B, then solve for the rank-one
     A = (d_z g - B conj(g)) g^H / |g|^2 pointwise."""

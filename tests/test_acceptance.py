@@ -179,7 +179,7 @@ def test_criterion_7_gauge_solver(tmp_path):
     worst = {}
     for eps in (0.01, 0.05, 0.1):
         start = time.perf_counter()
-        rec = experiments.contraction_run(plan, 1234 + int(1000 * eps), eps)
+        rec = experiments.contraction_run(plan, 1234 + int(1000 * eps), eps, tol=1e-8)
         elapsed = time.perf_counter() - start
         worst[eps] = (rec["residual"], rec["steps"], elapsed, rec["theta"])
         print(
@@ -204,13 +204,13 @@ def test_criterion_8_contraction_chain(tmp_path):
     factors = []
     t_reached = []  # a stalled gauge of either path is a failed trial
     for k in range(20):
-        rec = experiments.contraction_run(plan, 5000 + k, 0.1)
+        rec = experiments.contraction_run(plan, 5000 + k, 0.1, tol=1e-8)
         factors.append(rec["factor"])
         t_reached.append(rec["t_reached"])
     m_factors = []
     m_gammas = []
     for k in range(20):
-        rec = experiments.matrix_contraction_run(plan, 6000 + k, 0.1)
+        rec = experiments.matrix_contraction_run(plan, 6000 + k, 0.1, tol=1e-8)
         m_factors.append(rec["factor"])
         m_gammas.append(rec["gamma_l2"])
         t_reached.append(rec["t_reached"])

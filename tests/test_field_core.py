@@ -170,7 +170,4 @@ def test_grid_invariants():
     g = Grid2(16, length=2.0)
     assert g.spacing == pytest.approx(0.125)
     assert g.cell_measure == pytest.approx(0.125**2)
-    assert g.offset == 0.0
-    gs = Grid2(16, length=2.0, origin_singular=True)
-    assert gs.offset == pytest.approx(g.spacing / 2)
-    assert np.min(gs.x1**2 + gs.x2**2) > 0.0
+    assert g.x1[0, 0] == g.x2[0, 0] == 0.0

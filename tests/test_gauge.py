@@ -11,12 +11,13 @@ from chirality_lab.gauge import (
     zeta_potential,
 )
 from chirality_lab.hyperunitary import qp_commutator, qp_matmul
-from chirality_lab.norms import l2_norm, pointwise_abs
+from chirality_lab.norms import l2_norm, lorentz_l21, pointwise_abs
 from chirality_lab.pgauge import (
     MAX_INNER,
     GaugeDivergence,
     _projected_solve,
     _stacked_rows,
+    chi_potential,
     linearization_order,
     p_connection,
     p_gauge_structures,
@@ -357,7 +358,7 @@ def test_zeta_potential_identity_gauge(plan):
     n = plan.grid.n
     q = np.zeros((n, n, 4))
     q[..., 0] = 1.0
-    zeta, diag = zeta_potential(plan, q)
+    zeta, _ = zeta_potential(plan, q)
     assert np.max(np.abs(zeta)) == 0.0
 
 
@@ -367,7 +368,7 @@ def test_zeta_potential_i_line_gauge(plan):
     u = np.zeros((g2.n, g2.n, 4))
     u[..., 1] = 2 * np.pi * g2.x1 / g2.length
     q = exp_pure(u)
-    zeta, diag = zeta_potential(plan, q)
+    zeta, _ = zeta_potential(plan, q)
     assert np.max(np.abs(zeta)) < 1e-10
 
 
@@ -376,9 +377,19 @@ def test_zeta_potential_after_gauge_solve(plan):
     alpha = chain_alpha(plan, rng, 0.05)
     w_t, g_t = chain_targets(plan.d_z(alpha))
     res = gauge_solve(plan, w_t, g_t)
-    zeta, diag = zeta_potential(plan, res.q, precondition_tol=1e-3)
-    assert diag["stream_residual"] < 1e-6
-    assert diag["wente_ratio"] < 10.0
+    zeta, _ = zeta_potential(plan, res.q, precondition_tol=1e-3)
+    chi, _ = chi_potential(plan, res.p, precondition_tol=1e-3)
+    assert np.array_equal(zeta, chi[..., 0, 0].imag)
+    # the 1i-line a of the connection is mean(a) + grad_perp(chi), and
+    # ||grad chi||_{2,1} is controlled by ||grad P||_2^2 (Wente)
+    x1, x2 = p_connection(plan, res.p)
+    a1, a2 = x1[0], x2[0]
+    cx, cy = plan.grad(chi)
+    grid = plan.grid
+    stream = l2_norm(grid, a1 - a1.mean(axis=(0, 1)) + cy, a2 - a2.mean(axis=(0, 1)) - cx)
+    wente = lorentz_l21(grid, pointwise_abs(cx, cy)) / l2_norm(grid, *x1, *x2) ** 2
+    assert stream < 1e-6
+    assert wente < 10.0
 
 
 def test_zeta_potential_precondition(plan):

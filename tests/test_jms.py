@@ -26,6 +26,10 @@ def test_params_validation():
     JmsParams()  # default has margin
     with pytest.raises(ValueError, match="increase r0"):
         JmsParams(beta=1.5, r0=float(np.exp(4.0)))
+    # log(r0/r) must be positive on (0, 1]: r0 = 0 would give alpha = 0
+    for r0 in (0.0, 1.0):
+        with pytest.raises(ValueError, match="r0 must exceed 1"):
+            JmsParams(beta=1.5, r0=r0)
     with pytest.raises(ValueError):
         JmsParams(beta=1.0)
 
@@ -152,7 +156,8 @@ def test_pde_strong_residual_pointwise(params):
 
 
 def test_residual_study(params):
-    study = jms_residual_study(params, grids=(128, 256, 512), excision=0.1)
+    study = jms_residual_study(params)
+    assert [row["grid_n"] for row in study["rows"]] == [128, 256, 512]
     weak_orders = study["orders"]["weak_residual"]
     assert min(weak_orders) >= 2.0
     assert study["rows"][-1]["weak_residual"] < study["rows"][0]["weak_residual"]
@@ -188,8 +193,9 @@ def test_l1_norm_converges(params):
 
 
 def test_p15_divergence_slope(params):
-    table = jms_norm_divergence(params, p_values=(1.5,))
-    entry = table[0]
+    table = jms_norm_divergence(params)
+    entry = table[1]
+    assert entry["p"] == 1.5
     fitted = np.asarray(entry["fitted_slopes"])
     predicted = np.asarray(entry["predicted_slopes"])
     # the asymptotic regime: pairs with delta <= 1e-2

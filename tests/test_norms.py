@@ -65,16 +65,25 @@ def test_lorentz_indicator(grid):
     assert lorentz_l21(grid, np.zeros((grid.n, grid.n))) == 0.0
 
 
+def half_cell_distance(g):
+    """Torus distance of every sample from the half-cell point (h/2, h/2),
+    which no sample hits, and that point."""
+    c = 0.5 * g.spacing
+    d1 = np.abs(g.x1 - c)
+    d2 = np.abs(g.x2 - c)
+    d1 = np.minimum(d1, g.length - d1)
+    d2 = np.minimum(d2, g.length - d2)
+    return np.sqrt(d1**2 + d2**2), (c, c)
+
+
 def test_weak_l2_of_reciprocal_distance():
     # |1/z| on B(0,1) minus a small hole has weak-L2 norm sqrt(pi)
     values = []
     for n in (128, 256):
-        g = Grid2(n, origin_singular=True)
-        d1 = np.minimum(g.x1, g.length - g.x1)
-        d2 = np.minimum(g.x2, g.length - g.x2)
-        r = np.sqrt(d1**2 + d2**2)
+        g = Grid2(n)
+        r, center = half_cell_distance(g)
         f = np.where(r >= 0.02, 1.0 / np.maximum(r, 1e-9), 0.0)
-        values.append(lorentz_weak_l2(g, f, Ball((0.0, 0.0), 1.0)))
+        values.append(lorentz_weak_l2(g, f, Ball(center, 1.0)))
     assert values[-1] == pytest.approx(np.sqrt(np.pi), rel=0.08)
     # refinement moves the estimate toward the analytic value
     assert abs(values[1] - np.sqrt(np.pi)) <= abs(values[0] - np.sqrt(np.pi)) + 0.02
@@ -187,12 +196,10 @@ def radial_weak_l2_oracle(s, r):
 
 def test_morrey_profile_power(grid):
     s = 0.5
-    gs = Grid2(grid.n, origin_singular=True)
-    d1 = np.minimum(gs.x1, gs.length - gs.x1)
-    d2 = np.minimum(gs.x2, gs.length - gs.x2)
-    f = (d1**2 + d2**2) ** (s / 2)
+    dist, center = half_cell_distance(grid)
+    f = dist**s
     radii = [0.4, 0.6, 0.9, 1.35, 2.0]
-    fit = morrey_profile(gs, f, (0.0, 0.0), radii)
+    fit = morrey_profile(grid, f, center, radii)
     assert fit.alpha == pytest.approx(s + 1.0, abs=0.08)
     for r, v in zip(fit.radii, fit.values):
         assert v == pytest.approx(radial_weak_l2_oracle(s, r), rel=0.08)
@@ -218,10 +225,9 @@ def test_linf(grid):
         st.tuples(st.sampled_from([(), (4,), (2, 2)]), st.booleans()),
         min_size=1, max_size=3,
     ),
-    in_ball=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_group_norms_are_norms_of_the_concatenated_table(n, tables, in_ball, seed):
+def test_group_norms_are_norms_of_the_concatenated_table(n, tables, seed):
     grid = Grid2(n, length=3.0)
     rng = np.random.default_rng(seed)
     fs = []
@@ -234,8 +240,7 @@ def test_group_norms_are_norms_of_the_concatenated_table(n, tables, in_ball, see
     mag, ref = pointwise_abs(*fs), pointwise_abs(joined)
     assert mag.shape == (n, n)
     assert np.all(np.abs(mag - ref) <= 1e-14 * ref)
-    region = Ball(tuple(rng.random(2) * 3.0), 0.4 + 0.7 * rng.random()) if in_ball else None
-    norm, ref = l2_norm(grid, *fs, region=region), l2_norm(grid, joined, region=region)
+    norm, ref = l2_norm(grid, *fs), l2_norm(grid, joined)
     assert abs(norm - ref) <= 1e-14 * ref
     for f in fs:
-        assert l2_norm(grid, f, region=region) == lp_norm(grid, f, 2, region)
+        assert l2_norm(grid, f) == lp_norm(grid, f, 2)

@@ -244,8 +244,9 @@ def test_chi_potential_identity(plan):
     n = plan.grid.n
     eye = np.broadcast_to(np.eye(4, dtype=complex), (n, n, 4, 4)).copy()
     p = (eye, np.zeros_like(eye))
-    chi, diag = chi_potential(plan, p, precondition_tol=1.0)
+    chi, dres = chi_potential(plan, p, precondition_tol=1.0)
     assert np.max(np.abs(chi)) == 0.0
+    assert dres == 0.0
 
 
 def test_chi_potential_precondition(plan):

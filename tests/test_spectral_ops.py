@@ -94,7 +94,8 @@ def test_j_block_shuffle_identities(plan):
     # d_left(c j) = (d_z c) j and d_left(j c) = j (d_zbar c); checked both
     # against the algebra and against a finite-difference oracle.
     rng = np.random.default_rng(4)
-    c = random_band_limited_complex(plan, rng, kmax=3)
+    c = (random_band_limited(plan, rng, kmax=3)
+         + 1j * random_band_limited(plan, rng, kmax=3)) / np.sqrt(2.0)
     cj = complex_pair_to_quat(np.zeros_like(c), c)
     lhs = plan.d_left(cj)
     rhs = complex_pair_to_quat(np.zeros_like(c), plan.d_z(c))
@@ -283,7 +284,8 @@ def test_spectrum_level_matches_the_operators(n, length, trailing, seed):
         for _ in range(2)
     )
     w = np.stack((f, g))
-    w_hat = plan.forward(w, out=w)
+    # forward transforms in place and returns its input
+    w_hat = plan.forward(w)
     assert w_hat is w
     for part, table in zip(w_hat, (f, g)):
         assert np.array_equal(part, np.fft.fft2(table, axes=(0, 1)))
