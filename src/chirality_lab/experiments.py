@@ -533,10 +533,10 @@ def contraction(config):
     report.add("quaternion_residual_max", worst_of(r["residual"] for r in recs), 1e-8)
     _add_trial_gates(report, "quaternion", recs)
 
-    m_recs = [
-        matrix_contraction_run(plan, config.seed + 100 + k, level, tol=config.tol)
-        for k in range(max(2, seeds // 4))
-    ]
+    m_recs = run_parallel(
+        lambda s: matrix_contraction_run(plan, s, level, tol=config.tol),
+        [config.seed + 100 + k for k in range(max(2, seeds // 4))],
+    )
     report.add("matrix_factor_max", worst_of(r["factor"] for r in m_recs), 1.0)
     report.add(
         "matrix_absorbed_residual_max",

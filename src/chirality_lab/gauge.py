@@ -69,11 +69,12 @@ def _quaternion_result(res):
 
 
 def gauge_solve(plan, w_target, g_target, config=None):
-    """Numerical continuation for N(q) = (w, g) over unit quaternions.
+    """Solve N(q) = (w, g) over unit quaternions: Newton at t = 1, with
+    numerical continuation as its fallback (pgauge.p_gauge_solve).
 
     Targets must have a mean-zero i-line part (structural on the torus).
     Raises GaugeStall, whose result carries the partial gauge as an
-    (n, n, 4) table, when step halving drops below the smallest step.
+    (n, n, 4) table, when the continuation stalls.
     """
     v = 1j * np.asarray(w_target, dtype=float)[..., None, None]
     t = np.asarray(g_target, dtype=complex)[..., None, None]

@@ -15,28 +15,38 @@ The operator is
 
 with the 1i-line component a skew-Hermitian table V and the jk-plane
 component a complex symmetric table T.  N(P) = (V, T) is solved by
-numerical continuation along t*(V, T) with a damped Newton step
-P <- P cay(s u) at each level, where cay is the Cayley retraction of
+damped Newton, P <- P cay(s u), where cay is the Cayley retraction of
 hyperunitary.qp_cayley_asd.  The line search tries s = 1 and s = 1/2
 only: near an obstruction the residual sits on a floor that no shorter
 step lowers (backtracking as in Dennis & Schnabel, Numerical Methods for
-Unconstrained Optimization and Nonlinear Equations, SIAM 1996, 6.3).  The
-step starts at GaugeConfig.dt, doubles after each accepted level and, after
-a rejected one, halves until the next level lies below the failed one
-(step-length control as in Allgower & Georg, Introduction to Numerical
-Continuation Methods, SIAM 2003).  So a rejected level is not retried at
-once, but the doubling after a later accepted level can clip the step to
-t = 1 again, and on data that stall near 1 the level t = 1 is tried after
-every such acceptance.  The linearization at P = I inverts in
-closed form (a Laplace solve for the 1i-line, a d_zbar solve for the
-jk-plane); the Newton solve iterates it against the commutator terms of
-the frozen connection, which the residual evaluation hands over.  The
-connection and the iterate are both anti-self-dual, so each commutator
-[A, u] is A u - (A u)^dagger, and the two blocks of the connection,
-stacked, take one product together.  The evaluation of a field, N(P)
-with its connection, does not depend on t: an accepted field's evaluation
-is handed to the next level and to the result, and P = I, where both
-vanish, needs none.
+Unconstrained Optimization and Nonlinear Equations, SIAM 1996, 6.3).
+Newton comes first: the first level is t = 1 itself, tried from P = I.
+Only when it is rejected does numerical continuation along t*(V, T) take
+over, as a globalization used where Newton's basin is left (Deuflhard,
+Newton Methods for Nonlinear Problems, Springer 2004).  The continuation
+starts again from t = 0 and P = I; its step starts at GaugeConfig.dt,
+doubles after each accepted level and, after a rejected one, halves until
+the next level lies below the failed one (step-length control as in
+Allgower & Georg, Introduction to Numerical Continuation Methods, SIAM
+2003).  A rejected level is therefore not retried at once, but on data
+that stall near 1 the doubling after an accepted level clips the step to
+t = 1 again.  The continuation stalls at the second rejected level in a
+row.  That level lies below 1, at the bound 0.02 dt |target| of its halved
+step, which only gets stricter as the step halves further: its failure
+marks a residual floor that no level closer in t meets.  Where accepted
+levels and rejections at t = 1 alternate, the step falls below DT_MIN and
+the continuation stalls there.
+
+The linearization at P = I inverts in closed form (a Laplace solve for
+the 1i-line, a d_zbar solve for the jk-plane); the Newton solve iterates
+it against the commutator terms of the frozen connection, which the
+residual evaluation hands over.  The connection and the iterate are both
+anti-self-dual, so each commutator [A, u] is A u - (A u)^dagger, and the
+two blocks of the connection, stacked, take one product together.  The
+evaluation of a field, N(P) with its connection, does not depend on t: an
+accepted field's evaluation is handed to the next level and to the
+result, and P = I, where both vanish, needs none, at the direct attempt
+or at the continuation's start.
 
 The Newton step stays in Fourier space between its pointwise products,
 through the spectrum level of SpectralPlan (batched transforms of tables
@@ -52,9 +62,10 @@ connection, since P acts isometrically: ||grad P||_2 = ||P^-1 grad P||_2.
 Torus bookkeeping: the 1i-line component of N is a divergence and has zero
 mean structurally, so targets must be mean-zero there.  The jk-plane mean
 of the image is quadratic near P = I, so linear solves project it out;
-intermediate continuation levels track the path to basin accuracy and the
-endpoint Newton closes the mean where a solution exists.  Residual tables
-reduce over the grid axes (0, 1) and contract the matrix axes.
+intermediate continuation levels track the path to basin accuracy, and
+the mean is enforced only at t = 1.  On generic data it sits on a floor
+there that Newton has not closed, and the continuation stalls.  Residual
+tables reduce over the grid axes (0, 1) and contract the matrix axes.
 
 The stream potential chi of the 1i-line of the connection (p_connection,
 the one P^-1 grad P of the module) and the contraction measurement (the B
@@ -121,11 +132,12 @@ class GaugeDivergence(RuntimeError):
 
 class GaugeStall(RuntimeError):
     """The continuation stalled at t_reached; result is the partial gauge.
-    residual, bound and jk_mean are the last failed level's oscillatory
-    residual, its acceptance bound and its jk mean: the level failed
-    because residual (plus jk_mean at t = 1) exceeds bound."""
+    rule names what stopped it: "two levels in a row rejected" or "step
+    below DT_MIN".  residual, bound and jk_mean are the last failed level's
+    oscillatory residual, its acceptance bound and its jk mean: the level
+    failed because residual (plus jk_mean at t = 1) exceeds bound."""
 
-    def __init__(self, t_reached, result, residual, bound, jk_mean):
+    def __init__(self, t_reached, result, residual, bound, jk_mean, rule):
         # the continuation stalls right after a rejected level
         t_failed, dt_failed, _ = result.levels[-1]
         if t_failed >= 1.0 - 1e-12:
@@ -133,10 +145,11 @@ class GaugeStall(RuntimeError):
         else:
             reason = f"oscillatory residual {residual:.2e}"
         super().__init__(
-            f"continuation stalled at t = {t_reached:.4f} "
+            f"continuation stalled at t = {t_reached:.4f}, {rule} "
             f"(last failed level t = {t_failed:.6g}, dt = {dt_failed:.3g}: "
             f"{reason} > bound {bound:.2e}, jk mean {jk_mean:.2e})"
         )
+        self.rule = rule
         self.t_reached = t_reached
         self.result = result
         self.residual = residual
@@ -302,10 +315,11 @@ def _projected_solve(plan, conn_rows, v_hat, t_hat, tol, max_iter):
     the next products and the sup-norm test against the right side's values.
     The jk-plane mean is a harmonic sector reachable only at second order
     in the connection, so the solve projects it out (the zero modes of
-    L_I^-1); the outer Newton flow carries the mean along and closes it at
-    the end of the continuation.  Returns (u, the spectra of u's two parts
-    stacked on a leading axis, iterations); raises GaugeDivergence when the
-    iteration stops contracting.
+    L_I^-1).  The outer Newton flow moves the mean only through that second
+    order: on chain data, which admit an exact gauge, it closes at t = 1,
+    and on generic data it stays on a floor (a stall).  Returns (u, the
+    spectra of u's two parts stacked on a leading axis, iterations); raises
+    GaugeDivergence when the iteration stops contracting.
     """
     rhs = np.stack((v_hat, t_hat))
     scale = max(float(np.max(np.abs(plan.inverse(rhs, out=rhs)))), 1e-300)
@@ -339,22 +353,27 @@ def _projected_solve(plan, conn_rows, v_hat, t_hat, tol, max_iter):
 
 
 def p_gauge_solve(plan, v_target, t_target, config=None):
-    """Continuation solve of N(P) = (V, T) over hyper-unitary fields: the
-    levels t*(V, T) are solved by damped Newton from the previous level's
-    field.
+    """Solve N(P) = (V, T) over hyper-unitary fields by damped Newton,
+    directly or along the continuation levels t*(V, T).
 
     The 1i-line target must be mean-zero (structural on the torus).  The
-    first step is GaugeConfig.dt; it doubles (up to 1) after each accepted
+    first level is t = 1, tried from P = I with dt = 1; when it is accepted
+    the solve is done.  Otherwise the continuation runs from t = 0 and
+    P = I, each level solved from the previous level's field.  Its first
+    step is GaugeConfig.dt; the step doubles (up to 1) after each accepted
     level.  After a rejected level it halves until the next level lies
     below the failed one, so the retry lies below the failed t; t = 1 is
     tried again after each later accepted level whose doubled step reaches
     it.  Each Newton step's line search tries the fractions s = 1 and 1/2
     of the step.  GaugeStall (carrying the partial result at the last
-    accepted t, and the failed level's residual against its bound) is
-    raised once the step drops below DT_MIN.  Intermediate levels are
+    accepted t, the failed level's residual against its bound, and the
+    rule that stopped the run) is raised at the second continuation level
+    in a row that is rejected, or once the step drops below DT_MIN; the
+    direct attempt counts toward neither.  Intermediate levels are
     accepted at an oscillatory residual of 0.02 min(dt, GaugeConfig.dt)
-    |target|, whatever the step has grown to.  The result lists every
-    attempted level as (t, dt, accepted).
+    |target|, whatever the step has grown to, so GaugeConfig.dt also caps
+    the partial gauge's residual.  The result lists every attempted level,
+    the direct attempt first, as (t, dt, accepted).
     """
     cfg = config or GaugeConfig()
     v_target = np.asarray(v_target, dtype=complex)
@@ -373,10 +392,13 @@ def p_gauge_solve(plan, v_target, t_target, config=None):
     p = eye.copy(), np.zeros_like(eye)
     # the evaluation (N(P), P^-1 grad P) of the accepted field p, or None
     # once newton() has released it; N(I) and the connection of I vanish,
-    # so the first level starts from p's zero Y part, with no FFT
-    ev = (p[1], p[1]), ((p[1], p[1]), (p[1], p[1]))
+    # so both starts from P = I take p's zero Y part, with no FFT
+    ev = ev_identity = (p[1], p[1]), ((p[1], p[1]), (p[1], p[1]))
+    # the direct attempt: t = 1 in one step
     t = 0.0
-    dt = cfg.dt
+    dt = 1.0
+    direct = True
+    last_rejected = False
     levels = []
 
     def level_residual(ev_now, t_now):
@@ -406,10 +428,9 @@ def p_gauge_solve(plan, v_target, t_target, config=None):
 
     def level_bound(t_now, dt_now):
         # intermediate levels only need basin-tracking accuracy; the jk mean
-        # follows quadratically and is enforced at the endpoint, where the
-        # final Newton polish closes it.  The bound is capped at the first
-        # step, so a partial gauge stays within 0.02 cfg.dt |target| however
-        # far the step has grown.
+        # follows quadratically and is enforced only at t = 1.  The bound is
+        # capped at the continuation's first step, so a partial gauge stays
+        # within 0.02 cfg.dt |target| however far the step has grown.
         if t_now >= 1.0 - 1e-12:
             return tol_floor
         return max(tol_floor, 0.02 * min(dt_now, cfg.dt) * target_size)
@@ -483,14 +504,25 @@ def p_gauge_solve(plan, v_target, t_target, config=None):
             p = p_next
             t = t_next
             dt = min(2.0 * dt, 1.0)
+            last_rejected = False
+        elif direct:
+            # fall back to the continuation from t = 0 and P = I
+            ev = ev_identity
+            dt = cfg.dt
+            direct = False
         else:
             # ev belongs to p_next, or is released
             ev = None
             bound = level_bound(t_next, dt)
+            if last_rejected:
+                raise GaugeStall(
+                    t, finish(t), res, bound, rmean, "two levels in a row rejected"
+                )
             while t + dt >= t_next:
                 dt *= 0.5
             if dt < DT_MIN:
-                raise GaugeStall(t, finish(t), res, bound, rmean)
+                raise GaugeStall(t, finish(t), res, bound, rmean, "step below DT_MIN")
+            last_rejected = True
     return finish(1.0)
 
 

@@ -50,9 +50,10 @@ def test_workload_runs_one_checked_operation(workloads, name):
 
 def test_matrix_chain_operation_evaluates_each_field_once(workloads, monkeypatch):
     # the count that perfbench/run.py --trace 1 reports as
-    # pgauge.residual_evals: one per trial of the six Newton steps of five
-    # levels; neither the identity start nor an accepted field is evaluated
-    # again
+    # pgauge.residual_evals: one per trial of the two Newton steps of the
+    # direct attempt at t = 1, which chain data pass; neither the identity
+    # start nor an accepted field is evaluated again.  The continuation from
+    # t = GaugeConfig.dt took six over five levels
     workload = workloads["matrix-chain"]
     plan, instances = workload.setup(1)
     real, calls = pgauge.pn_apply, []
@@ -63,7 +64,7 @@ def test_matrix_chain_operation_evaluates_each_field_once(workloads, monkeypatch
 
     monkeypatch.setattr(pgauge, "pn_apply", counted)
     workload.run(plan, instances[0])
-    assert len(calls) == 6
+    assert len(calls) == 2
 
 
 # the numpy.fft entry points that perfbench/run.py --trace 1 counts
@@ -75,11 +76,12 @@ FFT_ENTRY_POINTS = (
 
 def test_matrix_chain_operation_keeps_its_inner_work(workloads, monkeypatch):
     # pgauge.inner_iterations and spectral_ops.fft_calls of the traced run:
-    # one pl1_solve per inner iteration of the six Newton steps, and the
-    # FFT calls of the whole chain.  The Fourier-space Newton step takes one
-    # batched transform each way per inner iteration and 99 FFT calls per
-    # operation; with seven separate transforms per inner iteration the
-    # operation took 323
+    # one pl1_solve per inner iteration of the two Newton steps of the
+    # direct attempt (16 over the six of the five-level continuation), and
+    # the FFT calls of the whole chain.  The Fourier-space Newton step takes one
+    # batched transform each way per inner iteration, and the operation 56
+    # FFT calls (99 over the continuation); with seven separate transforms
+    # per inner iteration the continuation took 323
     workload = workloads["matrix-chain"]
     plan, instances = workload.setup(1)
     counts = Counter()
@@ -94,5 +96,5 @@ def test_matrix_chain_operation_keeps_its_inner_work(workloads, monkeypatch):
     for name in FFT_ENTRY_POINTS:
         monkeypatch.setattr(np.fft, name, counting("fft", getattr(np.fft, name)))
     workload.run(plan, instances[0])
-    assert counts["pl1_solve"] == 16
-    assert counts["fft"] <= 99
+    assert counts["pl1_solve"] == 6
+    assert counts["fft"] <= 56

@@ -117,7 +117,7 @@ def stub_chain(monkeypatch, mode):
             levels=((t, 0.5, t == 1.0),), p=(eye.copy(), np.zeros_like(eye)),
         )
         if t < 1.0:
-            raise pgauge.GaugeStall(t, res, 1e-6, 1e-7, 0.0)
+            raise pgauge.GaugeStall(t, res, 1e-6, 1e-7, 0.0, "step below DT_MIN")
         return res
 
     def potential(fail, plan, p, *args, **kwargs):

@@ -20,7 +20,7 @@ from chirality_lab.hyperunitary import (
     qp_matvec,
     random_asd,
 )
-from chirality_lab.norms import lorentz_weak_l2, pointwise_abs, sobolev_neg_1_2
+from chirality_lab.norms import l2_norm, lorentz_weak_l2, pointwise_abs, sobolev_neg_1_2
 from chirality_lab.pgauge import (
     GaugeConfig,
     GaugeStall,
@@ -209,13 +209,15 @@ def test_p_gauge_structures_returns_the_gauge_when_chi_fails():
     assert isinstance(out["error"], PreconditionError)
     assert "contraction" not in out and "chi" not in out
     # the one data whose line search accepts a half step: the two-fraction
-    # search keeps every level; after 1 - 1/32 and t = 1 the step halves
-    # from 1/64 to 1/8192, all rejected
+    # search keeps every level.  The direct attempt is rejected; after
+    # 1 - 1/32 and t = 1 the level at step 1/64 is rejected too, the second
+    # in a row
     assert out["gauge"].levels == (
-        (0.0625, 0.0625, True), (0.1875, 0.125, True), (0.4375, 0.25, True),
-        (0.9375, 0.5, True), (1.0, 1.0, False), (0.96875, 0.03125, True),
-        (1.0, 0.0625, False),
-    ) + tuple((0.96875 + 2.0**-k, 2.0**-k, False) for k in range(6, 14))
+        (1.0, 1.0, False), (0.0625, 0.0625, True), (0.1875, 0.125, True),
+        (0.4375, 0.25, True), (0.9375, 0.5, True), (1.0, 1.0, False),
+        (0.96875, 0.03125, True), (1.0, 0.0625, False),
+        (0.984375, 0.015625, False),
+    )
 
 
 def test_p_gauge_rejects_non_asd(plan):
@@ -410,29 +412,51 @@ def test_asd_commutator_matches_the_general_one_on_the_algebra(seed, dim):
 
 # -- the continuation's step policy ----------------------------------------
 
-def test_continuation_step_doubles_after_each_accepted_level():
+def test_continuation_step_doubles_after_each_accepted_level(stall16_data):
+    # chain data: the first level is t = 1, and it is accepted
     plan32 = SpectralPlan(Grid2(32))
     gamma = chain_doubled(plan32, np.random.default_rng(3), 0.05).gamma
     cfg = GaugeConfig(eps0=0.2, tol=1e-8, dt=1.0 / 16.0)
     res = p_gauge_solve(plan32, np.zeros_like(gamma[1]), -2.0 * gamma[1], cfg)
     assert res.residual < 1e-8
-    ts = [t for t, _, accepted in res.levels if accepted]
-    assert ts[-1] == 1.0 and len(ts) == res.continuation_steps
-    steps = np.diff([0.0] + ts)
-    assert steps[0] == cfg.dt
-    assert np.all(steps[1:] <= 2.0 * steps[:-1])
-    assert res.continuation_steps <= 5
+    assert res.levels == ((1.0, 1.0, True),) and res.continuation_steps == 1
+    # after a rejected direct attempt the continuation starts at t = 0 with
+    # the step GaugeConfig.dt and doubles it after each accepted level
+    plan16, target = stall16_data
+    for dt in (1.0 / 16.0, 1.0 / 8.0):
+        cfg = GaugeConfig(eps0=0.2, tol=1e-8, dt=dt)
+        with pytest.raises(GaugeStall) as err:
+            p_gauge_solve(plan16, np.zeros_like(target), target, cfg)
+        levels = err.value.result.levels
+        assert levels[0] == (1.0, 1.0, False)
+        t, step = 0.0, dt
+        for level in levels[1:]:
+            if level[0] == 1.0:
+                break
+            assert level == (t + step, step, True)
+            t, step = t + step, 2.0 * step
+        assert level == (1.0, step, False) and t + step > 1.0
+
+
+def stall_target(n, seed, b_norm):
+    """The plan and the jk-plane target -2 Gamma_Y of generic doubled data
+    (manufacture_doubled with m = 2)."""
+    plan_n = SpectralPlan(Grid2(n))
+    g, a, b = manufacture_doubled(plan_n, 2, np.random.default_rng(seed), b_norm=b_norm)
+    return plan_n, -2.0 * double_system(plan_n, g, a, b).gamma[1]
 
 
 @pytest.fixture(scope="module")
-def stall16_run():
-    """The stall on generic doubled data at n = 16, which stalls just short
-    of t = 1, and the number of residual evaluations (pn_apply calls) it
-    took."""
-    plan16 = SpectralPlan(Grid2(16))
-    g, a, b = manufacture_doubled(plan16, 2, np.random.default_rng(0), b_norm=0.04)
-    doubled = double_system(plan16, g, a, b)
-    v_target = np.zeros_like(doubled.gamma[1])
+def stall16_data():
+    """Generic doubled data at n = 16, which stall just short of t = 1."""
+    return stall_target(16, 0, 0.04)
+
+
+@pytest.fixture(scope="module")
+def stall16_run(stall16_data):
+    """The stall of stall16_data, and the number of residual evaluations
+    (pn_apply calls) it took."""
+    plan16, target = stall16_data
     calls = []
 
     def counted(*args, **kwargs):
@@ -443,8 +467,7 @@ def stall16_run():
         mp.setattr(pgauge, "pn_apply", counted)
         with pytest.raises(GaugeStall) as err:
             p_gauge_solve(
-                plan16, v_target, -2.0 * doubled.gamma[1],
-                GaugeConfig(eps0=0.2, tol=1e-8),
+                plan16, np.zeros_like(target), target, GaugeConfig(eps0=0.2, tol=1e-8)
             )
     return err.value, len(calls)
 
@@ -475,30 +498,93 @@ def test_rejected_level_is_not_retried_at_the_same_t(stall16):
 def test_stall_path_keeps_its_levels_and_its_work_bound(stall16_run):
     stall, residual_evals = stall16_run
     assert stall.t_reached == 0.9921875
-    # t = 1 is tried after each accepted level near it; the last six levels
-    # halve the step from 1/256 to 1/8192 just above t_reached
+    # the direct attempt fails, then t = 1 is tried after each accepted
+    # level near it; the level at step 1/256 just above t_reached is the
+    # second rejected in a row and stalls the run
     assert stall.result.levels == (
-        (0.0625, 0.0625, True), (0.1875, 0.125, True), (0.4375, 0.25, True),
-        (0.9375, 0.5, True), (1.0, 1.0, False), (0.96875, 0.03125, True),
-        (1.0, 0.0625, False), (0.984375, 0.015625, True), (1.0, 0.03125, False),
+        (1.0, 1.0, False), (0.0625, 0.0625, True), (0.1875, 0.125, True),
+        (0.4375, 0.25, True), (0.9375, 0.5, True), (1.0, 1.0, False),
+        (0.96875, 0.03125, True), (1.0, 0.0625, False),
+        (0.984375, 0.015625, True), (1.0, 0.03125, False),
         (0.9921875, 0.0078125, True), (1.0, 0.015625, False),
-    ) + tuple((0.9921875 + 2.0**-k, 2.0**-k, False) for k in range(8, 14))
+        (0.99609375, 0.00390625, False),
+    )
+    assert stall.rule == "two levels in a row rejected"
     # a rejected level takes one accepted Newton step and one failed
     # two-fraction line search; a six-fraction search takes 95 evaluations.
     # An accepted field's evaluation is handed to the next level, but a
-    # rejected level releases its start field's, so the 10 rejected levels
-    # each evaluate their start field once more: at the retry, and after
-    # the last one for the partial result (37 distinct fields)
-    assert residual_evals <= 47
+    # rejected level releases its start field's, so the rejected levels
+    # evaluate their start field once more: at the retry, and after the
+    # last one for the partial result (the direct attempt starts from and
+    # falls back to P = I, which needs none).  Halving the step on down to
+    # DT_MIN took 47
+    assert residual_evals <= 32
 
 
-def test_stall_names_the_failed_residual_and_its_bound(stall16):
+def test_stall_names_the_failed_residual_and_its_bound(stall16_data, stall16):
     assert stall16.residual > stall16.bound > 0.0
     assert stall16.jk_mean >= 0.0
+    message = str(stall16)
     assert (
         f"oscillatory residual {stall16.residual:.2e} > bound {stall16.bound:.2e}"
-        in str(stall16)
+        in message
     )
+    # two rejections in a row: the second lies below t = 1, at the bound
+    # 0.02 dt |target| of the halved step it was tried with
+    plan16, target = stall16_data
+    t_last, dt_last, _ = stall16.result.levels[-1]
+    assert not stall16.result.levels[-2][2] and t_last < 1.0
+    assert stall16.bound == pytest.approx(
+        0.02 * dt_last * l2_norm(plan16.grid, target), rel=1e-12
+    )
+    assert message.startswith(
+        f"continuation stalled at t = {stall16.t_reached:.4f}, "
+        f"two levels in a row rejected (last failed level t = {t_last:.6g}, "
+        f"dt = {dt_last:.3g}: "
+    )
+
+
+def test_alternating_stall_ends_below_dt_min():
+    # at n = 32 accepted levels approaching 1 alternate with rejections at
+    # t = 1, so no two rejections are in a row; the step falls below DT_MIN
+    plan32, target = stall_target(32, 0, 0.04)
+    with pytest.raises(GaugeStall) as err:
+        p_gauge_solve(
+            plan32, np.zeros_like(target), target, GaugeConfig(eps0=0.2, tol=1e-8)
+        )
+    stall = err.value
+    assert stall.rule == "step below DT_MIN"
+    assert stall.t_reached == 1.0 - 2.0**-13
+    continuation = stall.result.levels[1:]
+    assert [accepted for _, _, accepted in continuation[4:]] == [False, True] * 9 + [False]
+    t_last, dt_last, _ = continuation[-1]
+    # from t_reached = 1 - 2^-13 the retry's step would be 2^-14 < DT_MIN
+    assert (t_last, dt_last) == (1.0, 2.0**-12) and 2.0**-14 < pgauge.DT_MIN
+    assert str(stall).startswith(
+        "continuation stalled at t = 0.9999, step below DT_MIN "
+        f"(last failed level t = 1, dt = {dt_last:.3g}: residual with jk mean"
+    )
+
+
+# t_reached of generic doubled data at n = 16 (manufacture_doubled, m = 2),
+# by seed and b_norm: the values of the continuation that halved down to
+# DT_MIN, which the stall rule keeps
+STALL16_T_REACHED = {
+    (0, 0.01): 0.998046875, (0, 0.02): 0.99609375, (0, 0.04): 0.9921875,
+    (1, 0.01): 0.9990234375, (1, 0.02): 0.998046875, (1, 0.04): 0.99609375,
+    (2, 0.01): 0.9990234375, (2, 0.02): 0.998046875, (2, 0.04): 0.99609375,
+    (3, 0.01): 0.998046875, (3, 0.02): 0.99609375, (3, 0.04): 0.9921875,
+}
+
+
+@pytest.mark.parametrize("seed,b_norm", sorted(STALL16_T_REACHED))
+def test_stall_rule_keeps_t_reached(seed, b_norm):
+    plan16, target = stall_target(16, seed, b_norm)
+    with pytest.raises(GaugeStall) as err:
+        p_gauge_solve(
+            plan16, np.zeros_like(target), target, GaugeConfig(eps0=0.2, tol=1e-8)
+        )
+    assert err.value.t_reached == STALL16_T_REACHED[seed, b_norm]
 
 
 @pytest.fixture(scope="module")
@@ -510,6 +596,26 @@ def clean32():
 
 
 CLEAN32_CONFIG = GaugeConfig(eps0=0.15, tol=1e-8)
+
+
+def test_chain_data_solve_in_one_newton_level(clean32, monkeypatch):
+    # chain data admit an exact gauge: the direct attempt at t = 1 is
+    # accepted after two Newton steps, one evaluation each
+    plan32, gamma_y = clean32
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return pn_apply(*args, **kwargs)
+
+    monkeypatch.setattr(pgauge, "pn_apply", counted)
+    res = p_gauge_solve(
+        plan32, np.zeros_like(gamma_y), -2.0 * gamma_y, CLEAN32_CONFIG
+    )
+    assert res.levels == ((1.0, 1.0, True),)
+    assert res.t_reached == 1.0 and res.continuation_steps == 1
+    assert len(calls) == 2
+    assert res.residual <= CLEAN32_CONFIG.tol
 
 
 def test_each_field_is_evaluated_once(clean32, monkeypatch):
