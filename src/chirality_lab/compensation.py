@@ -4,17 +4,27 @@ Three estimators live here:
 
 * ``bb_reconstruct``: rebuild u from grad u = f + g where the rough part f
   is carried by potentials (f_j = sum_k d_k a^k_j) and g is the integrable
-  part.  Pipeline: Hodge-split each a^k, collapse to the pair (w1, w2),
-  solve one d_zbar problem for the g part, and read off u = w1 + Re(v).
-  On the torus the leftover holomorphic correction is a constant and is
-  absorbed into the mean.
+  part.  Pipeline, on spectra: the gradient parts alpha_k of the Hodge
+  split of each a^k collapse to w1 = d1 alpha_1 + d2 alpha_2 (the curl
+  parts are not needed), one d_zbar problem is solved for the g part, and
+  u = w1 + Re(v).  One batched half-spectrum transform of the four
+  potentials gives the spectra of w1 and of f, w1 takes one inverse, and
+  the H^-1 norms of f are read from their spectra.  On the torus the
+  leftover holomorphic correction is a constant and is absorbed into the
+  mean.
 
 * ``real_from_imag_bound``: given d_zbar h = g, the second antiderivative
   T of g is bounded by ||g||_L1 and satisfies Re int h^2 = -Re int g T,
-  which controls ||Re h||_2 by ||Im h||_2 and ||g||_L1.
+  which controls ||Re h||_2 by ||Im h||_2 and ||g||_L1.  One batched
+  transform of h and g gives the precondition's residual (by Parseval)
+  and, with one inverse, T.
 
 * ``wente_solve``: potential with Laplacian equal to a Jacobian, plus the
   sup-norm ratio that exhibits the compensation gain.
+
+The Jacobian comparisons transform (a, b) once and each right side once;
+grad phi comes from the right side's spectrum.  Transforms go through the
+spectrum level of SpectralPlan.
 """
 
 from dataclasses import dataclass
@@ -28,7 +38,7 @@ from chirality_lab.norms import (
     lorentz_l21,
     lp_norm,
     pointwise_abs,
-    sobolev_neg_1_2,
+    spectral_neg_1_2,
 )
 
 __all__ = [
@@ -108,20 +118,29 @@ def bb_reconstruct(plan, data):
     if data.grid != plan.grid:
         raise ValueError("data and plan grids differ")
     grid = plan.grid
-    w1 = np.zeros((grid.n, grid.n))
-    for k in range(2):
-        alpha, _, _ = plan.hodge_decompose(data.a[k, 0], data.a[k, 1])
-        w1 += (plan.dx if k == 0 else plan.dy)(alpha)
+    n = grid.n
+    # the half spectra of the four potentials, a_hat[k, j] that of a^{k+1}_{j+1}
+    a_hat = plan.real_forward(data.a.reshape(4, n, n)).reshape(2, 2, n, -1)
+    sym = plan.multipliers(a_hat[0, 0])
+    d = sym.d1, sym.d2
+    # w1 = d1 alpha_1 + d2 alpha_2 for the Hodge potentials
+    # alpha_k = inv_lap(d1 a^k_1 + d2 a^k_2)
+    w1_hat = sum(
+        d[k] * (sym.inv_lap * (d[0] * a_hat[k, 0] + d[1] * a_hat[k, 1]))
+        for k in range(2)
+    )
+    w1 = plan.real_inverse(w1_hat[None])[0]
+    # f_j = d1 a^1_j + d2 a^2_j is a derivative, so mean-zero
+    f_sob = np.sqrt(sum(
+        spectral_neg_1_2(plan, d[0] * a_hat[0, j] + d[1] * a_hat[1, j]) ** 2
+        for j in range(2)
+    ))
+    del a_hat, w1_hat
 
     g_c = data.g[0] + 1j * data.g[1]
     u = w1 + plan.cauchy_solve(0.5 * g_c).real
     u -= u.mean()
 
-    f1, f2 = data.f(plan)
-    f_sob = np.sqrt(
-        sobolev_neg_1_2(plan, f1 - f1.mean()) ** 2
-        + sobolev_neg_1_2(plan, f2 - f2.mean()) ** 2
-    )
     g_l1 = lp_norm(grid, np.moveaxis(data.g, 0, -1), 1)
     l2_u = l2_norm(grid, u)
     denom = f_sob + g_l1
@@ -156,13 +175,21 @@ def real_from_imag_bound(plan, h, g):
     grid = plan.grid
     h = np.asarray(h, dtype=complex)
     g = np.asarray(g, dtype=complex)
-    res = l2_norm(grid, plan.d_zbar(h) - g)
+    hg_hat = plan.forward(np.stack((h, g)))
+    sym = plan.multipliers(hg_hat[0])
+    # ||d_zbar h - g||_2 by Parseval, from the spectra
+    r_hat = sym.dzbar * hg_hat[0]
+    r_hat -= hg_hat[1]
+    res = float(np.sqrt(np.vdot(r_hat, r_hat).real * grid.area) / grid.n**2)
+    del r_hat
     scale = max(l2_norm(grid, g), l2_norm(grid, h), 1e-300)
     if res > PRECONDITION_TOL * scale:
         raise PreconditionError("d_zbar h != g", res)
 
     h0 = h - h.mean()
-    t = plan.inv_dzbar_sq(g)
+    t_hat = hg_hat[1:]
+    t_hat *= sym.inv_dzbar_sq
+    t = plan.inverse(t_hat, out=t_hat)[0]
     cell = grid.cell_measure
     lhs = float(np.real(np.sum(h0 * h0)) * cell)
     rhs = float(-np.real(np.sum(g * t)) * cell)
@@ -204,6 +231,17 @@ def wente_solve(plan, a, b):
     )
 
 
+def _potential_gradient(plan, rhs):
+    """grad phi for -lap(phi) = rhs, from the spectrum of rhs: one forward
+    transform and one inverse per derivative."""
+    phi_hat = plan.spectrum(rhs)
+    sym = plan.multipliers(phi_hat)
+    phi_hat *= -sym.inv_lap
+    phi_x = plan.real_inverse((sym.d1 * phi_hat)[None])[0]
+    phi_hat *= sym.d2
+    return phi_x, plan.real_inverse(phi_hat[None])[0]
+
+
 def _jacobian_against(plan, a, b, control):
     """Solve -lap(phi) = rhs for the Jacobian of (a, b) and for the control
     right side control(jac); returns the two L^{2,1} gradient norms."""
@@ -212,8 +250,8 @@ def _jacobian_against(plan, a, b, control):
     jac = ax * by - ay * bx
     out = []
     for rhs in (jac, control(jac)):
-        phi = plan.inv_laplacian(-rhs)
-        out.append(lorentz_l21(plan.grid, pointwise_abs(*plan.grad(phi))))
+        grad_phi = pointwise_abs(*_potential_gradient(plan, rhs))
+        out.append(lorentz_l21(plan.grid, grad_phi))
     return out[0], out[1]
 
 
@@ -224,9 +262,11 @@ def jacobian_vs_shuffled(plan, a, b, rng):
     grid = plan.grid
 
     def shuffle(jac):
-        spec = np.abs(np.fft.fft2(jac))
-        phase = np.exp(1j * np.angle(np.fft.fft2(rng.standard_normal(jac.shape))))
-        shuffled = np.fft.ifft2(spec * phase).real
+        # |spectrum of jac| with the phases of a white-noise draw; both are
+        # real tables, so the half spectra carry them
+        w = plan.real_forward(np.stack((jac, rng.standard_normal(jac.shape))))
+        w[0] = np.abs(w[0]) * np.exp(1j * np.angle(w[1]))
+        shuffled = plan.real_inverse(w[:1])[0]
         shuffled -= shuffled.mean()
         mass = lp_norm(grid, shuffled, 1)
         if mass > 0:

@@ -63,9 +63,13 @@ def _matrices(q):
 
 
 def _quaternion_result(res):
-    """A PGaugeResult at d = 1 as a GaugeResult with an (n, n, 4) q."""
+    """A PGaugeResult at d = 1 as a GaugeResult with an (n, n, 4) q; the
+    solver's connection is released (zeta_potential takes q)."""
     x, y = res.p
-    return GaugeResult(**vars(res), q=complex_pair_to_quat(x[..., 0, 0], y[..., 0, 0]))
+    return GaugeResult(
+        **{**vars(res), "connection": None},
+        q=complex_pair_to_quat(x[..., 0, 0], y[..., 0, 0]),
+    )
 
 
 def gauge_solve(plan, w_target, g_target, config=None):

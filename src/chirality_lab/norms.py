@@ -3,7 +3,11 @@ homogeneous negative Sobolev norm, ball restrictions, and Morrey decay fits.
 
 Level sets are counted by whole cells (each grid point contributes one
 cell_measure); balls use the flat wrap-around torus metric and radii are
-capped at L/2 - spacing.
+capped at L/2 - spacing.  The torus distance separates by axis, so a ball
+is read on its bounding window: the rows and the columns whose own
+wrap-around distance is within the radius.  |f| is taken on the window
+only, and the ball's values keep the grid's row-major order, so every sum
+and sort sees the values of a full-grid mask in the same order.
 
 Fields with several components or several tables (quaternion tables,
 gradient pairs, pairs of matrix tables) are combined into one magnitude or
@@ -42,7 +46,9 @@ def _squared_modulus(f):
     else:
         mag2 = f**2
     if mag2.ndim > 2:
-        mag2 = mag2.reshape(mag2.shape[0], mag2.shape[1], -1).sum(axis=-1)
+        # the component count is spelled out: a ball's window can be empty
+        comps = int(np.prod(mag2.shape[2:]))
+        mag2 = mag2.reshape(mag2.shape[:2] + (comps,)).sum(axis=-1)
     return mag2
 
 
@@ -52,31 +58,38 @@ def pointwise_abs(*tables):
     return np.sqrt(sum(_squared_modulus(f) for f in tables))
 
 
+def _axis_distances(grid, center):
+    """Wrap-around distances of the grid coordinates from center, one
+    length-n array per axis."""
+    out = []
+    for coords, c in zip((grid.x1[:, 0], grid.x2[0]), center):
+        d = np.abs(coords - c)
+        out.append(np.minimum(d, grid.length - d))
+    return out
+
+
 def _torus_distance_sq(grid, center):
     """Squared wrap-around distance of every grid point from center."""
-    cx, cy = center
-    d1 = np.abs(grid.x1 - cx)
-    d1 = np.minimum(d1, grid.length - d1)
-    d2 = np.abs(grid.x2 - cy)
-    d2 = np.minimum(d2, grid.length - d2)
-    return d1**2 + d2**2
-
-
-def _ball_mask(grid, ball):
-    if ball is None:
-        return None
-    rmax = grid.length / 2.0 - grid.spacing
-    if ball.radius > rmax:
-        raise ValueError(f"ball radius {ball.radius} exceeds cap {rmax}")
-    return _torus_distance_sq(grid, ball.center) <= ball.radius**2
+    d1, d2 = _axis_distances(grid, center)
+    return d1[:, None] ** 2 + d2[None, :] ** 2
 
 
 def _region_values(grid, f, region):
-    vals = pointwise_abs(f)
-    mask = _ball_mask(grid, region)
-    if mask is not None:
-        vals = vals[mask]
-    return np.ravel(vals)
+    """|f| at the grid points of the region (the whole grid for None), in
+    the grid's row-major order."""
+    if region is None:
+        return np.ravel(pointwise_abs(f))
+    rmax = grid.length / 2.0 - grid.spacing
+    if region.radius > rmax:
+        raise ValueError(f"ball radius {region.radius} exceeds cap {rmax}")
+    # the ball's bounding window: the rows and columns within the radius on
+    # their own axis, in ascending order, so row-major order is kept
+    d1, d2 = _axis_distances(grid, region.center)
+    r2 = region.radius**2
+    rows = np.flatnonzero(d1**2 <= r2)
+    cols = np.flatnonzero(d2**2 <= r2)
+    inside = d1[rows, None] ** 2 + d2[None, cols] ** 2 <= r2
+    return pointwise_abs(np.asarray(f)[np.ix_(rows, cols)])[inside]
 
 
 def lp_norm(grid, f, p, region=None):

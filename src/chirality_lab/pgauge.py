@@ -46,7 +46,8 @@ two blocks of the connection, stacked, take one product together.  The
 evaluation of a field, N(P) with its connection, does not depend on t: an
 accepted field's evaluation is handed to the next level and to the
 result, and P = I, where both vanish, needs none, at the direct attempt
-or at the continuation's start.
+or at the continuation's start, where the Newton step is L_I^-1 of the
+residual in closed form.
 
 The Newton step stays in Fourier space between its pointwise products,
 through the spectrum level of SpectralPlan (batched transforms of tables
@@ -67,11 +68,12 @@ the mean is enforced only at t = 1.  On generic data it sits on a floor
 there that Newton has not closed, and the continuation stalls.  Residual
 tables reduce over the grid axes (0, 1) and contract the matrix axes.
 
-The stream potential chi of the 1i-line of the connection (p_connection,
-the one P^-1 grad P of the module) and the contraction measurement (the B
-fixed point and the weak-L^{2,inf} factor) complete the pipeline of
-p_gauge_structures, which runs every chain trial of the experiments, on
-systems.chain_quaternion (d = 1) or chain_doubled data.
+The stream potential chi of the 1i-line of the connection (p_connection is
+the one P^-1 grad P of the module; the result holds the solver's
+connection of the returned gauge, which chi reads) and the contraction
+measurement (the B fixed point and the weak-L^{2,inf} factor) complete
+the pipeline of p_gauge_structures, which runs every chain trial of the
+experiments, on systems.chain_quaternion (d = 1) or chain_doubled data.
 linearization_order checks the operator against its linearization at
 P = I along the Newton step's retraction.
 """
@@ -105,6 +107,7 @@ __all__ = [
     "p_gauge_solve",
     "linearization_order",
     "chi_potential",
+    "chi_from_connection",
     "p_contraction_chain",
     "p_gauge_structures",
 ]
@@ -177,6 +180,10 @@ class PGaugeResult:
     # one (t, dt, accepted) record per attempted level, in order; dt is the
     # step the level was tried with, t = min(previous t + dt, 1)
     levels: tuple
+    # the solver's connection P^-1 grad P of p, as the pair (P^-1 d1 P,
+    # P^-1 d2 P), for the caller's stream potential; four tables, so
+    # p_gauge_structures and the (n, n, 4) adapter release it (None)
+    connection: tuple
 
     @property
     def unitarity_defect(self):
@@ -373,7 +380,13 @@ def p_gauge_solve(plan, v_target, t_target, config=None):
     accepted at an oscillatory residual of 0.02 min(dt, GaugeConfig.dt)
     |target|, whatever the step has grown to, so GaugeConfig.dt also caps
     the partial gauge's residual.  The result lists every attempted level,
-    the direct attempt first, as (t, dt, accepted).
+    the direct attempt first, as (t, dt, accepted), and holds the
+    connection P^-1 grad P of the returned gauge from its evaluation.
+
+    From P = I, the start of both the direct attempt and the continuation,
+    the connection vanishes: the first Newton step is pl1_solve of the
+    residual, with no inner iteration, and its line search takes cay(s u)
+    with no product.
     """
     cfg = config or GaugeConfig()
     v_target = np.asarray(v_target, dtype=complex)
@@ -421,7 +434,8 @@ def p_gauge_solve(plan, v_target, t_target, config=None):
         theta = grad_l2 / target_size if target_size > 0 else 0.0
         steps = sum(accepted for _, _, accepted in levels)
         return PGaugeResult(
-            p, ri + rjk + rmean, ri, rjk, rmean, theta, steps, t_now, tuple(levels)
+            p, ri + rjk + rmean, ri, rjk, rmean, theta, steps, t_now,
+            tuple(levels), ev_p[1],
         )
 
     tol_floor = max(cfg.tol, 1e-13 * max(target_size, 1.0))
@@ -462,17 +476,25 @@ def p_gauge_solve(plan, v_target, t_target, config=None):
         for _ in range(MAX_NEWTON):
             if level_converged(res, rmean, t_now, dt_now):
                 break
-            conn, ev = _stacked_rows(*ev[1]), None
+            at_eye = ev is ev_identity
             rv_hat, rt = r
             del r
-            try:
-                _, u_hat, _ = _projected_solve(
-                    plan, conn, rv_hat, plan.forward(rt[None])[0],
-                    1e-3 * res / max(target_size, 1e-300), MAX_INNER,
-                )
-            except GaugeDivergence:
-                break
-            del rv_hat, rt, conn
+            if at_eye:
+                # the connection of I vanishes, so L_I is the linearization
+                # and inverts in closed form
+                ev = None
+                u_hat = pl1_solve(plan, rv_hat, plan.forward(rt[None])[0])
+            else:
+                conn, ev = _stacked_rows(*ev[1]), None
+                try:
+                    _, u_hat, _ = _projected_solve(
+                        plan, conn, rv_hat, plan.forward(rt[None])[0],
+                        1e-3 * res / max(target_size, 1e-300), MAX_INNER,
+                    )
+                except GaugeDivergence:
+                    break
+                del conn
+            del rv_hat, rt
             # dealias the step: product tails must not compound
             u_hat *= plan.multipliers(u_hat[0]).keep
             u = plan.inverse(u_hat, out=u_hat)
@@ -480,7 +502,9 @@ def p_gauge_solve(plan, v_target, t_target, config=None):
             del u_hat
             s = 1.0
             while s >= MIN_STEP_FRACTION:
-                p_try = qp_matmul(p, qp_cayley_asd((s * u[0], s * u[1])))
+                p_try = qp_cayley_asd((s * u[0], s * u[1]))
+                if not at_eye:
+                    p_try = qp_matmul(p, p_try)
                 ev_try = pn_apply(plan, p_try, check=False)
                 r, (res2, _, _, rmean2) = level_residual(ev_try, t_now)
                 if res2 < res * (1.0 - 0.25 * s) or level_converged(
@@ -544,19 +568,24 @@ def linearization_order(plan, u):
 
 
 def chi_potential(plan, p, precondition_tol=1e-6):
-    """Stream potential chi of the 1i-line a of the connection,
-    a = mean(a) + grad_perp(chi).
+    """Stream potential chi of the 1i-line a of the connection of the gauge
+    p, a = mean(a) + grad_perp(chi); see chi_from_connection."""
+    return chi_from_connection(plan, p_connection(plan, p), precondition_tol)
+
+
+def chi_from_connection(plan, connection, precondition_tol):
+    """Stream potential chi of the 1i-line a of a connection (X1, X2) =
+    P^-1 grad P, a = mean(a) + grad_perp(chi).
 
     Requires the first gauge equation (1i-line divergence zero); returns
     (chi, the L2 norm of that divergence), and raises PreconditionError
     when it exceeds precondition_tol * ||grad P||_2^2.
     """
     grid = plan.grid
-    x1, x2 = p_connection(plan, p)
+    x1, x2 = connection
     # P acts isometrically, so ||grad P||_2 = ||P^-1 grad P||_2
     grad_p_l2 = l2_norm(grid, *x1, *x2)
     a1, a2 = x1[0], x2[0]
-    del x1, x2
     dres = l2_norm(grid, plan.div(a1, a2))
     if dres > precondition_tol * max(grad_p_l2**2, 1e-300):
         raise PreconditionError("1i-line of the connection is not divergence free", dres)
@@ -668,7 +697,9 @@ def p_gauge_structures(plan, gamma, gamma1, g_pair, config=None, partial_ok=Fals
     sector near t = 1, in which case the continuation stalls.  With
     partial_ok the largest-t partial gauge is used and reported.
 
-    When the gauge fails chi_potential's precondition (a partial gauge can),
+    chi comes from the connection that the solver's result holds (the
+    result then releases it), so the returned gauge is not differentiated
+    again.  When the gauge fails chi's precondition (a partial gauge can),
     the PreconditionError is returned as out["error"] next to "gauge" and
     "t_reached", with no measurement; input checks still raise.
     """
@@ -687,10 +718,16 @@ def p_gauge_structures(plan, gamma, gamma1, g_pair, config=None, partial_ok=Fals
             raise
         result = stall.result
         t_reached = stall.t_reached
+    # chi from the solver's connection of the returned gauge, which the
+    # result releases
+    connection, result.connection = result.connection, None
     try:
-        chi, _ = chi_potential(plan, result.p, precondition_tol=1e-2)
+        chi, _ = chi_from_connection(plan, connection, 1e-2)
     except PreconditionError as exc:
-        return {"gauge": result, "t_reached": t_reached, "error": exc}
+        # without its traceback, whose frames hold the connection
+        return {"gauge": result, "t_reached": t_reached,
+                "error": exc.with_traceback(None)}
+    del connection
     contraction = p_contraction_chain(plan, result.p, chi, gamma1, g_pair)
     return {
         "gauge": result,

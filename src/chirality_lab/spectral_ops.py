@@ -29,8 +29,10 @@ stacked on a new leading axis, so their grid axes are 1 and 2, and
 transform all of them in one batched call: ``forward`` always in place,
 ``inverse`` into ``out`` when given.  Each stacked table stays contiguous,
 and a multiplier broadcast over it runs over whole grids even when its
-trailing axes are single entries.  ``spectrum`` gives one table's spectrum for spectral sums: the
-half spectrum of a real table.
+trailing axes are single entries.  ``real_forward`` and ``real_inverse``
+do the same for real tables through their half spectra, out of place.
+``spectrum`` gives one table's spectrum for spectral sums: the half
+spectrum of a real table.
 
 ``multipliers`` is the one symbol shaper of both levels: given a spectrum,
 full or half, it hands out every symbol cut to the spectrum's columns and
@@ -144,6 +146,17 @@ class SpectralPlan:
         w_hat: one batched transform, into out (which may be w_hat)."""
         # ifftn, not ifft2: numpy 2.4's ifft2 drops its out argument
         return np.fft.ifftn(w_hat, axes=(1, 2), out=out)
+
+    def real_forward(self, w):
+        """Half spectra (columns 0..n//2) of the real tables stacked on the
+        leading axis of w, whose grid axes are 1 and 2: one batched
+        transform."""
+        return np.fft.rfft2(w, axes=(1, 2))
+
+    def real_inverse(self, w_hat):
+        """Real tables of the half spectra stacked on the leading axis of
+        w_hat: one batched transform."""
+        return np.fft.irfft2(w_hat, s=(self.grid.n, self.grid.n), axes=(1, 2))
 
     def multipliers(self, F):
         """The Multipliers cut to the columns of the spectrum F (the rfft2

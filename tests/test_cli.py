@@ -102,7 +102,7 @@ def stub_chain(monkeypatch, mode):
         calls = collections.Counter()
 
         def run(plan, table, *args, **kwargs):
-            # the matrix size of the gauge target, or of the gauge pair
+            # the matrix size of the gauge target, or of the connection
             d = np.shape(table)[-1]
             calls[d] += 1
             return fn(calls[d] == 1, plan, table, *args, **kwargs)
@@ -112,18 +112,20 @@ def stub_chain(monkeypatch, mode):
         t = 0.5 if fail and mode == "stall" else 1.0
         eye = np.broadcast_to(np.eye(v_target.shape[-1], dtype=complex),
                               v_target.shape)
+        zero = np.zeros_like(eye)
         res = SimpleNamespace(
             residual=1e-10, theta=0.1, continuation_steps=5, t_reached=t,
-            levels=((t, 0.5, t == 1.0),), p=(eye.copy(), np.zeros_like(eye)),
+            levels=((t, 0.5, t == 1.0),), p=(eye.copy(), zero),
+            connection=((zero, zero), (zero, zero)),
         )
         if t < 1.0:
             raise pgauge.GaugeStall(t, res, 1e-6, 1e-7, 0.0, "step below DT_MIN")
         return res
 
-    def potential(fail, plan, p, *args, **kwargs):
+    def potential(fail, plan, connection, *args, **kwargs):
         if fail and mode == "error":
             raise PreconditionError("stub precondition", 1.0)
-        return np.zeros_like(p[0]), 0.0
+        return np.zeros_like(connection[0][0]), 0.0
 
     def contract(fail, *args, **kwargs):
         return {"factor": 0.5, "b_converged": not (fail and mode == "b_unconverged"),
@@ -131,7 +133,7 @@ def stub_chain(monkeypatch, mode):
 
     for name, fn in (
         ("p_gauge_solve", solve),
-        ("chi_potential", potential),
+        ("chi_from_connection", potential),
         ("p_contraction_chain", contract),
     ):
         monkeypatch.setattr(pgauge, name, first_fails(fn))

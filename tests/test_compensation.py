@@ -2,16 +2,25 @@ import numpy as np
 import pytest
 
 from chirality_lab.compensation import (
+    BUMP_WIDTH_CELLS,
     PreconditionError,
     SplitGradientData,
     bb_reconstruct,
+    jacobian_vs_concentrated,
     jacobian_vs_shuffled,
     real_from_imag_bound,
     split_from_vector_potential,
     wente_solve,
 )
 from chirality_lab.field_core import Grid2
-from chirality_lab.norms import l2_norm, linf_norm
+from chirality_lab.norms import (
+    l2_norm,
+    linf_norm,
+    lorentz_l21,
+    lp_norm,
+    pointwise_abs,
+    sobolev_neg_1_2,
+)
 from chirality_lab.spectral_ops import (
     SpectralPlan,
     random_band_limited,
@@ -272,8 +281,6 @@ def test_jacobian_vs_shuffled_runs(plan):
 
 
 def test_jacobian_beats_concentrated_mass(plan):
-    from chirality_lab.compensation import jacobian_vs_concentrated
-
     rng = np.random.default_rng(17)
     wins = 0
     trials = 40
@@ -283,3 +290,59 @@ def test_jacobian_beats_concentrated_mass(plan):
         jac_norm, conc_norm = jacobian_vs_concentrated(plan, a, b, rng)
         wins += jac_norm < conc_norm
     assert wins >= 0.95 * trials
+
+
+def value_level_bb(plan, data):
+    """bb_reconstruct composed from value-level operators: u, ||f||_{H^-1}."""
+    w1 = sum(
+        (plan.dx if k == 0 else plan.dy)(plan.hodge_decompose(*data.a[k])[0])
+        for k in range(2)
+    )
+    u = w1 + plan.cauchy_solve(0.5 * (data.g[0] + 1j * data.g[1])).real
+    u -= u.mean()
+    f1, f2 = data.f(plan)
+    f_sob = np.hypot(
+        sobolev_neg_1_2(plan, f1 - f1.mean()), sobolev_neg_1_2(plan, f2 - f2.mean())
+    )
+    return u, f_sob
+
+
+def value_level_jacobian_vs_concentrated(plan, a, b, rng):
+    """jacobian_vs_concentrated composed from value-level operators, with
+    the same draw of the bump's centre."""
+    grid = plan.grid
+    ax, ay = plan.grad(a)
+    bx, by = plan.grad(b)
+    jac = ax * by - ay * bx
+    center = rng.random(2) * grid.length
+    dist_sq = 0.0
+    for x, c in ((grid.x1, center[0]), (grid.x2, center[1])):
+        d = np.abs(x - c)
+        dist_sq = dist_sq + np.minimum(d, grid.length - d) ** 2
+    bump = np.exp(-dist_sq / (2 * (BUMP_WIDTH_CELLS * grid.spacing) ** 2))
+    bump -= bump.mean()
+    bump *= lp_norm(grid, jac, 1) / lp_norm(grid, bump, 1)
+    norms = []
+    for rhs in (jac, bump):
+        phi = plan.inv_laplacian(-rhs)
+        norms.append(lorentz_l21(grid, pointwise_abs(*plan.grad(phi))))
+    return norms
+
+
+def test_spectral_estimators_match_their_value_level_composition(plan):
+    # bb_reconstruct and the Jacobian comparison run on spectra; the
+    # value-level operators give the same numbers to rounding
+    rng = np.random.default_rng(18)
+    u0 = random_band_limited(plan, rng)
+    for seed in (19, 20):
+        data = mixed_split(plan, u0, np.random.default_rng(seed))
+        u, diag = bb_reconstruct(plan, data)
+        u_ref, f_sob_ref = value_level_bb(plan, data)
+        assert l2_norm(plan.grid, u - u_ref) <= 1e-12 * l2_norm(plan.grid, u_ref)
+        assert diag.f_neg_sobolev == pytest.approx(f_sob_ref, rel=1e-12)
+        assert diag.l2_u == pytest.approx(l2_norm(plan.grid, u_ref), rel=1e-12)
+    a = random_band_limited(plan, rng)
+    b = random_band_limited(plan, rng)
+    pair = jacobian_vs_concentrated(plan, a, b, np.random.default_rng(21))
+    ref = value_level_jacobian_vs_concentrated(plan, a, b, np.random.default_rng(21))
+    assert pair == pytest.approx(ref, rel=1e-12)

@@ -10,6 +10,7 @@ from chirality_lab.norms import (
     lorentz_l21,
     lorentz_weak_l2,
     lp_norm,
+    _region_values,
     morrey_profile,
     pointwise_abs,
     sobolev_neg_1_2,
@@ -129,6 +130,45 @@ def test_ball_restricted_monotone(grid):
     assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
     with pytest.raises(ValueError):
         lorentz_weak_l2(grid, f, Ball(center, grid.length))
+
+
+# a centre coordinate as a fraction of L: anywhere, or within 1e-4 L of
+# either side of 0, where the ball wraps around the torus
+CENTRE_FRACTION = st.one_of(
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.floats(0.0, 1e-4),
+    st.floats(1.0 - 1e-4, 1.0, exclude_max=True),
+)
+
+
+@given(
+    n=st.sampled_from([8, 16, 64]),
+    trailing=st.sampled_from([(), (3,)]),
+    centre=st.tuples(CENTRE_FRACTION, CENTRE_FRACTION),
+    radius=st.one_of(st.floats(0.0, 1.0), st.just(1.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ball_norms_are_those_of_the_full_grid_mask(n, trailing, centre, radius, seed):
+    # a ball is read on its bounding window; its values, in row-major order,
+    # and so every ball norm, are bit for bit those of the full-grid mask.
+    # radius is a fraction of the cap L/2 - h
+    grid = Grid2(n)
+    f = np.random.default_rng(seed).standard_normal((n, n) + trailing)
+    ball = Ball(
+        tuple(c * grid.length for c in centre),
+        radius * (grid.length / 2 - grid.spacing),
+    )
+    vals = pointwise_abs(f)[ball_indicator(grid, ball.radius, ball.center) > 0]
+    assert np.array_equal(_region_values(grid, f, ball), vals)
+    for p in (1, 2):
+        brute = (np.sum(vals**p) * grid.cell_measure) ** (1.0 / p)
+        assert lp_norm(grid, f, p, ball) == brute
+    star = np.sort(vals)[::-1]
+    k = np.arange(1, star.size + 1)
+    weak = np.max(star * np.sqrt(k * grid.cell_measure)) if star.size else 0.0
+    l21 = np.sum(star * (np.sqrt(k) - np.sqrt(k - 1))) * np.sqrt(grid.cell_measure)
+    assert lorentz_weak_l2(grid, f, ball) == (weak if star.size and star[0] else 0.0)
+    assert lorentz_l21(grid, f, ball) == l21
 
 
 def test_sobolev_neg(plan, grid):
