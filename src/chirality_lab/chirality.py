@@ -3,7 +3,7 @@
 S fields are (n, n, m, m) tables of m x m real matrices.  make_chirality
 conjugates the reference involution diag(+1 x m_plus, -1 x ...) by a given
 rotation field; extract_frame inverts that numerically: per-point
-eigendecomposition followed by a breadth-first gauge alignment sweep that
+eigendecomposition followed by a comb sweep of gauge alignments that
 minimizes nearest-neighbor frame jumps.
 """
 
@@ -118,56 +118,40 @@ def dirichlet_energy(plan, s):
 
 
 def _align_blocks(q_cur, q_ref, m_plus):
-    """Best right multiplication by block O(m) x O(n-m) with total det +1.
+    """Best right multiplication by block O(m) x O(n-m) with total det +1,
+    for stacks (..., n, n) of frames.
 
-    Each block is a Procrustes fit (polar factor of the overlap); if the
-    determinants multiply to -1, the cheapest singular direction among the
-    two blocks is flipped to restore SO(n).
+    Each block is a Procrustes fit (polar factor of the overlap); where the
+    determinants multiply to -1, the block whose last singular direction is
+    cheaper to flip (the first block on a tie) is flipped to restore SO(n).
     """
-    n = q_cur.shape[0]
-    slices = [slice(0, m_plus), slice(m_plus, n)]
-    factor = []  # (u, vt) per block, None for empty blocks
-    rots = []
-    for sl in slices:
-        a, b = q_cur[:, sl], q_ref[:, sl]
-        if a.shape[1] == 0:
-            factor.append(None)
-            rots.append(np.zeros((0, 0)))
-            continue
-        u, _, vt = np.linalg.svd(a.T @ b)
-        factor.append((u, vt))
+    n = q_cur.shape[-1]
+    blocks = [sl for sl in (slice(0, m_plus), slice(m_plus, n)) if sl.start < sl.stop]
+    rots, flips, costs = [], [], []
+    for sl in blocks:
+        a, b = q_cur[..., sl], q_ref[..., sl]
+        u, _, vt = np.linalg.svd(np.swapaxes(a, -1, -2) @ b)
         rots.append(u @ vt)
-    total_det = np.prod([np.linalg.det(r) for r in rots if r.size])
-    if total_det < 0:
-        best = None
-        for bi, fac in enumerate(factor):
-            if fac is None:
-                continue
-            u, vt = fac
-            flip = np.eye(u.shape[1])
-            flip[-1, -1] = -1.0
-            cand = u @ flip @ vt
-            cost = np.linalg.norm(q_cur[:, slices[bi]] @ cand - q_ref[:, slices[bi]])
-            if best is None or cost < best[0]:
-                best = (cost, bi, cand)
-        rots[best[1]] = best[2]
-    out = np.zeros((n, n))
-    if rots[0].size:
-        out[:m_plus, :m_plus] = rots[0]
-    if rots[1].size:
-        out[m_plus:, m_plus:] = rots[1]
+        u[..., -1] *= -1.0
+        flips.append(u @ vt)
+        costs.append(np.linalg.norm(a @ flips[-1] - b, axis=(-2, -1)))
+    flip = np.prod([np.linalg.det(r) for r in rots], axis=0) < 0
+    pick = np.argmin(costs, axis=0)
+    out = np.zeros(q_cur.shape)
+    for k, sl in enumerate(blocks):
+        out[..., sl, sl] = np.where((flip & (pick == k))[..., None, None], flips[k], rots[k])
     return out
 
 
 def extract_frame(plan, s, m_plus, energy_limit=0.5):
     """Recover a rotation field Q with Q S0 Q^T = S.
 
-    Per-point eigenvectors are gauge-aligned by a breadth-first sweep from
-    the grid origin (4-neighbor torus graph).  Q is only determined up to
-    the block stabilizer of S0; anchoring at the origin makes the output
-    deterministic.  Raises AlignmentError when some neighbor jump exceeds
-    ``JUMP_THRESHOLD`` after alignment.  Pass ``energy_limit=None`` to skip
-    the smallness precondition.
+    Per-point eigenvectors are gauge-aligned by a comb sweep from the grid
+    origin: along the x1-line through it, then column by column in x2.  Q
+    is only determined up to the block stabilizer of S0; anchoring at the
+    origin makes the output deterministic.  Raises AlignmentError when some
+    neighbor jump exceeds ``JUMP_THRESHOLD`` after alignment.  Pass
+    ``energy_limit=None`` to skip the smallness precondition.
 
     Returns (q, info) with info carrying the conjugation residual and the
     measured energy ratio ||grad Q|| / ||grad S||.
@@ -187,22 +171,11 @@ def extract_frame(plan, s, m_plus, energy_limit=0.5):
     neg = np.linalg.det(q) < 0
     q[neg, :, -1] *= -1.0
 
-    visited = np.zeros((nx, ny), dtype=bool)
-    visited[0, 0] = True
-    from collections import deque
-
-    queue = deque([(0, 0)])
-    order = [(-1, 0), (1, 0), (0, -1), (0, 1)]
-    while queue:
-        i, j = queue.popleft()
-        for di, dj in order:
-            ii, jj = (i + di) % nx, (j + dj) % ny
-            if visited[ii, jj]:
-                continue
-            rot = _align_blocks(q[ii, jj], q[i, j], m_plus)
-            q[ii, jj] = q[ii, jj] @ rot
-            visited[ii, jj] = True
-            queue.append((ii, jj))
+    # 2n - 2 alignments: point by point along x1, then a whole column at a time
+    for i in range(1, nx):
+        q[i, 0] = q[i, 0] @ _align_blocks(q[i, 0], q[i - 1, 0], m_plus)
+    for j in range(1, ny):
+        q[:, j] = q[:, j] @ _align_blocks(q[:, j], q[:, j - 1], m_plus)
 
     # after the sweep every edge (tree and seam) must be a small rotation
     max_jump = 0.0

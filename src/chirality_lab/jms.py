@@ -18,7 +18,6 @@ weak-form battery.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 # norms are taken on annuli delta < |x| < R_OUTER; N_THETA midpoints average
 # over the angle, and the oracle sums ORACLE_PANELS radial panels
@@ -293,20 +292,24 @@ def jms_residual_study(params):
 
 def _angular_factor(t, params, p):
     """Mean over theta of (1 + kappa(kappa+2) cos^2 theta)^(p/2), where
-    kappa = r rho'/rho = beta/t - 2 and t = log(r0/r).
+    kappa = r rho'/rho = beta/t - 2 and t = log(r0/r); t is a scalar or an
+    array, with theta on a new last axis.
 
     The gradient magnitude factorizes as |grad u| = rho(r) sqrt(1 +
     kappa(kappa+2) cos^2 theta) with rho = r^-2 t^-beta, so the angular
     average never touches overflowing powers of r.
     """
     theta = np.pi * (np.arange(N_THETA) + 0.5) / N_THETA  # quarter-symmetry
-    kappa = params.beta / t - 2.0
-    inner = 1.0 + kappa * (kappa + 2.0) * np.cos(theta) ** 2
-    return float(np.mean(inner ** (0.5 * p)))
+    kappa = np.expand_dims(params.beta / t - 2.0, -1)
+    inner = kappa * (kappa + 2.0) * np.cos(theta) ** 2
+    inner += 1.0  # in place: one (t, theta) table at a time
+    inner **= 0.5 * p
+    return np.mean(inner, axis=-1)
 
 
 def _lp_mass_integrand(t, params, p):
-    """2 pi r^2 * (mean |grad u|^p over theta) as a function of t."""
+    """2 pi r^2 * (mean |grad u|^p over theta) as a function of t, scalar
+    or array."""
     r2_power = (2.0 - 2.0 * p) * (np.log(params.r0) - t)  # log(r^(2-2p))
     return (
         2.0 * np.pi * np.exp(r2_power) * t ** (-params.beta * p)
@@ -317,6 +320,8 @@ def _lp_mass_integrand(t, params, p):
 def gradient_lp_annulus(params, p, delta):
     """|| grad u ||_Lp on the annulus delta < |x| < R_OUTER, via the
     substitution t = log(r0/r) and the scaled integrand."""
+    from scipy import integrate  # scipy's import cost only where quad runs
+
     t_lo = np.log(params.r0 / R_OUTER)
     t_hi = np.log(params.r0 / delta)
     val, _ = integrate.quad(
@@ -331,7 +336,7 @@ def gradient_lp_annulus_oracle(params, p, delta):
     r = np.geomspace(delta, R_OUTER, ORACLE_PANELS + 1)
     mid = np.sqrt(r[:-1] * r[1:])
     t = np.log(params.r0 / mid)
-    vals = np.array([_lp_mass_integrand(tt, params, p) for tt in t])
+    vals = _lp_mass_integrand(t, params, p)
     # d t = -dr / r: integrate in t over the panel widths
     widths = np.log(r[1:] / r[:-1])
     return float(np.sum(vals * widths)) ** (1.0 / p)
@@ -341,6 +346,8 @@ def gradient_l1_limit(params):
     """The delta -> 0 limit of the L1 norm (finite since beta > 1):
     adaptive quadrature on the unbounded log variable, where the
     integrand decays like t^-beta."""
+    from scipy import integrate
+
     t_lo = np.log(params.r0 / R_OUTER)
     val, _ = integrate.quad(
         lambda t: _lp_mass_integrand(t, params, 1.0),

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from chirality_lab import chirality
 from chirality_lab.chirality import (
     AlignmentError,
+    _align_blocks,
     dirichlet_energy,
     extract_frame,
     make_chirality,
@@ -187,3 +189,72 @@ def test_extract_frame_even_winding_succeeds(plan):
     field = make_chirality(g, rotation2(alpha), 1)
     q, info = extract_frame(plan, field.s, 1, energy_limit=None)
     assert info["residual"] < 1e-8
+
+
+def test_extract_frame_is_the_rotation_up_to_one_global_sign(plan, monkeypatch):
+    # d = 2, m_plus = 1: the stabilizer of S0 in SO(2) is {I, -I}, so the
+    # frame of S(alpha) is +-rotation2(alpha) with one sign on the whole grid
+    g = plan.grid
+    calls = []
+    monkeypatch.setattr(chirality, "_align_blocks",
+                        lambda *args: calls.append(1) or _align_blocks(*args))
+    for seed in range(3):
+        alpha = angle_with_energy(plan, np.random.default_rng(60 + seed), 0.4)
+        alpha = alpha + 2 * np.pi * (seed - 1) * g.x1 / g.length  # winding -1, 0, 1
+        r = rotation2(alpha)
+        q, _ = extract_frame(plan, make_chirality(g, r, 1).s, 1, energy_limit=None)
+        sign = np.sign(np.trace(q[0, 0].T @ r[0, 0]))
+        assert np.max(np.abs(q - sign * r)) < 1e-12, seed
+    # the sweep batches: at most 2n alignments per grid, not one per point
+    assert len(calls) <= 3 * 2 * g.n
+
+
+def align_one(q_cur, q_ref, m_plus):
+    """The alignment rule for one frame pair, written out point by point;
+    returns the right factor and whether a block was flipped."""
+    n = q_cur.shape[0]
+    slices = [slice(0, m_plus), slice(m_plus, n)]
+    factors, rots = [], []
+    for sl in slices:
+        u, _, vt = np.linalg.svd(q_cur[:, sl].T @ q_ref[:, sl])
+        factors.append((u, vt))
+        rots.append(u @ vt)
+    flipped = np.linalg.det(rots[0]) * np.linalg.det(rots[1]) < 0
+    if flipped:
+        best = None
+        for k, (u, vt) in enumerate(factors):
+            flip = np.eye(u.shape[1])
+            flip[-1, -1] = -1.0
+            cand = u @ flip @ vt
+            cost = np.linalg.norm(q_cur[:, slices[k]] @ cand - q_ref[:, slices[k]])
+            if best is None or cost < best[0]:
+                best = (cost, k, cand)
+        rots[best[1]] = best[2]
+    out = np.zeros((n, n))
+    out[:m_plus, :m_plus] = rots[0]
+    out[m_plus:, m_plus:] = rots[1]
+    return out, flipped
+
+
+def test_align_blocks_batched_equals_the_pointwise_rule():
+    rng = np.random.default_rng(7)
+    for n, m_plus in ((2, 1), (3, 1), (3, 2)):
+        q_ref = np.linalg.qr(rng.standard_normal((8, 8, n, n)))[0]
+        # perturbed O(n) frames of either determinant: the block
+        # determinants multiply to -1 at about half the points, and the
+        # perturbation keeps the two flip costs apart (for orthogonal 2 x 2
+        # pairs they tie exactly)
+        q_cur = np.linalg.qr(rng.standard_normal((8, 8, n, n)))[0]
+        q_cur[..., -1] *= rng.choice([-1.0, 1.0], (8, 8, 1))
+        q_cur += 0.2 * rng.standard_normal(q_cur.shape)
+        batched = _align_blocks(q_cur, q_ref, m_plus)
+        flipped = 0
+        for idx in np.ndindex(8, 8):
+            expected, was_flipped = align_one(q_cur[idx], q_ref[idx], m_plus)
+            assert np.max(np.abs(batched[idx] - expected)) < 1e-12, (n, m_plus, idx)
+            flipped += was_flipped
+        assert 8 <= flipped <= 56, (n, m_plus, flipped)
+    # an exact tie flips the first block
+    q_cur = np.diag([1.0, -1.0])
+    assert np.array_equal(_align_blocks(q_cur, np.eye(2), 1), -np.eye(2))
+    assert np.array_equal(align_one(q_cur, np.eye(2), 1)[0], -np.eye(2))

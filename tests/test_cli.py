@@ -167,6 +167,24 @@ def test_contraction_gates_fail_on_failed_trials(tmp_path, monkeypatch):
             assert failed - set(gates) == (nan_gates if mode == "error" else set())
 
 
+def test_fft_round_trip_gate_fails_on_a_faulty_transform(tmp_path, monkeypatch):
+    # ops-verify round-trips the plan's own transforms, so a fault in any
+    # one of the four fails the round-trip gate, and no other gate
+    for name in ("forward", "inverse", "real_forward", "real_inverse"):
+        transform = getattr(SpectralPlan, name)
+
+        def faulty(self, *args, _transform=transform):
+            return _transform(self, *args) * (1.0 + 1e-10)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(SpectralPlan, name, faulty)
+            report = run_experiment(ExperimentConfig(
+                experiment="ops-verify", grid_n=16, seed=0, out=str(tmp_path),
+            ))
+        failed = {m.name for m in report.metrics if not m.passed}
+        assert failed == {"fft_round_trip_rel_err"}, name
+
+
 def test_failed_trials_keep_their_gauge():
     # real n = 16 chain data: these trials stall near t = 1 and their partial
     # gauge fails chi's precondition; the record keeps the gauge's fields,
