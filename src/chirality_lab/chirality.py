@@ -80,8 +80,8 @@ def make_chirality(grid, q, m_plus, tol=1e-10):
     det = np.linalg.det(q)
     if _pointwise_max(det - 1.0) > tol:
         raise ValueError("Q must have determinant 1 pointwise")
-    s0 = s0_matrix(n, m_plus)
-    s = np.einsum("...ij,jk,...lk->...il", q, s0, q)
+    # S0 is diagonal, so Q S0 Q^T is one batched product
+    s = (q * np.diag(s0_matrix(n, m_plus))) @ np.swapaxes(q, -1, -2)
     return ChiralityField(grid, s, m_plus)
 
 

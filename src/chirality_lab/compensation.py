@@ -23,8 +23,10 @@ Three estimators live here:
   sup-norm ratio that exhibits the compensation gain.
 
 The Jacobian comparisons transform (a, b) once and each right side once;
-grad phi comes from the right side's spectrum.  Transforms go through the
-spectrum level of SpectralPlan.
+grad phi comes from the right side's spectrum through the plan's gradient,
+one inverse transform.  Transforms go through the spectrum level of
+SpectralPlan, whose divergence of spectra also composes bb_reconstruct's
+w1 and f.
 """
 
 from dataclasses import dataclass
@@ -121,21 +123,16 @@ def bb_reconstruct(plan, data):
     n = grid.n
     # the half spectra of the four potentials, a_hat[k, j] that of a^{k+1}_{j+1}
     a_hat = plan.real_forward(data.a.reshape(4, n, n)).reshape(2, 2, n, -1)
-    sym = plan.multipliers(a_hat[0, 0])
-    d = sym.d1, sym.d2
+    inv_lap = plan.multipliers(a_hat[0, 0]).inv_lap
     # w1 = d1 alpha_1 + d2 alpha_2 for the Hodge potentials
     # alpha_k = inv_lap(d1 a^k_1 + d2 a^k_2)
-    w1_hat = sum(
-        d[k] * (sym.inv_lap * (d[0] * a_hat[k, 0] + d[1] * a_hat[k, 1]))
-        for k in range(2)
-    )
-    w1 = plan.real_inverse(w1_hat[None])[0]
+    alpha_hat = np.stack([inv_lap * plan.divergence(a_hat[k]) for k in range(2)])
+    w1 = plan.real_inverse(plan.divergence(alpha_hat)[None])[0]
     # f_j = d1 a^1_j + d2 a^2_j is a derivative, so mean-zero
     f_sob = np.sqrt(sum(
-        spectral_neg_1_2(plan, d[0] * a_hat[0, j] + d[1] * a_hat[1, j]) ** 2
-        for j in range(2)
+        spectral_neg_1_2(plan, plan.divergence(a_hat[:, j])) ** 2 for j in range(2)
     ))
-    del a_hat, w1_hat
+    del a_hat, alpha_hat
 
     g_c = data.g[0] + 1j * data.g[1]
     u = w1 + plan.cauchy_solve(0.5 * g_c).real
@@ -231,17 +228,6 @@ def wente_solve(plan, a, b):
     )
 
 
-def _potential_gradient(plan, rhs):
-    """grad phi for -lap(phi) = rhs, from the spectrum of rhs: one forward
-    transform and one inverse per derivative."""
-    phi_hat = plan.spectrum(rhs)
-    sym = plan.multipliers(phi_hat)
-    phi_hat *= -sym.inv_lap
-    phi_x = plan.real_inverse((sym.d1 * phi_hat)[None])[0]
-    phi_hat *= sym.d2
-    return phi_x, plan.real_inverse(phi_hat[None])[0]
-
-
 def _jacobian_against(plan, a, b, control):
     """Solve -lap(phi) = rhs for the Jacobian of (a, b) and for the control
     right side control(jac); returns the two L^{2,1} gradient norms."""
@@ -250,7 +236,10 @@ def _jacobian_against(plan, a, b, control):
     jac = ax * by - ay * bx
     out = []
     for rhs in (jac, control(jac)):
-        grad_phi = pointwise_abs(*_potential_gradient(plan, rhs))
+        # grad phi from the spectrum of phi = -inv_lap(rhs)
+        phi_hat = plan.spectrum(rhs)
+        phi_hat *= -plan.multipliers(phi_hat).inv_lap
+        grad_phi = pointwise_abs(*plan.gradient(phi_hat[None]))
         out.append(lorentz_l21(plan.grid, grad_phi))
     return out[0], out[1]
 

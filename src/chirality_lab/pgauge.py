@@ -51,14 +51,16 @@ residual in closed form.
 
 The Newton step stays in Fourier space between its pointwise products,
 through the spectrum level of SpectralPlan (batched transforms of tables
-stacked on a leading axis, and the multipliers).  An evaluation takes
-grad P with one forward transform of (X, Y) and one inverse of the four
-derivatives, and keeps the 1i-part of N as a spectrum: it is used only
-through its H^-1 norm and as the Newton right side.  Each inner iteration
-makes one batched forward transform of the commutator terms and one
-batched inverse of the new iterate, and the step is dealiased on the last
-iterate's spectrum.  The result's theta reads ||grad P||_2 from the held
-connection, since P acts isometrically: ||grad P||_2 = ||P^-1 grad P||_2.
+stacked on a leading axis, the multipliers, and the plan's gradient and
+divergence of stacked spectra).  An evaluation takes grad P with one
+forward transform of (X, Y) and one inverse of the four derivatives, and
+keeps the 1i-part of N, the divergence of the connection's 1i-line, as a
+spectrum: it is used only through its H^-1 norm and as the Newton right
+side.  Each inner iteration makes one batched forward transform of the
+commutator terms and one batched inverse of the new iterate, and the step
+is dealiased on the last iterate's spectrum.  The result's theta reads
+||grad P||_2 from the held connection, since P acts isometrically:
+||grad P||_2 = ||P^-1 grad P||_2.
 
 Torus bookkeeping: the 1i-line component of N is a divergence and has zero
 mean structurally, so targets must be mean-zero there.  The jk-plane mean
@@ -198,37 +200,17 @@ def _unitarity_defect(p):
     )
 
 
-def _gradient_of_spectra(plan, f_hat):
-    """Values of the d1 and then the d2 derivatives of the k tables whose
-    spectra f_hat are stacked on the leading axis, as 2k stacked tables; one
-    batched inverse transform."""
-    sym = plan.multipliers(f_hat[0])
-    k = len(f_hat)
-    g = np.empty((2 * k,) + f_hat.shape[1:], dtype=complex)
-    np.multiply(f_hat, sym.d1, out=g[:k])
-    np.multiply(f_hat, sym.d2, out=g[k:])
-    return plan.inverse(g, out=g)
-
-
 def p_connection(plan, p):
     """P^-1 grad P as the pair (P^-1 d1 P, P^-1 d2 P): one forward transform
     of (X, Y), one inverse of the four derivatives and two products."""
     pct = qp_conj_t(p)
-    g = np.stack(p)
-    g = _gradient_of_spectra(plan, plan.forward(g))
+    g = plan.gradient(plan.forward(np.stack(p)))
     return qp_matmul(pct, (g[0], g[1])), qp_matmul(pct, (g[2], g[3]))
 
 
 def _jk_of(x1, x2):
     # Y part of X1 - X2 * i; right-i sends (X, Y) to (iX, -iY)
     return x1[1] + 1j * x2[1]
-
-
-def _div_of_spectra(sym, a1_hat, a2_hat):
-    """Spectrum of d1 a1 + d2 a2 from the spectra of a1 and a2."""
-    div = sym.d1 * a1_hat
-    div += sym.d2 * a2_hat
-    return div
 
 
 def pn_apply(plan, p, check=True):
@@ -243,9 +225,7 @@ def pn_apply(plan, p, check=True):
         if defect > 1e-9:
             raise ValueError(f"field is not hyper-unitary (defect {defect:.3e})")
     x1, x2 = p_connection(plan, p)
-    w = np.stack((x1[0], x2[0]))
-    plan.forward(w)
-    nv_hat = _div_of_spectra(plan.multipliers(w[0]), w[0], w[1])
+    nv_hat = plan.divergence(plan.forward(np.stack((x1[0], x2[0]))))
     return (nv_hat, _jk_of(x1, x2)), (x1, x2)
 
 
@@ -297,7 +277,7 @@ def _perturbation_spectra(plan, conn_rows, u, out):
     out[2] += 1j * c[1]
     del c, commutators
     plan.forward(out)
-    return _div_of_spectra(plan.multipliers(out[0]), out[0], out[1]), out[2]
+    return plan.divergence(out), out[2]
 
 
 def _residual_norms(plan, v_hat, t):
@@ -640,7 +620,7 @@ def p_contraction_chain(plan, p, chi, gamma1, g_pair):
     plan.forward(a_hat)
     sym = plan.multipliers(a_hat[0])
     a_hat *= sym.inv_lap
-    grad_a = _gradient_of_spectra(plan, a_hat)
+    grad_a = plan.gradient(a_hat)
     del a_hat
     b = np.zeros_like(grad_a[:2])
     # the directions of grad A + grad_perp B, at the zero start B = 0

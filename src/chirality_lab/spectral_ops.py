@@ -1,9 +1,4 @@
-"""FFT calculus on the torus.
-
-All operators act on plain (n, n, ...) value tables; the first two axes are
-the grid.  Real input gives real output for the real-coefficient operators.
-Band-limitedness is the caller's contract: operators are exact on resolved
-trigonometric polynomials and silently alias otherwise.
+"""FFT calculus on the torus: one set of transforms, two levels of operators.
 
 Conventions, fixed once:
     d_z    = (d/dx1 - i d/dx2) / 2      plane-wave symbol (i k1 + k2) / 2
@@ -12,33 +7,40 @@ Conventions, fixed once:
 Odd symbols (single derivatives and the inverse of d_zbar) zero the Nyquist
 row/column so real fields stay real through round trips.
 
-Real tables go through the half spectrum: ``numpy.fft.rfft2`` over the grid
-axes keeps wavenumber columns 0..n//2 of the second axis, the symbol table is
-cut to the same columns, and ``irfft2`` with ``s=(n, n)`` returns a real
-table.  This equals the real part of the full-spectrum product because every
-symbol applied to real input (derivatives, Laplacian and its inverse) is
+Four private transforms (complex and real, forward and inverse) are the
+module's only numpy.fft transforms.  Each takes same-shape tables stacked
+on a leading axis, so their grid axes are 1 and 2, in one batched call;
+pocketfft transforms each line on its own, so a table gets the same bits
+in a stack as alone.  Each stacked table stays contiguous, and a
+multiplier broadcast over it runs over whole grids even when its trailing
+axes are single entries.
+
+The spectrum level serves solvers that stay in Fourier space between
+pointwise products: ``forward`` (in place) and ``inverse`` (into ``out``
+when given) wrap the complex pair, ``real_forward`` and ``real_inverse``
+the real pair; ``gradient`` gives the values of the d1 and d2 derivatives
+of stacked spectra in one inverse transform, ``divergence`` the spectrum
+of d1 a1 + d2 a2 from a stacked pair, and ``spectrum`` one table's
+spectrum for spectral sums.
+
+The value level acts on plain (n, n, ...) tables, the first two axes the
+grid; real input gives real output for the real-coefficient operators.
+Each operator is the spectrum level applied to its inputs stacked on a
+new leading axis (one table as a view): one batched transform each way,
+however many inputs and symbols it has.  Band-limitedness is the caller's
+contract: operators are exact on resolved trigonometric polynomials and
+silently alias otherwise.
+
+Real tables go through the half spectrum, wavenumber columns 0..n//2 of
+the second grid axis, with the symbols cut to the same columns.  This
+equals the real part of the full-spectrum product because every symbol
+applied to real input (derivatives, Laplacian and its inverse) is
 Hermitian, sym(-k) = conj(sym(k)), which the Nyquist policy above
-guarantees for the odd ones.  Complex tables, and the complex
-symbols d_z, d_zbar and their inverses, keep the full spectrum.  Operators
-that need several multipliers of the same input (grad, div, curl,
-hodge_decompose) transform each input once.
-
-Solvers that stay in Fourier space between pointwise products use the
-spectrum level.  ``forward`` and ``inverse`` take same-shape complex tables
-stacked on a new leading axis, so their grid axes are 1 and 2, and
-transform all of them in one batched call: ``forward`` always in place,
-``inverse`` into ``out`` when given.  Each stacked table stays contiguous,
-and a multiplier broadcast over it runs over whole grids even when its
-trailing axes are single entries.  ``real_forward`` and ``real_inverse``
-do the same for real tables through their half spectra, out of place.
-``spectrum`` gives one table's spectrum for spectral sums: the half
-spectrum of a real table.
-
-``multipliers`` is the one symbol shaper of both levels: given a spectrum,
-full or half, it hands out every symbol cut to the spectrum's columns and
-shaped to broadcast over its trailing axes, built once per (columns, rank)
-and cached on the plan.  The value-level operators apply their symbols by
-name through it.
+guarantees for the odd ones.  Complex tables, and the complex symbols d_z,
+d_zbar and their inverses, keep the full spectrum.  The column count tells
+the two apart.  ``multipliers`` is the one symbol shaper of both levels:
+every symbol cut to a spectrum's columns and shaped to broadcast over its
+trailing axes, built once per (columns, rank) and cached on the plan.
 
 numpy.fft is used rather than scipy.fft: importing scipy.fft, which no
 program module needs otherwise, took 0.34 s and raised the peak RSS by
@@ -71,12 +73,24 @@ Multipliers = namedtuple(
 )
 
 
-def _fft(f):
-    return np.fft.fft2(f, axes=(0, 1))
+# the four transforms, over grid axes 1 and 2 of a stack on a leading axis
 
 
-def _ifft(F):
-    return np.fft.ifft2(F, axes=(0, 1))
+def _fft_stack(w, out):
+    return np.fft.fftn(w, axes=(1, 2), out=out)
+
+
+def _ifft_stack(w_hat, out):
+    # ifftn, not ifft2: numpy 2.4's ifft2 drops its out argument
+    return np.fft.ifftn(w_hat, axes=(1, 2), out=out)
+
+
+def _rfft_stack(w):
+    return np.fft.rfftn(w, axes=(1, 2))
+
+
+def _irfft_stack(w_hat, n):
+    return np.fft.irfftn(w_hat, s=(n, n), axes=(1, 2))
 
 
 class SpectralPlan:
@@ -129,37 +143,29 @@ class SpectralPlan:
 
     def spectrum(self, f):
         """Spectrum of one table over the grid axes: the full spectrum of a
-        complex table, the rfft2 half spectrum (columns 0..n//2) of a real
+        complex table, the half spectrum (columns 0..n//2) of a real
         one."""
-        if np.isrealobj(f):
-            return np.fft.rfft2(f, axes=(0, 1))
-        return _fft(f)
+        return self._transform(f)[0]
 
     def forward(self, w):
-        """Full spectra of the complex tables stacked on the leading axis of
-        w, whose grid axes are 1 and 2: one batched transform, in place;
-        returns w."""
-        return np.fft.fft2(w, axes=(1, 2), out=w)
+        """Full spectra of the stacked complex tables w, in place; returns w."""
+        return _fft_stack(w, out=w)
 
     def inverse(self, w_hat, out=None):
-        """Complex tables of the full spectra stacked on the leading axis of
-        w_hat: one batched transform, into out (which may be w_hat)."""
-        # ifftn, not ifft2: numpy 2.4's ifft2 drops its out argument
-        return np.fft.ifftn(w_hat, axes=(1, 2), out=out)
+        """Complex tables of the stacked full spectra w_hat, into out (which
+        may be w_hat)."""
+        return _ifft_stack(w_hat, out=out)
 
     def real_forward(self, w):
-        """Half spectra (columns 0..n//2) of the real tables stacked on the
-        leading axis of w, whose grid axes are 1 and 2: one batched
-        transform."""
-        return np.fft.rfft2(w, axes=(1, 2))
+        """Half spectra (columns 0..n//2) of the stacked real tables w."""
+        return _rfft_stack(w)
 
     def real_inverse(self, w_hat):
-        """Real tables of the half spectra stacked on the leading axis of
-        w_hat: one batched transform."""
-        return np.fft.irfft2(w_hat, s=(self.grid.n, self.grid.n), axes=(1, 2))
+        """Real tables of the stacked half spectra w_hat."""
+        return _irfft_stack(w_hat, self.grid.n)
 
     def multipliers(self, F):
-        """The Multipliers cut to the columns of the spectrum F (the rfft2
+        """The Multipliers cut to the columns of the spectrum F (the
         half spectrum keeps columns 0..n//2) and shaped to broadcast over its
         trailing axes, which become singletons; built once per (columns,
         rank).  For spectra stacked on a leading axis pass one of them."""
@@ -173,21 +179,50 @@ class SpectralPlan:
             )
         return sym
 
-    # -- multiplier application ------------------------------------------
+    def gradient(self, f_hat):
+        """Values of the d1 and then the d2 derivatives of the k tables whose
+        spectra, full or half, are stacked in f_hat, as 2k stacked tables:
+        one inverse transform."""
+        sym = self.multipliers(f_hat[0])
+        k = len(f_hat)
+        g = np.empty((2 * k,) + f_hat.shape[1:], dtype=complex)
+        np.multiply(f_hat, sym.d1, out=g[:k])
+        np.multiply(f_hat, sym.d2, out=g[k:])
+        return self._tables(g)
 
-    def _spectra(self, *fs):
-        """Forward transforms of the tables fs and whether all are real;
-        half spectra when they are, full spectra otherwise."""
-        fs = [np.asarray(f) for f in fs]
-        real = all(np.isrealobj(f) for f in fs)
-        if real:
-            return [np.fft.rfft2(f, axes=(0, 1)) for f in fs], real
-        return [_fft(f) for f in fs], real
+    def divergence(self, a_hat):
+        """Spectrum of d1 a1 + d2 a2 from the spectra of a1 and a2, the first
+        two stacked in a_hat."""
+        sym = self.multipliers(a_hat[0])
+        div = sym.d1 * a_hat[0]
+        div += sym.d2 * a_hat[1]
+        return div
 
-    def _inverse(self, F, real):
-        if real:
-            return np.fft.irfft2(F, s=(self.grid.n, self.grid.n), axes=(0, 1))
-        return _ifft(F)
+    # -- value level: the spectrum level on a stack of the inputs --------
+
+    def _transform(self, *fs):
+        """Stacked spectra of the same-shape tables fs, half ones when all
+        are real; several tables are stacked as a copy, transformed in
+        place."""
+        w = np.asarray(fs[0])[None] if len(fs) == 1 else np.stack(fs)
+        if np.isrealobj(w):
+            return _rfft_stack(w)
+        return _fft_stack(w, out=None if len(fs) == 1 else w)
+
+    def _tables(self, w_hat):
+        """Stacked tables of the stacked spectra w_hat: real ones of half
+        spectra, complex ones of full spectra, transformed in place."""
+        n = self.grid.n
+        if w_hat.shape[2] < n:
+            return _irfft_stack(w_hat, n)
+        return _ifft_stack(w_hat, out=w_hat)
+
+    def _curl_spectrum(self, a_hat):
+        """Spectrum of d1 a2 - d2 a1, as divergence reads a_hat."""
+        sym = self.multipliers(a_hat[0])
+        curl = sym.d1 * a_hat[1]
+        curl -= sym.d2 * a_hat[0]
+        return curl
 
     # the spectra are fresh arrays, so multipliers are applied in place:
     # fewer full-size temporaries, the same products
@@ -195,9 +230,9 @@ class SpectralPlan:
     def _apply(self, name, f):
         """The multiplier of that name applied to f; real f needs a
         Hermitian one."""
-        (F,), real = self._spectra(f)
-        F *= getattr(self.multipliers(F), name)
-        return self._inverse(F, real)
+        F = self._transform(f)
+        F *= getattr(self.multipliers(F[0]), name)
+        return self._tables(F)[0]
 
     # -- derivatives ------------------------------------------------------
 
@@ -208,11 +243,7 @@ class SpectralPlan:
         return self._apply("d2", f)
 
     def grad(self, f):
-        (F,), real = self._spectra(f)
-        sym = self.multipliers(F)
-        fx = self._inverse(sym.d1 * F, real)
-        F *= sym.d2
-        return fx, self._inverse(F, real)
+        return tuple(self.gradient(self._transform(f)))
 
     def grad_perp(self, f):
         fx, fy = self.grad(f)
@@ -220,21 +251,11 @@ class SpectralPlan:
 
     def div(self, a1, a2):
         """d1 a1 + d2 a2 for component tables of one shape."""
-        (F1, F2), real = self._spectra(a1, a2)
-        sym = self.multipliers(F1)
-        F1 *= sym.d1
-        F2 *= sym.d2
-        F1 += F2
-        return self._inverse(F1, real)
+        return self._tables(self.divergence(self._transform(a1, a2))[None])[0]
 
     def curl(self, a1, a2):
         """d1 a2 - d2 a1 for component tables of one shape."""
-        (F1, F2), real = self._spectra(a1, a2)
-        sym = self.multipliers(F1)
-        F2 *= sym.d1
-        F1 *= sym.d2
-        F2 -= F1
-        return self._inverse(F2, real)
+        return self._tables(self._curl_spectrum(self._transform(a1, a2))[None])[0]
 
     def laplacian(self, f):
         return self._apply("lap", f)
@@ -281,17 +302,19 @@ class SpectralPlan:
 
     def hodge_decompose(self, a1, a2):
         """Split a = grad(alpha) + grad_perp(beta) + constant mean vector."""
-        (F1, F2), real = self._spectra(a1, a2)
-        sym = self.multipliers(F1)
-        d1, d2, inv = sym.d1, sym.d2, sym.inv_lap
-        alpha = self._inverse(inv * (d1 * F1 + d2 * F2), real)
-        beta = self._inverse(inv * (d1 * F2 - d2 * F1), real)
+        F = self._transform(a1, a2)
+        inv = self.multipliers(F[0]).inv_lap
+        div, curl = self.divergence(F), self._curl_spectrum(F)
+        # the potentials' spectra take the place of the inputs'
+        np.multiply(inv, div, out=F[0])
+        np.multiply(inv, curl, out=F[1])
+        alpha, beta = self._tables(F)
         mean = np.array([np.mean(a1), np.mean(a2)])
         return alpha, beta, mean
 
     def fourier_coefficients(self, f):
         """Coefficients c_k with f = sum c_k exp(i k.x)."""
-        return _fft(np.asarray(f)) / self.grid.n**2
+        return _fft_stack(np.asarray(f)[None], None)[0] / self.grid.n**2
 
 
 def random_band_limited(plan, rng, kmax=None, rms=1.0):
@@ -303,7 +326,7 @@ def random_band_limited(plan, rng, kmax=None, rms=1.0):
     keep = (np.abs(idx[:, None]) <= kmax) & (np.abs(idx[None, :]) <= kmax)
     F = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     F *= keep
-    f = _ifft(F).real
+    f = _ifft_stack(F[None], None)[0].real
     f -= f.mean()
     scale = np.sqrt(np.mean(f**2))
     if scale > 0:

@@ -375,8 +375,9 @@ def manufacture_solution(plan, mode, rng, grad_alpha=0.05, equation_sign=-1,
         alpha = np.full((grid.n, grid.n), float(theta0))
         q0 = rotation2(np.array(float(theta0)))
         s0 = s0_matrix(2, 1)
-        # a BLAS product, not make_chirality's einsum: the two round apart
-        # in the last bit, and this branch's residuals sit at that level
+        # the constant matrices' own product, not make_chirality's: the two
+        # round apart in the last bit, and this branch's residuals sit at
+        # that level
         s_const = q0.T @ s0 @ q0
         # affine conjugate: grad_perp v_j = (S grad u)_j, all constant
         w = s_const @ coeffs_u  # (j, deriv): rows are S grad u_j

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from chirality_lab import pgauge
+from chirality_lab import norms, pgauge
 from chirality_lab.cli import main
 from chirality_lab.compensation import PreconditionError
 from chirality_lab.experiments import (
@@ -184,6 +184,77 @@ def test_fft_round_trip_gate_fails_on_a_faulty_transform(tmp_path, monkeypatch):
         failed = {m.name for m in report.metrics if not m.passed}
         assert failed == {"fft_round_trip_rel_err"}, name
 
+
+
+def _offset(orig):
+    # a constant added to the output
+    return lambda *args: orig(*args) + 1e-6
+
+
+def _scaled(orig):
+    return lambda *args: orig(*args) * (1.0 + 1e-10)
+
+
+def _grad_perp_sign_error(orig):
+    # (d2 f, d1 f) in place of (-d2 f, d1 f)
+    def faulty(self, f):
+        fx, fy = self.grad(f)
+        return fy, fx
+    return faulty
+
+
+def _hodge_mean_offset(orig):
+    def faulty(self, a1, a2):
+        alpha, beta, mean = orig(self, a1, a2)
+        return alpha, beta, mean + 1e-6
+    return faulty
+
+
+# one planted fault per ops-verify gate: (the gate, where the fault goes,
+# the fault, every gate it fails)
+OPS_VERIFY_FAULTS = [
+    ("plane_wave_dz_rel_err", SpectralPlan, "d_z", _offset,
+     # d_zbar drops the constant again in the Laplacian identity
+     {"plane_wave_dz_rel_err"}),
+    ("plane_wave_dzbar_rel_err", SpectralPlan, "d_zbar", _offset,
+     {"plane_wave_dzbar_rel_err", "dzbar_dz_quarter_laplacian_rel_err",
+      "cauchy_right_inverse_rel_err"}),
+    ("fft_round_trip_rel_err", SpectralPlan, "forward", _scaled,
+     {"fft_round_trip_rel_err"}),
+    ("dzbar_dz_quarter_laplacian_rel_err", SpectralPlan, "laplacian", _scaled,
+     {"dzbar_dz_quarter_laplacian_rel_err"}),
+    ("curl_grad_rel_err", SpectralPlan, "curl", _offset, {"curl_grad_rel_err"}),
+    ("div_grad_perp_rel_err", SpectralPlan, "div", _offset,
+     {"div_grad_perp_rel_err"}),
+    ("hodge_reconstruction_rel_err", SpectralPlan, "hodge_decompose",
+     _hodge_mean_offset, {"hodge_reconstruction_rel_err"}),
+    ("hodge_orthogonality", SpectralPlan, "grad_perp", _grad_perp_sign_error,
+     {"hodge_orthogonality", "hodge_reconstruction_rel_err",
+      "div_grad_perp_rel_err"}),
+    ("cauchy_right_inverse_rel_err", SpectralPlan, "cauchy_solve", _scaled,
+     {"cauchy_right_inverse_rel_err"}),
+    ("parseval_rel_err", SpectralPlan, "fourier_coefficients", _scaled,
+     {"parseval_rel_err"}),
+    ("lorentz_scaling_rel_err", norms, "lorentz_weak_l2", _offset,
+     {"lorentz_scaling_rel_err"}),
+]
+
+
+@pytest.mark.parametrize(
+    "gate, owner, name, fault, fails", OPS_VERIFY_FAULTS,
+    ids=[case[0] for case in OPS_VERIFY_FAULTS],
+)
+def test_each_ops_verify_gate_fails_on_its_planted_fault(
+    tmp_path, monkeypatch, gate, owner, name, fault, fails
+):
+    monkeypatch.setattr(owner, name, fault(getattr(owner, name)))
+    report = run_experiment(ExperimentConfig(
+        experiment="ops-verify", grid_n=16, seed=0, out=str(tmp_path),
+    ))
+    # every gate of the report has its fault
+    assert {case[0] for case in OPS_VERIFY_FAULTS} == {m.name for m in report.metrics}
+    assert {m.name for m in report.metrics if not m.passed} == fails
+    assert gate in fails
 
 def test_failed_trials_keep_their_gauge():
     # real n = 16 chain data: these trials stall near t = 1 and their partial
