@@ -11,9 +11,12 @@ complex table g = g_j + i g_k.
 Unit quaternions are the 1 x 1 hyper-unitary matrices (Sp(1)), so this is
 the gauge of pgauge.py at d = 1, and there is one solver.  The functions
 here are format adapters at its boundary: an (n, n, 4) table
-q = z1 + z2 j becomes the pair (z1, z2) of (n, n, 1, 1) tables, the i-line
-target w the 1i-line target V = i w, the jk table g the T table, and the
-stream potential zeta is chi / i.  Results come back as (n, n, 4) tables.
+q = z1 + z2 j becomes the pair (z1, z2) of 1 x 1 matrix tables, the
+i-line target w the 1i-line target V = i w, the jk table g the T table,
+and the stream potential zeta is chi / i.  gauge_solve hands p_gauge_solve
+grid-first (n, n, 1, 1) targets; chi_potential and p_contraction_chain
+take the solver's layout, (1, 1, n, n), the same memory.  Results come
+back as (n, n, 4) tables.
 
 The experiments run p_gauge_structures on systems.chain_quaternion.  This
 module is the boundary of the benchmark's quat-chain workload and keeps
@@ -57,9 +60,9 @@ class GaugeResult(PGaugeResult):
 
 
 def _matrices(q):
-    """An (n, n, 4) table as the pair of (n, n, 1, 1) tables."""
+    """An (n, n, 4) table as the pair of (1, 1, n, n) tables."""
     z1, z2 = quat_to_complex_pair(q)
-    return z1[..., None, None], z2[..., None, None]
+    return z1[None, None], z2[None, None]
 
 
 def _quaternion_result(res):
@@ -96,7 +99,7 @@ def zeta_potential(plan, q, precondition_tol=1e-6):
     (zeta, the L2 norm of that divergence), as pgauge.chi_potential does.
     """
     chi, dres = chi_potential(plan, _matrices(q), precondition_tol)
-    return chi[..., 0, 0].imag, dres
+    return chi[0, 0].imag, dres
 
 
 def contraction_chain(plan, frak_f, omega, q, zeta, pre_tol=1e-6):
@@ -122,7 +125,7 @@ def contraction_chain(plan, frak_f, omega, q, zeta, pre_tol=1e-6):
     zero = np.zeros_like(p[0])
     f1, f2 = quat_to_complex_pair(frak_f)
     out = p_contraction_chain(
-        plan, p, 1j * zeta[..., None, None], (zero, zero), (f1[..., None], f2[..., None])
+        plan, p, 1j * zeta[None, None], (zero, zero), (f1[None], f2[None])
     )
     transport_res = out.pop("absorbed_residual")
     return {**out, "transport_residual": transport_res, "equation_residual": eq_res}

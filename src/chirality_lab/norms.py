@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from chirality_lab.hyperunitary import grid_last
+
 __all__ = [
     "Ball",
     "lp_norm",
@@ -155,12 +157,14 @@ def sobolev_neg_1_2(plan, f):
             f"sobolev_neg_1_2 needs a mean-zero field (|mean|={mean:.3e}); "
             "subtract the mean first"
         )
-    return spectral_neg_1_2(plan, plan.spectrum(f))
+    # the spectrum level wants the grid axes last
+    return spectral_neg_1_2(plan, plan.spectrum(grid_last(f)))
 
 
 def spectral_neg_1_2(plan, F):
-    """|| |k|^-1 f_hat || of f from its spectrum F = plan.spectrum(f), zero
-    mode dropped (so F needs no mean projection); trailing axes contract.
+    """|| |k|^-1 f_hat || of f from its spectrum F = plan.spectrum(f), grid
+    axes last, zero mode dropped (so F needs no mean projection); the
+    leading axes contract.
 
     F is a full spectrum, or the rfft2 half spectrum of a real table, whose
     columns 1..n//2 - 1 stand for two modes each, k and -k: the same sum
@@ -170,9 +174,9 @@ def spectral_neg_1_2(plan, F):
     n = plan.grid.n
     power = F.real**2 + F.imag**2
     if power.ndim > 2:
-        power = power.reshape(power.shape[:2] + (-1,)).sum(axis=-1)
+        power = power.reshape((-1,) + power.shape[-2:]).sum(axis=0)
     weight = -plan.multipliers(power).inv_lap
-    weight[:, 1 : n - F.shape[1] + 1] *= 2.0
+    weight[:, 1 : n - F.shape[-1] + 1] *= 2.0
     return float(np.sqrt(np.sum(weight * power) * plan.grid.area) / n**2)
 
 

@@ -8,6 +8,17 @@ jk-plane its Y part.  Unit quaternions are the 1 x 1 case (Sp(1)), so the
 quaternion gauge of gauge.py runs this code at d = 1 and converts its
 tables at the boundary.
 
+Layout.  Inside the solver every table has the matrix axes first and the
+grid axes last, (d, d, n, n), and stacks add leading axes, so transforms
+and products run over contiguous (n, n) planes.  The boundary keeps the
+grid-first (n, n, d, d) tables that systems builds: p_gauge_solve,
+p_gauge_structures and linearization_order take them, and PGaugeResult.p
+and p_gauge_structures' chi come back so.  Each table is converted once,
+with hyperunitary.grid_last on the way in (a copy, or the same memory at
+d = 1) and grid_first on the way out (a view).  pn_apply, chi_potential,
+chi_from_connection, absorbed_residual and p_contraction_chain take the
+solver's layout.
+
 The operator is
 
     N(P) = ( 1i-part of div(P^-1 grad P),
@@ -42,17 +53,17 @@ the 1i-line, a d_zbar solve for the jk-plane); the Newton solve iterates
 it against the commutator terms of the frozen connection, which the
 residual evaluation hands over.  The connection and the iterate are both
 anti-self-dual, so each commutator [A, u] is A u - (A u)^dagger, and the
-two blocks of the connection, stacked, take one product together.  The
-evaluation of a field, N(P) with its connection, does not depend on t: an
-accepted field's evaluation is handed to the next level and to the
-result, and P = I, where both vanish, needs none, at the direct attempt
-or at the continuation's start, where the Newton step is L_I^-1 of the
-residual in closed form.
+connection, the stack (P^-1 d1 P, P^-1 d2 P) on a leading axis, takes one
+product with u.  The evaluation of a field, N(P) with its connection, does
+not depend on t: an accepted field's evaluation is handed to the next
+level and to the result, and P = I, where both vanish, needs none, at the
+direct attempt or at the continuation's start, where the Newton step is
+L_I^-1 of the residual in closed form.
 
 The Newton step stays in Fourier space between its pointwise products,
-through the spectrum level of SpectralPlan (batched transforms of tables
-stacked on a leading axis, the multipliers, and the plan's gradient and
-divergence of stacked spectra).  An evaluation takes grad P with one
+through the spectrum level of SpectralPlan (batched transforms over the
+trailing grid axes of stacked tables, the multipliers, and the plan's
+gradient and divergence of stacked spectra).  An evaluation takes grad P with one
 forward transform of (X, Y) and one inverse of the four derivatives, and
 keeps the 1i-part of N, the divergence of the connection's 1i-line, as a
 spectrum: it is used only through its H^-1 norm and as the Newton right
@@ -68,7 +79,8 @@ of the image is quadratic near P = I, so linear solves project it out;
 intermediate continuation levels track the path to basin accuracy, and
 the mean is enforced only at t = 1.  On generic data it sits on a floor
 there that Newton has not closed, and the continuation stalls.  Residual
-tables reduce over the grid axes (0, 1) and contract the matrix axes.
+tables reduce over the grid axes, the last two, and contract the matrix
+axes.
 
 The stream potential chi of the 1i-line of the connection (p_connection is
 the one P^-1 grad P of the module; the result holds the solver's
@@ -86,12 +98,15 @@ import numpy as np
 
 from chirality_lab.compensation import PreconditionError
 from chirality_lab.hyperunitary import (
+    grid_first,
+    grid_last,
+    identity_field,
+    plane_matmul,
     qp_cayley_asd,
     qp_conj_t,
     qp_dagger_defect,
     qp_matmul,
     qp_matvec,
-    qp_row_matmul,
 )
 from chirality_lab.norms import (
     l2_norm,
@@ -171,6 +186,7 @@ class GaugeConfig:
 
 @dataclass
 class PGaugeResult:
+    # the gauge as grid-first (n, n, d, d) tables, as systems builds them
     p: tuple
     residual: float
     residual_1i: float
@@ -182,39 +198,60 @@ class PGaugeResult:
     # one (t, dt, accepted) record per attempted level, in order; dt is the
     # step the level was tried with, t = min(previous t + dt, 1)
     levels: tuple
-    # the solver's connection P^-1 grad P of p, as the pair (P^-1 d1 P,
-    # P^-1 d2 P), for the caller's stream potential; four tables, so
-    # p_gauge_structures and the (n, n, 4) adapter release it (None)
+    # the solver's connection P^-1 grad P of p, matrix axes first, as the
+    # stack (P^-1 d1 P, P^-1 d2 P) on a leading axis, for the caller's
+    # stream potential; four tables, so p_gauge_structures and the (n, n, 4)
+    # adapter release it (None)
     connection: tuple
 
     @property
     def unitarity_defect(self):
-        return _unitarity_defect(self.p)
+        return _unitarity_defect(tuple(grid_last(part) for part in self.p))
+
+
+def _at_boundary(result):
+    """The solver's result with its gauge grid-first, as a view."""
+    result.p = tuple(grid_first(part) for part in result.p)
+    return result
+
+
+def _l2(plan, *tables):
+    """l2_norm of tables whose grid axes are last."""
+    return l2_norm(plan.grid, *(grid_first(t) for t in tables))
+
+
+def _abs(*tables):
+    """pointwise_abs of tables whose grid axes are last, grid-first."""
+    return pointwise_abs(*(grid_first(t) for t in tables))
 
 
 def _unitarity_defect(p):
     """max |conj(P)^t P - I| over both parts of the pair."""
     x, y = qp_matmul(qp_conj_t(p), p)
     return max(
-        float(np.max(np.abs(x - np.eye(x.shape[-1])))), float(np.max(np.abs(y)))
+        float(np.max(np.abs(x - identity_field(x.shape[-3])))), float(np.max(np.abs(y)))
     )
 
 
 def p_connection(plan, p):
-    """P^-1 grad P as the pair (P^-1 d1 P, P^-1 d2 P): one forward transform
-    of (X, Y), one inverse of the four derivatives and two products."""
-    pct = qp_conj_t(p)
+    """P^-1 grad P as the stack (P^-1 d1 P, P^-1 d2 P) on a leading axis:
+    one forward transform of (X, Y), one inverse of the four derivatives
+    and one product."""
     g = plan.gradient(plan.forward(np.stack(p)))
-    return qp_matmul(pct, (g[0], g[1])), qp_matmul(pct, (g[2], g[3]))
+    # (d1 X, d1 Y, d2 X, d2 Y) as the pair of the stacks (d1 X, d2 X) and
+    # (d1 Y, d2 Y)
+    g = g.reshape((2, 2) + g.shape[1:])
+    return qp_matmul(qp_conj_t(p), (g[:, 0], g[:, 1]))
 
 
-def _jk_of(x1, x2):
+def _jk_of(conn):
     # Y part of X1 - X2 * i; right-i sends (X, Y) to (iX, -iY)
-    return x1[1] + 1j * x2[1]
+    return conn[1][0] + 1j * conn[1][1]
 
 
 def pn_apply(plan, p, check=True):
-    """N(P) and the connection (X1, X2) = P^-1 grad P it was computed from.
+    """N(P) and the connection P^-1 grad P it was computed from (see
+    p_connection); matrix axes first.
 
     N(P) comes as (spectrum of the complex skew-Hermitian table V, complex
     symmetric table T): V, the divergence of the connection's 1i-line, is
@@ -224,9 +261,10 @@ def pn_apply(plan, p, check=True):
         defect = _unitarity_defect(p)
         if defect > 1e-9:
             raise ValueError(f"field is not hyper-unitary (defect {defect:.3e})")
-    x1, x2 = p_connection(plan, p)
-    nv_hat = plan.divergence(plan.forward(np.stack((x1[0], x2[0]))))
-    return (nv_hat, _jk_of(x1, x2)), (x1, x2)
+    conn = p_connection(plan, p)
+    # the 1i-lines of P^-1 d1 P and P^-1 d2 P, a copy: forward is in place
+    nv_hat = plan.divergence(plan.forward(conn[0].copy()))
+    return (nv_hat, _jk_of(conn)), conn
 
 
 def pl1_solve(plan, v_hat, t_hat):
@@ -241,59 +279,49 @@ def pl1_solve(plan, v_hat, t_hat):
     return out
 
 
-def _stacked_rows(*ms):
-    """Top block row [X | Y] of the complex embedding of the d x d
-    quaternion matrices ms stacked on top of each other."""
-    return np.concatenate(
-        (np.concatenate([m[0] for m in ms], axis=-2),
-         np.concatenate([m[1] for m in ms], axis=-2)),
-        axis=-1,
-    )
+def _asd_commutators(a, b):
+    """[A_l, B] = A_l B - (A_l B)^dagger for the stack A of matrices A_l on
+    leading axes, as a stack: one product for all of them, and exact when
+    every A_l and B are anti-self-dual, since then (A_l B)^dagger = B A_l."""
+    x, y = qp_matmul(a, b)
+    x -= np.conj(np.swapaxes(x, -4, -3))
+    y += np.swapaxes(y, -4, -3)
+    return x, y
 
 
-def _asd_commutators(a_rows, b):
-    """Yields [A_l, B] = A_l B - (A_l B)^dagger for the matrices A_l whose
-    stacked rows are a_rows (_stacked_rows), in order: one product for all
-    of them, and exact when every A_l and B are anti-self-dual, since then
-    (A_l B)^dagger = B A_l."""
-    x, y = qp_row_matmul(a_rows, b)
-    d = b[0].shape[-1]
-    for k in range(0, x.shape[-2], d):
-        xl, yl = x[..., k : k + d, :], y[..., k : k + d, :]
-        yield xl - np.conj(np.swapaxes(xl, -1, -2)), yl + np.swapaxes(yl, -1, -2)
-
-
-def _perturbation_spectra(plan, conn_rows, u, out):
+def _perturbation_spectra(plan, conn, u, out):
     """Spectra of L_P(u) - L_I(u), the commutator terms of the frozen
-    connection (x1, x2), given by its stacked rows; it is anti-self-dual like
-    u, so both take one product.  out, three tables stacked on its leading
-    axis, receives the 1i-parts of [x1, u] and [x2, u] and the jk-part of
-    the pair and takes one batched forward transform; returns the spectra of
+    connection, the stack (x1, x2); it is anti-self-dual like u, so both
+    take one product.  out, three tables stacked on its leading axis,
+    receives the 1i-parts of [x1, u] and [x2, u] and the jk-part of the
+    pair and takes one batched forward transform; returns the spectra of
     the div term and of the jk term, the latter a view of out."""
-    commutators = _asd_commutators(conn_rows, u)
-    out[0], out[2] = next(commutators)
-    c = next(commutators)
-    out[1] = c[0]
-    out[2] += 1j * c[1]
-    del c, commutators
+    cx, cy = _asd_commutators(conn, u)
+    out[:2] = cx
+    np.add(cy[0], 1j * cy[1], out=out[2])
+    del cx, cy
     plan.forward(out)
     return plan.divergence(out), out[2]
 
 
 def _residual_norms(plan, v_hat, t):
     """(negative-Sobolev norm of the 1i-part, given as a spectrum, L2 of the
-    oscillatory jk-part, L2 carried by the jk mean); the matrix axes are
-    contracted."""
-    t_mean = t.mean(axis=(0, 1))
+    oscillatory jk-part, L2 carried by the jk mean); the grid axes are the
+    last two, and the matrix axes are contracted."""
+    t_mean = t.mean(axis=(-2, -1))
     mean_l2 = float(np.sqrt(np.sum(np.abs(t_mean) ** 2)) * plan.grid.length)
-    return spectral_neg_1_2(plan, v_hat), l2_norm(plan.grid, t - t_mean), mean_l2
+    return (
+        spectral_neg_1_2(plan, v_hat),
+        _l2(plan, t - t_mean[..., None, None]),
+        mean_l2,
+    )
 
 
-def _projected_solve(plan, conn_rows, v_hat, t_hat, tol, max_iter):
+def _projected_solve(plan, conn, v_hat, t_hat, tol, max_iter):
     """Solve the mean-projected L_P(u) = (V, T), given as spectra, for the
-    connection (x1, x2) of P, given as _stacked_rows(x1, x2), by the
-    stationary iteration u <- L_I^-1(rhs - pert(u)), which converges
-    geometrically while the connection is small.
+    connection of P, the stack (x1, x2), by the stationary iteration
+    u <- L_I^-1(rhs - pert(u)), which converges geometrically while the
+    connection is small.
 
     The iteration runs in Fourier space between its pointwise products:
     each step forms the commutator terms in one batched forward transform,
@@ -319,7 +347,7 @@ def _projected_solve(plan, conn_rows, v_hat, t_hat, tol, max_iter):
     bad = 0
     for it in range(max_iter):
         if it:
-            rv, rt = _perturbation_spectra(plan, conn_rows, (u[0], u[1]), work)
+            rv, rt = _perturbation_spectra(plan, conn, (u[0], u[1]), work)
             np.subtract(v_hat, rv, out=rv)
             np.subtract(t_hat, rt, out=rt)
         u_hat = pl1_solve(plan, rv, rt)
@@ -342,6 +370,11 @@ def _projected_solve(plan, conn_rows, v_hat, t_hat, tol, max_iter):
 def p_gauge_solve(plan, v_target, t_target, config=None):
     """Solve N(P) = (V, T) over hyper-unitary fields by damped Newton,
     directly or along the continuation levels t*(V, T).
+
+    The targets are grid-first (n, n, d, d) tables, and so is the result's
+    gauge (a view); they are converted once here, and the solve runs with
+    the matrix axes first (_solve).  A GaugeStall's partial gauge is
+    converted the same way.
 
     The 1i-line target must be mean-zero (structural on the torus).  The
     first level is t = 1, tried from P = I with dt = 1; when it is accepted
@@ -368,25 +401,36 @@ def p_gauge_solve(plan, v_target, t_target, config=None):
     residual, with no inner iteration, and its line search takes cay(s u)
     with no product.
     """
+    targets = (grid_last(np.asarray(a, dtype=complex)) for a in (v_target, t_target))
+    try:
+        return _at_boundary(_solve(plan, *targets, config))
+    except GaugeStall as stall:
+        _at_boundary(stall.result)
+        raise
+
+
+def _solve(plan, v_target, t_target, config):
+    """p_gauge_solve on (d, d, n, n) targets; the result's gauge is
+    (d, d, n, n) too."""
     cfg = config or GaugeConfig()
-    v_target = np.asarray(v_target, dtype=complex)
-    t_target = np.asarray(t_target, dtype=complex)
-    v_mean = v_target.mean(axis=(0, 1))
+    v_mean = v_target.mean(axis=(-2, -1))
     v_scale = max(float(np.max(np.abs(v_target))), 1e-300)
     if np.max(np.abs(v_mean)) > 1e-10 * v_scale:
         raise ValueError("the 1i-line target must be mean-zero on the torus")
     # the 1i-line enters the residual as a spectrum, as N's does
     v_hat = plan.spectrum(v_target)
-    target_size = spectral_neg_1_2(plan, v_hat) + l2_norm(plan.grid, t_target)
+    del v_target
+    target_size = spectral_neg_1_2(plan, v_hat) + _l2(plan, t_target)
     if target_size > cfg.eps0:
         raise ValueError(f"target norm {target_size:.3e} exceeds eps0 = {cfg.eps0}")
 
-    eye = np.broadcast_to(np.eye(v_target.shape[-1], dtype=complex), v_target.shape)
-    p = eye.copy(), np.zeros_like(eye)
+    eye = identity_field(t_target.shape[-3])
+    p = np.broadcast_to(eye, t_target.shape).astype(complex), np.zeros(t_target.shape, complex)
     # the evaluation (N(P), P^-1 grad P) of the accepted field p, or None
     # once newton() has released it; N(I) and the connection of I vanish,
     # so both starts from P = I take p's zero Y part, with no FFT
-    ev = ev_identity = (p[1], p[1]), ((p[1], p[1]), (p[1], p[1]))
+    zero_stack = np.broadcast_to(p[1], (2,) + p[1].shape)
+    ev = ev_identity = (p[1], p[1]), (zero_stack, zero_stack)
     # the direct attempt: t = 1 in one step
     t = 0.0
     dt = 1.0
@@ -409,8 +453,8 @@ def p_gauge_solve(plan, v_target, t_target, config=None):
         ev_p = pn_apply(plan, p, check=False) if ev is None else ev
         _, (_, ri, rjk, rmean) = level_residual(ev_p, t_now)
         # P acts isometrically, so ||grad P||_2 = ||P^-1 grad P||_2
-        x1, x2 = ev_p[1]
-        grad_l2 = l2_norm(plan.grid, *x1, *x2)
+        x, y = ev_p[1]
+        grad_l2 = _l2(plan, x[0], y[0], x[1], y[1])
         theta = grad_l2 / target_size if target_size > 0 else 0.0
         steps = sum(accepted for _, _, accepted in levels)
         return PGaugeResult(
@@ -440,15 +484,14 @@ def p_gauge_solve(plan, v_target, t_target, config=None):
         the line search accepted with its oscillatory and jk-mean residuals,
         and leaves that field's evaluation in ev.
 
-        Memory: each Newton step releases N and the connection before its
-        inner solve, which holds the connection as its stacked rows, and
-        releases those before its line search, so while a trial is evaluated
-        no table of the field the step started from is alive (N, the
-        connection and the residual are eight (n, n, d, d) tables).  The
-        residual's jk-part becomes the solve's right side in place, and the
-        step is dealiased and transformed back in place.  A rejected level
-        therefore leaves ev released, and its retry evaluates the start
-        field again."""
+        Memory: each Newton step releases N before its inner solve, which
+        holds the connection, and releases that before its line search, so
+        while a trial is evaluated no table of the field the step started
+        from is alive (N, the connection and the residual are eight
+        (d, d, n, n) tables).  The residual's jk-part becomes the solve's
+        right side in place, and the step is dealiased and transformed back
+        in place.  A rejected level therefore leaves ev released, and its
+        retry evaluates the start field again."""
         nonlocal ev
         if ev is None:
             ev = pn_apply(plan, p, check=False)
@@ -465,7 +508,7 @@ def p_gauge_solve(plan, v_target, t_target, config=None):
                 ev = None
                 u_hat = pl1_solve(plan, rv_hat, plan.forward(rt[None])[0])
             else:
-                conn, ev = _stacked_rows(*ev[1]), None
+                conn, ev = ev[1], None
                 try:
                     _, u_hat, _ = _projected_solve(
                         plan, conn, rv_hat, plan.forward(rt[None])[0],
@@ -532,12 +575,14 @@ def p_gauge_solve(plan, v_target, t_target, config=None):
 
 def linearization_order(plan, u):
     """Measured order in t of || N(cay(t u)) - t L1(u) || (expected 2) for
-    an anti-self-dual pair u, at the steps LINEARIZATION_STEPS; cay is the
-    Newton step's retraction, L1(u) = (Lap X_u, 2 d_zbar Y_u) the
-    linearization at P = I and the norm the continuation's residual norm.
-    Returns (order, the norms)."""
+    an anti-self-dual pair u of grid-first (n, n, d, d) tables, at the steps
+    LINEARIZATION_STEPS; cay is the Newton step's retraction, L1(u) =
+    (Lap X_u, 2 d_zbar Y_u) the linearization at P = I and the norm the
+    continuation's residual norm.  Returns (order, the norms)."""
     x, y = u
-    lv_hat, lt = plan.spectrum(plan.laplacian(x)), 2.0 * plan.d_zbar(y)
+    lv_hat = plan.spectrum(grid_last(plan.laplacian(x)))
+    lt = grid_last(2.0 * plan.d_zbar(y))
+    x, y = grid_last(x), grid_last(y)
     vals = []
     for t in LINEARIZATION_STEPS:
         (nv_hat, nt), _ = pn_apply(plan, qp_cayley_asd((t * x, t * y)), check=False)
@@ -547,6 +592,10 @@ def linearization_order(plan, u):
     return float(fit[0]), vals
 
 
+# The stream potential and the contraction measurement take the solver's
+# layout: matrix axes first, grid axes last.
+
+
 def chi_potential(plan, p, precondition_tol=1e-6):
     """Stream potential chi of the 1i-line a of the connection of the gauge
     p, a = mean(a) + grad_perp(chi); see chi_from_connection."""
@@ -554,38 +603,54 @@ def chi_potential(plan, p, precondition_tol=1e-6):
 
 
 def chi_from_connection(plan, connection, precondition_tol):
-    """Stream potential chi of the 1i-line a of a connection (X1, X2) =
-    P^-1 grad P, a = mean(a) + grad_perp(chi).
+    """Stream potential chi of the 1i-line a of a connection P^-1 grad P,
+    the stack (P^-1 d1 P, P^-1 d2 P), a = mean(a) + grad_perp(chi).
 
     Requires the first gauge equation (1i-line divergence zero); returns
     (chi, the L2 norm of that divergence), and raises PreconditionError
     when it exceeds precondition_tol * ||grad P||_2^2.
     """
-    grid = plan.grid
-    x1, x2 = connection
+    x, y = connection
     # P acts isometrically, so ||grad P||_2 = ||P^-1 grad P||_2
-    grad_p_l2 = l2_norm(grid, *x1, *x2)
-    a1, a2 = x1[0], x2[0]
-    dres = l2_norm(grid, plan.div(a1, a2))
+    grad_p_l2 = _l2(plan, x[0], y[0], x[1], y[1])
+    # x is the stack (a1, a2) of the 1i-lines; forward transforms in place
+    div = plan.inverse(plan.divergence(plan.forward(x.copy()))[None])[0]
+    dres = _l2(plan, div)
     if dres > precondition_tol * max(grad_p_l2**2, 1e-300):
         raise PreconditionError("1i-line of the connection is not divergence free", dres)
-    return plan.inv_laplacian(plan.curl(a1, a2)), dres
+    curl = plan.inverse(plan.curl_spectrum(plan.forward(x.copy()))[None])
+    chi_hat = plan.forward(curl)
+    chi_hat *= plan.multipliers(chi_hat).inv_lap
+    return plan.inverse(chi_hat, out=chi_hat)[0], dres
 
 
 def absorbed_residual(plan, p, chi, gamma1, g_pair):
     """Residual of d1(PG) - d2(P i G) = 2 P (-i d_L chi + Gamma1) G;
-    returns (residual, right side, P G)."""
-    pg = qp_matvec(p, g_pair)
-    ig = (1j * g_pair[0], 1j * g_pair[1])
-    pig = qp_matvec(p, ig)
-    lhs = tuple(plan.curl(c2, c1) for c1, c2 in zip(pg, pig))
-    chi_x, chi_y = plan.grad(chi)
+    returns (residual, right side, P G).
+
+    For P = X + Y j and G = (g1, g2) the four products X g1, Y conj(g2),
+    X g2 and Y conj(g1) give both P G = (X g1 - Y conj(g2), X g2 +
+    Y conj(g1)) and P (i G) = (i (X g1 + Y conj(g2)), i (X g2 -
+    Y conj(g1)))."""
+    x, y = p
+    g1, g2 = (g[..., :, None, :, :] for g in g_pair)
+    xg1, yg2 = plane_matmul(x, g1), plane_matmul(y, np.conj(g2))
+    xg2, yg1 = plane_matmul(x, g2), plane_matmul(y, np.conj(g1))
+    pg = (xg1 - yg2)[..., 0, :, :], (xg2 + yg1)[..., 0, :, :]
+    pig = (1j * (xg1 + yg2))[..., 0, :, :], (1j * (xg2 - yg1))[..., 0, :, :]
+    del xg1, yg2, xg2, yg1
+    # d1 of P G minus d2 of P i G, part by part
+    lhs = [
+        plan.inverse(plan.curl_spectrum(plan.forward(np.stack((c2, c1))))[None])[0]
+        for c1, c2 in zip(pg, pig)
+    ]
+    chi_x, chi_y = plan.gradient(plan.spectrum(chi)[None])
     dchi = 0.5 * (chi_x - 1j * chi_y)
     m_tot = (-1j * dchi + gamma1[0], gamma1[1])
     rhs_inner = qp_matvec(m_tot, g_pair)
     rhs = qp_matvec(p, rhs_inner)
     rhs = (2.0 * rhs[0], 2.0 * rhs[1])
-    return l2_norm(plan.grid, lhs[0] - rhs[0], lhs[1] - rhs[1]), rhs, pg
+    return _l2(plan, lhs[0] - rhs[0], lhs[1] - rhs[1]), rhs, pg
 
 
 def p_contraction_chain(plan, p, chi, gamma1, g_pair):
@@ -609,34 +674,29 @@ def p_contraction_chain(plan, p, chi, gamma1, g_pair):
         return {"degenerate": True, "factor": np.nan, "b_converged": False,
                 "b_iterations": 0, "absorbed_residual": res}
     grid = plan.grid
-    # P i = (i X, -i Y), the right-i rule of _jk_of; the top row [X | Y] of
-    # w's complex embedding is built once for all its products
-    w_row = np.concatenate(
-        qp_matmul((1j * p[0], -1j * p[1]), qp_conj_t(p)), axis=-1
-    )
+    # P i = (i X, -i Y), the right-i rule of _jk_of
+    w = qp_matmul((1j * p[0], -1j * p[1]), qp_conj_t(p))
     # grad A from the spectrum of A; a gradient of the pair (X, Y) is the
     # stack (d1 X, d1 Y, d2 X, d2 Y)
     a_hat = np.stack(rhs)
     plan.forward(a_hat)
-    sym = plan.multipliers(a_hat[0])
+    sym = plan.multipliers(a_hat)
     a_hat *= sym.inv_lap
     grad_a = plan.gradient(a_hat)
     del a_hat
     b = np.zeros_like(grad_a[:2])
-    # the directions of grad A + grad_perp B, at the zero start B = 0
-    g = grad_a[:2], grad_a[2:]
+    # the directions d1 A - d2 B and d2 A + d1 B of grad A + grad_perp B,
+    # stacked as grad_a is; at the zero start B = 0 they are grad A
+    g = grad_a
     converged = False
     for it in range(B_MAX_ITER):
-        # w (grad A + grad_perp B) as one product with the two directions
-        # as columns, then B = -inv_lap div of it: the four tables take one
+        # w (grad A + grad_perp B): one product with the two directions as a
+        # stack, then B = -inv_lap div of it: the four tables take one
         # forward transform, and B with its gradient one inverse
-        columns = np.stack((g[0][0], g[1][0]), -1), np.stack((g[0][1], g[1][1]), -1)
-        del g
-        x, y = qp_row_matmul(w_row, columns)
-        del columns
-        wg = np.empty_like(grad_a)
-        wg[0::2] = np.moveaxis(x, -1, 0)
-        wg[1::2] = np.moveaxis(y, -1, 0)
+        directions = g.reshape((2, 2) + g.shape[1:])
+        x, y = qp_matvec(w, (directions[:, 0], directions[:, 1]))
+        del g, directions
+        wg = np.stack((x, y), axis=1).reshape(grad_a.shape)
         del x, y
         plan.forward(wg)
         bg = np.empty((6,) + b.shape[1:], dtype=complex)  # B, then its gradient
@@ -653,11 +713,12 @@ def p_contraction_chain(plan, p, chi, gamma1, g_pair):
         if change < B_TOL * max(float(np.max(np.abs(b))), 1e-300):
             converged = True
             break
-        # the next directions (d1 A - d2 B, d2 A + d1 B)
-        g = grad_a[:2] - grad_b[2:], grad_a[2:] + grad_b[:2]
-    weak_pg = lorentz_weak_l2(grid, pointwise_abs(*pg))
-    weak_a = lorentz_weak_l2(grid, pointwise_abs(*grad_a))
-    weak_b = lorentz_weak_l2(grid, pointwise_abs(*grad_b))
+        g = np.empty_like(grad_a)
+        np.subtract(grad_a[:2], grad_b[2:], out=g[:2])
+        np.add(grad_a[2:], grad_b[:2], out=g[2:])
+    weak_pg = lorentz_weak_l2(grid, _abs(*pg))
+    weak_a = lorentz_weak_l2(grid, _abs(*grad_a))
+    weak_b = lorentz_weak_l2(grid, _abs(*grad_b))
     return {
         "degenerate": False,
         "factor": float((weak_a + weak_b) / max(weak_pg, 1e-300)),
@@ -682,22 +743,36 @@ def p_gauge_structures(plan, gamma, gamma1, g_pair, config=None, partial_ok=Fals
     again.  When the gauge fails chi's precondition (a partial gauge can),
     the PreconditionError is returned as out["error"] next to "gauge" and
     "t_reached", with no measurement; input checks still raise.
+
+    The inputs are systems' grid-first tables, (n, n, d, d) matrices and
+    (n, n, d) vectors, and the returned gauge and chi are grid-first views:
+    each table is converted once, on the way in or out, and everything
+    between runs with the matrix axes first.  The solve goes through
+    p_gauge_solve on grid-first views of contiguous (d, d, n, n) tables,
+    which it and this function move back without a copy.
     """
+    gamma = tuple(grid_last(part) for part in gamma)
     asd = qp_dagger_defect(gamma)
     if asd > 1e-10:
         raise ValueError(f"Gamma is not anti-self-dual (defect {asd:.3e})")
     if np.max(np.abs(gamma[0])) > 0:
         raise ValueError("Gamma must lie in the jk-plane")
-    dim = gamma[1].shape[-1]
-    v_target = np.zeros((plan.grid.n, plan.grid.n, dim, dim), dtype=complex)
+    t_target = -2.0 * gamma[1]
+    del gamma
     t_reached = 1.0
     try:
-        result = p_gauge_solve(plan, v_target, -2.0 * gamma[1], config)
+        # grid-first views, which p_gauge_solve takes back without a copy
+        result = p_gauge_solve(
+            plan, grid_first(np.zeros_like(t_target)), grid_first(t_target), config
+        )
     except GaugeStall as stall:
         if not partial_ok:
             raise
         result = stall.result
         t_reached = stall.t_reached
+    del t_target
+    # the solver's gauge again: its grid-first view moved back, no copy
+    p = tuple(grid_last(part) for part in result.p)
     # chi from the solver's connection of the returned gauge, which the
     # result releases
     connection, result.connection = result.connection, None
@@ -708,11 +783,14 @@ def p_gauge_structures(plan, gamma, gamma1, g_pair, config=None, partial_ok=Fals
         return {"gauge": result, "t_reached": t_reached,
                 "error": exc.with_traceback(None)}
     del connection
-    contraction = p_contraction_chain(plan, result.p, chi, gamma1, g_pair)
+    contraction = p_contraction_chain(
+        plan, p, chi, tuple(grid_last(part) for part in gamma1),
+        tuple(grid_last(part) for part in g_pair),
+    )
     return {
         "gauge": result,
         "t_reached": t_reached,
-        "chi": chi,
+        "chi": grid_first(chi),
         "absorbed_residual": contraction["absorbed_residual"],
         "contraction": contraction,
     }

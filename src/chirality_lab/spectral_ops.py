@@ -9,27 +9,30 @@ row/column so real fields stay real through round trips.
 
 Four private transforms (complex and real, forward and inverse) are the
 module's only numpy.fft transforms.  Each takes same-shape tables stacked
-on a leading axis, so their grid axes are 1 and 2, in one batched call;
+on leading axes, so their grid axes are the last two, in one batched call;
 pocketfft transforms each line on its own, so a table gets the same bits
-in a stack as alone.  Each stacked table stays contiguous, and a
-multiplier broadcast over it runs over whole grids even when its trailing
-axes are single entries.
+in a stack as alone, and in any memory layout.  A stack whose tables are
+contiguous transforms contiguous planes, and a multiplier, an (n, n)
+symbol table, broadcasts over every leading axis.
 
 The spectrum level serves solvers that stay in Fourier space between
-pointwise products: ``forward`` (in place) and ``inverse`` (into ``out``
-when given) wrap the complex pair, ``real_forward`` and ``real_inverse``
-the real pair; ``gradient`` gives the values of the d1 and d2 derivatives
-of stacked spectra in one inverse transform, ``divergence`` the spectrum
-of d1 a1 + d2 a2 from a stacked pair, and ``spectrum`` one table's
+pointwise products, on stacks with the grid axes last: ``forward`` (in
+place) and ``inverse`` (into ``out`` when given) wrap the complex pair,
+``real_forward`` and ``real_inverse`` the real pair; ``gradient`` gives the
+values of the d1 and d2 derivatives of stacked spectra in one inverse
+transform, ``divergence`` and ``curl_spectrum`` the spectra of d1 a1 + d2
+a2 and d1 a2 - d2 a1 from a stacked pair, and ``spectrum`` one table's
 spectrum for spectral sums.
 
 The value level acts on plain (n, n, ...) tables, the first two axes the
 grid; real input gives real output for the real-coefficient operators.
 Each operator is the spectrum level applied to its inputs stacked on a
-new leading axis (one table as a view): one batched transform each way,
-however many inputs and symbols it has.  Band-limitedness is the caller's
-contract: operators are exact on resolved trigonometric polynomials and
-silently alias otherwise.
+new leading axis (one table as a view) and seen with the grid axes last, a
+view again: one batched transform each way, however many inputs and
+symbols it has.  numpy's transforms and ufuncs keep the memory order of
+their input, so the tables come back laid out as the inputs were.
+Band-limitedness is the caller's contract: operators are exact on resolved
+trigonometric polynomials and silently alias otherwise.
 
 Real tables go through the half spectrum, wavenumber columns 0..n//2 of
 the second grid axis, with the symbols cut to the same columns.  This
@@ -39,8 +42,8 @@ Hermitian, sym(-k) = conj(sym(k)), which the Nyquist policy above
 guarantees for the odd ones.  Complex tables, and the complex symbols d_z,
 d_zbar and their inverses, keep the full spectrum.  The column count tells
 the two apart.  ``multipliers`` is the one symbol shaper of both levels:
-every symbol cut to a spectrum's columns and shaped to broadcast over its
-trailing axes, built once per (columns, rank) and cached on the plan.
+every symbol cut to a spectrum's columns, built once per column count and
+cached on the plan.
 
 numpy.fft is used rather than scipy.fft: importing scipy.fft, which no
 program module needs otherwise, took 0.34 s and raised the peak RSS by
@@ -73,24 +76,52 @@ Multipliers = namedtuple(
 )
 
 
-# the four transforms, over grid axes 1 and 2 of a stack on a leading axis
+# the four transforms, over the last two (grid) axes of a stack
 
 
 def _fft_stack(w, out):
-    return np.fft.fftn(w, axes=(1, 2), out=out)
+    return np.fft.fftn(w, axes=(-2, -1), out=out)
 
 
 def _ifft_stack(w_hat, out):
     # ifftn, not ifft2: numpy 2.4's ifft2 drops its out argument
-    return np.fft.ifftn(w_hat, axes=(1, 2), out=out)
+    return np.fft.ifftn(w_hat, axes=(-2, -1), out=out)
 
 
 def _rfft_stack(w):
-    return np.fft.rfftn(w, axes=(1, 2))
+    return np.fft.rfftn(w, axes=(-2, -1))
 
 
 def _irfft_stack(w_hat, n):
-    return np.fft.irfftn(w_hat, s=(n, n), axes=(1, 2))
+    return np.fft.irfftn(w_hat, s=(n, n), axes=(-2, -1))
+
+
+def _value_layout(w):
+    """A stack with the grid axes last seen with them first after the
+    stack axis, the value level's layout: a view."""
+    return np.moveaxis(w, (-2, -1), (1, 2))
+
+
+def _spectrum_layout(w):
+    """A value-level stack seen with its grid axes last, the spectrum
+    level's layout (_value_layout's inverse): a view."""
+    return np.moveaxis(w, (1, 2), (-2, -1))
+
+
+def _empty_stack(count, like):
+    """An uninitialised complex stack of count tables of the shape of the
+    table like, each laid out in memory as like is."""
+    order = sorted(range(like.ndim), key=lambda ax: -like.strides[ax])
+    w = np.empty((count,) + tuple(like.shape[ax] for ax in order), dtype=complex)
+    return w.transpose((0,) + tuple(1 + order.index(ax) for ax in range(like.ndim)))
+
+
+def _spectra(w, in_place):
+    """Spectra of the stacked tables w: half ones when w is real, full ones
+    otherwise, in place when asked."""
+    if np.isrealobj(w):
+        return _rfft_stack(w)
+    return _fft_stack(w, out=w if in_place else None)
 
 
 class SpectralPlan:
@@ -136,16 +167,16 @@ class SpectralPlan:
         # every caller shares these tables through the views handed out
         for sym in self._symbols:
             sym.flags.writeable = False
-        # Multipliers by (spectrum columns, spectrum rank)
+        # Multipliers by spectrum columns
         self._shaped = {}
 
-    # -- spectrum level -----------------------------------------------------
+    # -- spectrum level: stacks with the grid axes last ---------------------
 
     def spectrum(self, f):
-        """Spectrum of one table over the grid axes: the full spectrum of a
-        complex table, the half spectrum (columns 0..n//2) of a real
-        one."""
-        return self._transform(f)[0]
+        """Spectrum of one table over its last two (grid) axes: the full
+        spectrum of a complex table, the half spectrum (columns 0..n//2) of
+        a real one."""
+        return _spectra(np.asarray(f)[None], in_place=False)[0]
 
     def forward(self, w):
         """Full spectra of the stacked complex tables w, in place; returns w."""
@@ -165,64 +196,63 @@ class SpectralPlan:
         return _irfft_stack(w_hat, self.grid.n)
 
     def multipliers(self, F):
-        """The Multipliers cut to the columns of the spectrum F (the
-        half spectrum keeps columns 0..n//2) and shaped to broadcast over its
-        trailing axes, which become singletons; built once per (columns,
-        rank).  For spectra stacked on a leading axis pass one of them."""
-        key = F.shape[1], F.ndim
-        sym = self._shaped.get(key)
+        """The Multipliers cut to the columns of the spectrum F, whose last
+        axis is the wavenumber column (the half spectrum keeps columns
+        0..n//2): (n, columns) tables, which broadcast over every leading
+        axis; built once per column count."""
+        cols = F.shape[-1]
+        sym = self._shaped.get(cols)
         if sym is None:
-            cols = F.shape[1]
-            shape = (self.grid.n, cols) + (1,) * (F.ndim - 2)
-            sym = self._shaped[key] = Multipliers(
-                *(s[:, :cols].reshape(shape) for s in self._symbols)
-            )
+            sym = self._shaped[cols] = Multipliers(*(s[:, :cols] for s in self._symbols))
         return sym
 
     def gradient(self, f_hat):
         """Values of the d1 and then the d2 derivatives of the k tables whose
-        spectra, full or half, are stacked in f_hat, as 2k stacked tables:
-        one inverse transform."""
-        sym = self.multipliers(f_hat[0])
+        spectra, full or half, are stacked in f_hat, as 2k stacked tables
+        laid out as f_hat: one inverse transform."""
+        sym = self.multipliers(f_hat)
         k = len(f_hat)
-        g = np.empty((2 * k,) + f_hat.shape[1:], dtype=complex)
+        g = _empty_stack(2 * k, f_hat[0])
         np.multiply(f_hat, sym.d1, out=g[:k])
         np.multiply(f_hat, sym.d2, out=g[k:])
-        return self._tables(g)
+        return self._values(g)
 
     def divergence(self, a_hat):
         """Spectrum of d1 a1 + d2 a2 from the spectra of a1 and a2, the first
         two stacked in a_hat."""
-        sym = self.multipliers(a_hat[0])
+        sym = self.multipliers(a_hat)
         div = sym.d1 * a_hat[0]
         div += sym.d2 * a_hat[1]
         return div
 
-    # -- value level: the spectrum level on a stack of the inputs --------
-
-    def _transform(self, *fs):
-        """Stacked spectra of the same-shape tables fs, half ones when all
-        are real; several tables are stacked as a copy, transformed in
-        place."""
-        w = np.asarray(fs[0])[None] if len(fs) == 1 else np.stack(fs)
-        if np.isrealobj(w):
-            return _rfft_stack(w)
-        return _fft_stack(w, out=None if len(fs) == 1 else w)
-
-    def _tables(self, w_hat):
-        """Stacked tables of the stacked spectra w_hat: real ones of half
-        spectra, complex ones of full spectra, transformed in place."""
-        n = self.grid.n
-        if w_hat.shape[2] < n:
-            return _irfft_stack(w_hat, n)
-        return _ifft_stack(w_hat, out=w_hat)
-
-    def _curl_spectrum(self, a_hat):
+    def curl_spectrum(self, a_hat):
         """Spectrum of d1 a2 - d2 a1, as divergence reads a_hat."""
-        sym = self.multipliers(a_hat[0])
+        sym = self.multipliers(a_hat)
         curl = sym.d1 * a_hat[1]
         curl -= sym.d2 * a_hat[0]
         return curl
+
+    def _values(self, w_hat):
+        """Stacked tables of the stacked spectra w_hat: real ones of half
+        spectra, complex ones of full spectra, transformed in place."""
+        n = self.grid.n
+        if w_hat.shape[-1] < n:
+            return _irfft_stack(w_hat, n)
+        return _ifft_stack(w_hat, out=w_hat)
+
+    # -- value level: the spectrum level on a stack of the inputs --------
+
+    def _transform(self, *fs):
+        """Stacked spectra, grid axes last, of the same-shape value tables
+        fs, half ones when all are real; several tables are stacked as a
+        copy, transformed in place."""
+        w = np.asarray(fs[0])[None] if len(fs) == 1 else np.stack(fs)
+        return _spectra(_spectrum_layout(w), in_place=len(fs) > 1)
+
+    def _tables(self, w_hat):
+        """Stacked value tables, grid axes first after the stack axis, of
+        the stacked spectra w_hat, transformed in place."""
+        return _value_layout(self._values(w_hat))
 
     # the spectra are fresh arrays, so multipliers are applied in place:
     # fewer full-size temporaries, the same products
@@ -243,7 +273,7 @@ class SpectralPlan:
         return self._apply("d2", f)
 
     def grad(self, f):
-        return tuple(self.gradient(self._transform(f)))
+        return tuple(_value_layout(self.gradient(self._transform(f))))
 
     def grad_perp(self, f):
         fx, fy = self.grad(f)
@@ -255,7 +285,7 @@ class SpectralPlan:
 
     def curl(self, a1, a2):
         """d1 a2 - d2 a1 for component tables of one shape."""
-        return self._tables(self._curl_spectrum(self._transform(a1, a2))[None])[0]
+        return self._tables(self.curl_spectrum(self._transform(a1, a2))[None])[0]
 
     def laplacian(self, f):
         return self._apply("lap", f)
@@ -304,7 +334,7 @@ class SpectralPlan:
         """Split a = grad(alpha) + grad_perp(beta) + constant mean vector."""
         F = self._transform(a1, a2)
         inv = self.multipliers(F[0]).inv_lap
-        div, curl = self.divergence(F), self._curl_spectrum(F)
+        div, curl = self.divergence(F), self.curl_spectrum(F)
         # the potentials' spectra take the place of the inputs'
         np.multiply(inv, div, out=F[0])
         np.multiply(inv, curl, out=F[1])
@@ -314,7 +344,8 @@ class SpectralPlan:
 
     def fourier_coefficients(self, f):
         """Coefficients c_k with f = sum c_k exp(i k.x)."""
-        return _fft_stack(np.asarray(f)[None], None)[0] / self.grid.n**2
+        w = _spectrum_layout(np.asarray(f)[None])
+        return _value_layout(_fft_stack(w, None))[0] / self.grid.n**2
 
 
 def random_band_limited(plan, rng, kmax=None, rms=1.0):

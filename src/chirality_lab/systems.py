@@ -35,7 +35,7 @@ from chirality_lab.field_core import (
     left_j,
     quat_to_complex_pair,
 )
-from chirality_lab.hyperunitary import qp_dagger_defect, qp_matvec
+from chirality_lab.hyperunitary import grid_first, grid_last, qp_dagger_defect, qp_matvec
 from chirality_lab.norms import l2_norm, pointwise_abs
 from chirality_lab.spectral_ops import random_band_limited
 
@@ -309,13 +309,17 @@ def double_system(plan, g, a_coef, b_coef):
     gamma1_x[..., m:, m:] = a_coef
     gamma1 = (gamma1_x, np.zeros_like(gamma1_x))
 
-    asd_defect = qp_dagger_defect(gamma)
+    # the algebra takes the grid axes last
+    asd_defect = qp_dagger_defect(tuple(map(grid_last, gamma)))
 
     # residual of the doubled equation against componentwise d_L
     dg1 = plan.d_z(g1)
     dg2 = plan.d_z(g2)
     tot = (gamma[0] + gamma1[0], gamma[1] + gamma1[1])
-    rhs1, rhs2 = qp_matvec(tot, (g1, g2))
+    rhs1, rhs2 = map(
+        grid_first,
+        qp_matvec(tuple(map(grid_last, tot)), (grid_last(g1), grid_last(g2))),
+    )
     res = l2_norm(grid, dg1 - rhs1, dg2 - rhs2)
 
     # steps 1-2: the first m rows reproduce d_z g = A g + B conj(g)

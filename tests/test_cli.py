@@ -16,6 +16,7 @@ from chirality_lab.experiments import (
     run_experiment,
 )
 from chirality_lab.field_core import Grid2
+from chirality_lab.hyperunitary import grid_last
 from chirality_lab.reporting import (
     ANCHORS,
     ExperimentConfig,
@@ -98,12 +99,12 @@ def stub_chain(monkeypatch, mode):
     precondition or leaves B unconverged (mode); every later trial
     succeeds."""
 
-    def first_fails(fn):
+    def first_fails(fn, dim):
         calls = collections.Counter()
 
         def run(plan, table, *args, **kwargs):
-            # the matrix size of the gauge target, or of the connection
-            d = np.shape(table)[-1]
+            # the matrix size of the gauge target, the connection or the gauge
+            d = dim(table)
             calls[d] += 1
             return fn(calls[d] == 1, plan, table, *args, **kwargs)
         return run
@@ -113,10 +114,12 @@ def stub_chain(monkeypatch, mode):
         eye = np.broadcast_to(np.eye(v_target.shape[-1], dtype=complex),
                               v_target.shape)
         zero = np.zeros_like(eye)
+        # the solver's connection takes the matrix axes first
+        stack = np.zeros((2,) + grid_last(zero).shape, dtype=complex)
         res = SimpleNamespace(
             residual=1e-10, theta=0.1, continuation_steps=5, t_reached=t,
             levels=((t, 0.5, t == 1.0),), p=(eye.copy(), zero),
-            connection=((zero, zero), (zero, zero)),
+            connection=(stack, stack),
         )
         if t < 1.0:
             raise pgauge.GaugeStall(t, res, 1e-6, 1e-7, 0.0, "step below DT_MIN")
@@ -131,12 +134,14 @@ def stub_chain(monkeypatch, mode):
         return {"factor": 0.5, "b_converged": not (fail and mode == "b_unconverged"),
                 "absorbed_residual": 1e-9}
 
-    for name, fn in (
-        ("p_gauge_solve", solve),
-        ("chi_from_connection", potential),
-        ("p_contraction_chain", contract),
+    # the solve takes grid-first targets (n, n, d, d), chi and the
+    # measurement the solver's layout (d, d, n, n)
+    for name, fn, dim in (
+        ("p_gauge_solve", solve, lambda v: v.shape[-1]),
+        ("chi_from_connection", potential, lambda c: c[0].shape[-3]),
+        ("p_contraction_chain", contract, lambda p: p[0].shape[-3]),
     ):
-        monkeypatch.setattr(pgauge, name, first_fails(fn))
+        monkeypatch.setattr(pgauge, name, first_fails(fn, dim))
 
 
 def test_contraction_gates_fail_on_failed_trials(tmp_path, monkeypatch):

@@ -20,22 +20,24 @@ from chirality_lab.hyperunitary import (
 from chirality_lab.norms import pointwise_abs
 
 # The quaternion algebra is the pair algebra of hyperunitary.py: a packed
-# (..., 4) table q = z1 + z2 j is the pair of 1 x 1 matrix tables (z1, z2).
+# (n1, n2, 4) table q = z1 + z2 j is the pair of 1 x 1 matrix tables
+# (z1, z2), matrix axes first, (1, 1, n1, n2).
 
 
 def as_pair(q):
     """A quaternion table as a table of 1 x 1 quaternion matrices."""
     z1, z2 = quat_to_complex_pair(q)
-    return z1[..., None, None], z2[..., None, None]
+    return z1[None, None], z2[None, None]
 
 
 def as_quat(pair):
     """A table of 1 x 1 quaternion matrices as a packed quaternion table."""
-    return complex_pair_to_quat(pair[0][..., 0, 0], pair[1][..., 0, 0])
+    return complex_pair_to_quat(pair[0][0, 0], pair[1][0, 0])
 
 
 def unit(z1, z2):
-    return np.array([[z1]], dtype=complex), np.array([[z2]], dtype=complex)
+    """One quaternion as a 1 x 1 matrix on a 1 x 1 grid."""
+    return np.full((1, 1, 1, 1), z1, dtype=complex), np.full((1, 1, 1, 1), z2, dtype=complex)
 
 
 ONE, I, J, K = unit(1, 0), unit(1j, 0), unit(0, 1), unit(0, 1j)
@@ -52,8 +54,8 @@ def neg(m):
 def random_pairs(rng, dim, count, scale=1.0, shape=(16, 16)):
     def one():
         x, y = (
-            rng.standard_normal(shape + (dim, dim))
-            + 1j * rng.standard_normal(shape + (dim, dim))
+            rng.standard_normal((dim, dim) + shape)
+            + 1j * rng.standard_normal((dim, dim) + shape)
             for _ in range(2)
         )
         return scale * x, scale * y
@@ -63,7 +65,7 @@ def random_pairs(rng, dim, count, scale=1.0, shape=(16, 16)):
 
 def size(m):
     """Pointwise Frobenius norm of a quaternion matrix table."""
-    return pointwise_abs(*m)
+    return pointwise_abs(*(np.moveaxis(part, (-2, -1), (0, 1)) for part in m))
 
 
 def test_unit_table():
@@ -132,33 +134,33 @@ def test_norm_via_conjugate_and_inverse():
     (a,) = random_pairs(rng, 1, 1)
     x, y = qp_matmul(a, qp_conj_t(a))
     sq = size(a) ** 2
-    assert np.max(np.abs(x[..., 0, 0] - sq)) < 1e-13 * np.max(sq)
+    assert np.max(np.abs(x[0, 0] - sq)) < 1e-13 * np.max(sq)
     assert np.max(np.abs(y)) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_exp_inverse_pairing():
     # cay(u) cay(-u) = I, as exp(u) exp(-u) = I: the closed form at d = 1,
-    # a solve of the complex embedding above
+    # the elimination inverse above
     rng = np.random.default_rng(3)
     for dim in (1, 2, 4):
         u = random_asd(rng, (32, 32), dim)
         stretch = 10.0 * rng.random((32, 32)) / np.maximum(size(u), 1e-12)
-        u = (stretch[..., None, None] * u[0], stretch[..., None, None] * u[1])
+        u = (stretch * u[0], stretch * u[1])
         x, y = qp_matmul(qp_cayley_asd(u), qp_cayley_asd((-u[0], -u[1])))
-        assert np.max(size((x - np.eye(dim), y))) < 1e-13
+        assert np.max(size((x - np.eye(dim)[:, :, None, None], y))) < 1e-13
 
 
 def test_unit_shuffles_match_full_products():
     rng = np.random.default_rng(4)
-    a = rng.standard_normal((512, 4))
+    a = rng.standard_normal((16, 32, 4))
     i_unit, j_unit = as_quat(I), as_quat(J)
     assert np.allclose(left_i(a), as_quat(qp_matmul(as_pair(i_unit), as_pair(a))))
     assert np.allclose(right_i(a), as_quat(qp_matmul(as_pair(a), as_pair(i_unit))))
     assert np.allclose(left_j(a), as_quat(qp_matmul(as_pair(j_unit), as_pair(a))))
-    c = rng.standard_normal(512) + 1j * rng.standard_normal(512)
-    direct = c.real[:, None] * a + c.imag[:, None] * left_i(a)
+    c = rng.standard_normal((16, 32)) + 1j * rng.standard_normal((16, 32))
+    direct = c.real[..., None] * a + c.imag[..., None] * left_i(a)
     assert np.allclose(complex_left(c, a), direct)
-    c_pair = (c[:, None, None], np.zeros((512, 1, 1)))
+    c_pair = (c[None, None], np.zeros((1, 1, 16, 32)))
     assert np.allclose(complex_left(c, a), as_quat(qp_matmul(c_pair, as_pair(a))))
 
 

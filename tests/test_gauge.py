@@ -16,7 +16,6 @@ from chirality_lab.pgauge import (
     MAX_INNER,
     GaugeDivergence,
     _projected_solve,
-    _stacked_rows,
     chi_potential,
     linearization_order,
     p_connection,
@@ -71,22 +70,37 @@ def exp_pure(u):
 
 # The quaternion operator, its linearization and the Newton solve are the
 # pair functions of pgauge at d = 1: q becomes a pair of 1 x 1 matrix tables,
-# the i-line table w the 1i-line table V = i w, the jk table g the T table.
+# (1, 1, n, n), the i-line table w the 1i-line table V = i w, the jk table g
+# the T table.  The value-level operators act on their (n, n) planes.
+
+
+def plane(t):
+    return t[0, 0]
+
+
+def lift(f):
+    return f[None, None]
 
 
 def n_at_d1(plan, q, check=True):
     """N(q) as (V = i w, g) tables through pn_apply."""
     (v_hat, t), _ = pn_apply(plan, as_pair(q), check)
-    return plan.inverse(v_hat[None])[0, ..., 0, 0], t[..., 0, 0]
+    return plane(plan.inverse(v_hat[None])[0]), plane(t)
+
+
+def connection_at_d1(plan, q):
+    """The pair (q^-1 d1 q, q^-1 d2 q) of 1 x 1 matrix tables."""
+    x, y = p_connection(plan, as_pair(q))
+    return (x[0], y[0]), (x[1], y[1])
 
 
 def l1_at_d1(plan, u):
     """The linearization at the identity, (Lap X_u, 2 d_zbar Y_u)."""
-    return plan.laplacian(u[0]), 2.0 * plan.d_zbar(u[1])
+    return lift(plan.laplacian(plane(u[0]))), lift(2.0 * plan.d_zbar(plane(u[1])))
 
 
 def as_targets(w, g):
-    return 1j * w[..., None, None], g[..., None, None]
+    return lift(1j * w), lift(g)
 
 
 def pl1_values(plan, v, t):
@@ -97,11 +111,10 @@ def pl1_values(plan, v, t):
 
 def lq_at_d1(plan, q0, w, g, max_iter=MAX_INNER):
     """The mean-projected Newton solve L_q0(u) = (w, g): (u, iterations)."""
-    x1, x2 = p_connection(plan, as_pair(q0))
     v, t = as_targets(w, g)
     u, _, iters = _projected_solve(
-        plan, _stacked_rows(x1, x2), plan.spectrum(v), plan.spectrum(t), 1e-11,
-        max_iter,
+        plan, p_connection(plan, as_pair(q0)), plan.spectrum(v), plan.spectrum(t),
+        1e-11, max_iter,
     )
     return u, iters
 
@@ -112,13 +125,13 @@ def lq_at_d1(plan, q0, w, g, max_iter=MAX_INNER):
 def l1_inverse(plan, v, t):
     """Inverse of the base linearization on values: Lap X_u = V - mean(V),
     2 d_zbar Y_u = T - mean(T)."""
-    return plan.inv_laplacian(v), plan.cauchy_solve(0.5 * t)
+    return lift(plan.inv_laplacian(plane(v))), lift(plan.cauchy_solve(0.5 * plane(t)))
 
 
 def perturbation(plan, x1, x2, u):
     """L_q(u) - L_I(u) on values: the commutator terms of the connection."""
     c1, c2 = qp_commutator(x1, u), qp_commutator(x2, u)
-    return plan.div(c1[0], c2[0]), c1[1] + 1j * c2[1]
+    return lift(plan.div(plane(c1[0]), plane(c2[0]))), c1[1] + 1j * c2[1]
 
 
 def test_n_apply_identity(plan):
@@ -170,7 +183,7 @@ def test_connection_is_pure(plan):
     rng = np.random.default_rng(2)
     q = exp_pure(pure_field(plan, rng, 0.5))
     # the real part of q^-1 d_l q is the real part of its X part
-    x1, x2 = p_connection(plan, as_pair(q))
+    x1, x2 = connection_at_d1(plan, q)
     assert np.max(np.abs(x1[0].real)) < 1e-12
     assert np.max(np.abs(x2[0].real)) < 1e-12
 
@@ -185,10 +198,10 @@ def test_l1_solve_round_trip(plan):
     v, t = as_targets(w, g)
     u = pl1_values(plan, v, t)
     lv, lt = l1_at_d1(plan, u)
-    assert l2_norm(plan.grid, lv - v) < 1e-11 * l2_norm(plan.grid, w)
-    assert l2_norm(plan.grid, lt - t) < 1e-11 * l2_norm(plan.grid, g)
-    zero = np.zeros((n, n, 1, 1), dtype=complex)
-    assert np.max(pointwise_abs(*pl1_values(plan, zero, zero))) == 0.0
+    assert l2_norm(plan.grid, plane(lv - v)) < 1e-11 * l2_norm(plan.grid, w)
+    assert l2_norm(plan.grid, plane(lt - t)) < 1e-11 * l2_norm(plan.grid, g)
+    zero = np.zeros((1, 1, n, n), dtype=complex)
+    assert np.max(pointwise_abs(*map(plane, pl1_values(plan, zero, zero)))) == 0.0
 
 
 def test_l1_solve_plane_wave(plan):
@@ -197,7 +210,7 @@ def test_l1_solve_plane_wave(plan):
     f = np.cos(k * g2.x1)
     u = pl1_values(plan, *as_targets(f, np.zeros((g2.n, g2.n), dtype=complex)))
     # the i-component is the imaginary part of X, the jk-plane is Y
-    assert np.max(np.abs(u[0][..., 0, 0] + 1j * f / k**2)) < 1e-12
+    assert np.max(np.abs(plane(u[0]) + 1j * f / k**2)) < 1e-12
     assert np.max(np.abs(u[1])) < 1e-14
 
 
@@ -211,8 +224,8 @@ def test_lq_solve_reduces_to_l1_at_identity(plan):
     g = random_band_limited(plan, rng) + 1j * random_band_limited(plan, rng)
     u, iters = lq_at_d1(plan, q1, w, g)
     u_ref = l1_inverse(plan, *as_targets(w, g - g.mean()))
-    diff = pointwise_abs(u[0] - u_ref[0], u[1] - u_ref[1])
-    assert np.max(diff) < 1e-10 * max(np.max(pointwise_abs(*u_ref)), 1e-10)
+    diff = pointwise_abs(plane(u[0] - u_ref[0]), plane(u[1] - u_ref[1]))
+    assert np.max(diff) < 1e-10 * max(np.max(pointwise_abs(*map(plane, u_ref))), 1e-10)
 
 
 def test_lq_solve_converges_small_q0(plan):
@@ -224,13 +237,13 @@ def test_lq_solve_converges_small_q0(plan):
     u, iters = lq_at_d1(plan, q0, w, g)
     assert iters <= 20
     # forward-apply: L1(u) + commutator terms reproduce the right side
-    x1, x2 = p_connection(plan, as_pair(q0))
+    x1, x2 = connection_at_d1(plan, q0)
     lw, lg = l1_at_d1(plan, u)
     pw, pg = perturbation(plan, x1, x2, u)
     w, g = as_targets(w, g)
-    res_w = l2_norm(plan.grid, lw + pw - w)
-    res_g = l2_norm(plan.grid, (lg + pg) - g)
-    scale = l2_norm(plan.grid, w) + l2_norm(plan.grid, g)
+    res_w = l2_norm(plan.grid, plane(lw + pw - w))
+    res_g = l2_norm(plan.grid, plane((lg + pg) - g))
+    scale = l2_norm(plan.grid, plane(w)) + l2_norm(plan.grid, plane(g))
     # the oscillatory parts match; the jk mean is matched by the constant fix
     assert res_w < 1e-9 * scale
     assert res_g < 1e-9 * scale + 2 * abs(np.mean(lg + pg - g)) * plan.grid.length
@@ -258,7 +271,7 @@ def test_lq_solve_budget_reports_the_last_contraction(plan):
     with pytest.raises(GaugeDivergence) as err:
         lq_at_d1(plan, q0, w, g, max_iter=3)
     # replay the iteration u <- L_I^-1(rhs - pert(u)) from u = 0
-    x1, x2 = p_connection(plan, as_pair(q0))
+    x1, x2 = connection_at_d1(plan, q0)
     v_rhs, t_rhs = as_targets(w, g)
     u = np.zeros_like(v_rhs), np.zeros_like(v_rhs)
     changes = []
@@ -291,7 +304,7 @@ def test_gauge_solve_manufactured_image(plan):
     assert res.t_reached == 1.0
     assert res.unitarity_defect < 1e-12
     # anti-self-duality along the way: the connection stays pure
-    x1, _ = p_connection(plan, as_pair(res.q))
+    x1, _ = connection_at_d1(plan, res.q)
     assert np.max(np.abs(x1[0].real)) < 1e-12
 
 
@@ -349,7 +362,9 @@ def test_gauge_invariance_under_constant_i_rotation(plan):
 def test_linearization_order(plan):
     rng = np.random.default_rng(11)
     u = pure_field(plan, rng, 1.0)
-    order, vals = linearization_order(plan, as_pair(u))
+    # linearization_order takes grid-first (n, n, 1, 1) tables
+    u = tuple(np.moveaxis(part, (0, 1), (-2, -1)) for part in as_pair(u))
+    order, vals = linearization_order(plan, u)
     assert order >= 1.9
     assert all(v > 0 for v in vals)
 
@@ -378,16 +393,17 @@ def test_zeta_potential_after_gauge_solve(plan):
     w_t, g_t = chain_targets(plan.d_z(alpha))
     res = gauge_solve(plan, w_t, g_t)
     zeta, _ = zeta_potential(plan, res.q, precondition_tol=1e-3)
-    chi, _ = chi_potential(plan, res.p, precondition_tol=1e-3)
-    assert np.array_equal(zeta, chi[..., 0, 0].imag)
+    chi, _ = chi_potential(plan, as_pair(res.q), precondition_tol=1e-3)
+    assert np.array_equal(zeta, plane(chi).imag)
     # the 1i-line a of the connection is mean(a) + grad_perp(chi), and
     # ||grad chi||_{2,1} is controlled by ||grad P||_2^2 (Wente)
-    x1, x2 = p_connection(plan, res.p)
-    a1, a2 = x1[0], x2[0]
-    cx, cy = plan.grad(chi)
+    x1, x2 = connection_at_d1(plan, res.q)
+    a1, a2 = plane(x1[0]), plane(x2[0])
+    cx, cy = plan.grad(plane(chi))
     grid = plan.grid
-    stream = l2_norm(grid, a1 - a1.mean(axis=(0, 1)) + cy, a2 - a2.mean(axis=(0, 1)) - cx)
-    wente = lorentz_l21(grid, pointwise_abs(cx, cy)) / l2_norm(grid, *x1, *x2) ** 2
+    stream = l2_norm(grid, a1 - a1.mean() + cy, a2 - a2.mean() - cx)
+    connection = (plane(part) for m in (x1, x2) for part in m)
+    wente = lorentz_l21(grid, pointwise_abs(cx, cy)) / l2_norm(grid, *connection) ** 2
     assert stream < 1e-6
     assert wente < 10.0
 
@@ -436,7 +452,9 @@ def test_chain_pipeline_at_d1_matches_the_adapters(plan):
         plan, doubled.gamma, doubled.gamma1, (doubled.g1, doubled.g2),
         GaugeConfig(), partial_ok=True,
     )
-    assert np.array_equal(as_quat(out["gauge"].p), res.q)
+    # the returned gauge is grid-first, (n, n, 1, 1)
+    x, y = out["gauge"].p
+    assert np.array_equal(complex_pair_to_quat(x[..., 0, 0], y[..., 0, 0]), res.q)
     zeta, _ = zeta_potential(plan, res.q, precondition_tol=1e-2)
     factor = contraction_chain(plan, frak, omega, res.q, zeta)["factor"]
     assert out["contraction"]["factor"] == pytest.approx(factor, rel=1e-12)

@@ -273,6 +273,13 @@ def test_real_operators_match_full_spectrum(n, length, trailing, seed):
     )
 
 
+def grid_first_symbols(plan, F, trailing):
+    """The plan's (n, columns) symbols for the grid-first spectrum F, shaped
+    to broadcast over its trailing axes."""
+    sym = plan.multipliers(np.moveaxis(F, (0, 1), (-2, -1)))
+    return type(sym)(*(s.reshape(s.shape + (1,) * len(trailing)) for s in sym))
+
+
 @half_spectrum_cases
 def test_value_level_is_the_per_table_composition_bit_for_bit(n, length, trailing, seed):
     # the operators transform their inputs stacked on a leading axis, one
@@ -295,7 +302,7 @@ def test_value_level_is_the_per_table_composition_bit_for_bit(n, length, trailin
             fwd = partial(np.fft.fft2, axes=(0, 1))
             back = partial(np.fft.ifft2, axes=(0, 1))
         F, F1, F2 = fwd(f), fwd(a1), fwd(a2)
-        sym = plan.multipliers(F)
+        sym = grid_first_symbols(plan, F, trailing)
         gx, gy = plan.grad(f)
         alpha, beta, _ = plan.hodge_decompose(a1, a2)
         pairs = [
@@ -310,7 +317,7 @@ def test_value_level_is_the_per_table_composition_bit_for_bit(n, length, trailin
         ]
         # the complex symbols act on the full spectrum of the complex table
         Fc = np.fft.fft2(np.asarray(f, dtype=complex), axes=(0, 1))
-        csym = plan.multipliers(Fc)
+        csym = grid_first_symbols(plan, Fc, trailing)
         pairs += [
             (plan.d_z(f), np.fft.ifft2(Fc * csym.dz, axes=(0, 1))),
             (plan.d_zbar(f), np.fft.ifft2(Fc * csym.dzbar, axes=(0, 1))),
@@ -319,52 +326,59 @@ def test_value_level_is_the_per_table_composition_bit_for_bit(n, length, trailin
         for out, ref in pairs:
             assert out.dtype == ref.dtype and out.shape == ref.shape
             assert np.array_equal(out, ref)
+            # laid out as the inputs, so reductions sum in the same order
+            assert out.flags.c_contiguous
 
 
 @half_spectrum_cases
 def test_spectrum_level_matches_the_operators(n, length, trailing, seed):
-    # complex tables stacked on a leading axis take one transform each way;
-    # the multipliers applied between them are the operators' symbols
+    # complex tables stacked on leading axes, grid axes last, take one
+    # transform each way; the multipliers applied between them are the
+    # operators' symbols
     plan = SpectralPlan(Grid2(n, length=length))
     s = reference_symbols(n, length)
     rng = np.random.default_rng(seed)
     f, g = (
-        rng.standard_normal((n, n) + trailing)
-        + 1j * rng.standard_normal((n, n) + trailing)
+        rng.standard_normal(trailing + (n, n))
+        + 1j * rng.standard_normal(trailing + (n, n))
         for _ in range(2)
     )
+    # the value level's view of the same tables: grid axes first
+    value = lambda t: np.moveaxis(t, (-2, -1), (0, 1))
     w = np.stack((f, g))
     # forward transforms in place and returns its input
     w_hat = plan.forward(w)
     assert w_hat is w
     for part, table in zip(w_hat, (f, g)):
-        assert np.array_equal(part, np.fft.fft2(table, axes=(0, 1)))
+        assert np.array_equal(part, np.fft.fft2(table))
     sym = plan.multipliers(w_hat[0])
-    assert np.array_equal(np.squeeze(sym.keep), s["keep"] > 0)
-    # shaped once per (columns, rank): another spectrum of the same shape
-    # gets the same object, and a real table's half spectrum the first
-    # n//2 + 1 columns of every full symbol
-    assert plan.multipliers(w_hat[1]) is sym
+    assert np.array_equal(sym.keep, s["keep"] > 0)
+    # built once per column count: any spectrum with n columns gets the
+    # same object, and a real table's half spectrum the first n//2 + 1
+    # columns of every full symbol
+    assert plan.multipliers(w_hat[1]) is sym and plan.multipliers(w_hat) is sym
     assert not any(table.flags.writeable for table in sym)
     half = plan.multipliers(plan.spectrum(f.real))
     for cut, full in zip(half, sym):
-        assert cut.shape == (n, n // 2 + 1) + (1,) * len(trailing)
+        assert cut.shape == (n, n // 2 + 1)
         assert np.array_equal(cut, full[:, : n // 2 + 1])
     cases = [
-        (sym.d1 * w_hat, (plan.dx(f), plan.dx(g))),
-        (sym.d2 * w_hat, (plan.dy(f), plan.dy(g))),
-        (sym.inv_lap * w_hat, (plan.inv_laplacian(f), plan.inv_laplacian(g))),
-        (sym.inv_dzbar * w_hat, (plan.cauchy_solve(f), plan.cauchy_solve(g))),
-        (w_hat.copy(), (f, g)),
+        (sym.d1 * w_hat, (plan.dx(value(f)), plan.dx(value(g)))),
+        (sym.d2 * w_hat, (plan.dy(value(f)), plan.dy(value(g)))),
+        (sym.inv_lap * w_hat, (plan.inv_laplacian(value(f)), plan.inv_laplacian(value(g)))),
+        (sym.inv_dzbar * w_hat, (plan.cauchy_solve(value(f)), plan.cauchy_solve(value(g)))),
+        (w_hat.copy(), (value(f), value(g))),
     ]
     for spectra, refs in cases:
         out = plan.inverse(spectra, out=spectra)
         assert out is spectra
         for part, ref in zip(out, refs):
+            ref = np.moveaxis(ref, (0, 1), (-2, -1))
             assert np.max(np.abs(part - ref)) <= 1e-13 * np.max(np.abs(ref))
-    # one table's spectrum: the half spectrum of a real table
-    assert np.array_equal(plan.spectrum(f.real), np.fft.rfft2(f.real, axes=(0, 1)))
-    assert np.array_equal(plan.spectrum(f), np.fft.fft2(f, axes=(0, 1)))
+    # one table's spectrum over its last two axes: the half spectrum of a
+    # real table
+    assert np.array_equal(plan.spectrum(f.real), np.fft.rfft2(f.real))
+    assert np.array_equal(plan.spectrum(f), np.fft.fft2(f))
 
 
 @half_spectrum_cases
