@@ -40,6 +40,7 @@ from chirality_lab.norms import (
     lorentz_l21,
     lp_norm,
     pointwise_abs,
+    spectral_l2,
     spectral_neg_1_2,
 )
 
@@ -88,12 +89,6 @@ class SplitGradientData:
             raise ValueError(
                 f"bad shapes a{self.a.shape} g{self.g.shape} for n={n}"
             )
-
-    def f(self, plan):
-        """The rough part implied by the potentials (never stored)."""
-        f1 = plan.dx(self.a[0, 0]) + plan.dy(self.a[1, 0])
-        f2 = plan.dx(self.a[0, 1]) + plan.dy(self.a[1, 1])
-        return f1, f2
 
 
 def split_from_vector_potential(grid, v, g):
@@ -174,10 +169,10 @@ def real_from_imag_bound(plan, h, g):
     g = np.asarray(g, dtype=complex)
     hg_hat = plan.forward(np.stack((h, g)))
     sym = plan.multipliers(hg_hat[0])
-    # ||d_zbar h - g||_2 by Parseval, from the spectra
+    # ||d_zbar h - g||_2 from the spectra
     r_hat = sym.dzbar * hg_hat[0]
     r_hat -= hg_hat[1]
-    res = float(np.sqrt(np.vdot(r_hat, r_hat).real * grid.area) / grid.n**2)
+    res = spectral_l2(plan, r_hat)
     del r_hat
     scale = max(l2_norm(grid, g), l2_norm(grid, h), 1e-300)
     if res > PRECONDITION_TOL * scale:

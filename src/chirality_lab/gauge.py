@@ -14,9 +14,9 @@ here are format adapters at its boundary: an (n, n, 4) table
 q = z1 + z2 j becomes the pair (z1, z2) of 1 x 1 matrix tables, the
 i-line target w the 1i-line target V = i w, the jk table g the T table,
 and the stream potential zeta is chi / i.  gauge_solve hands p_gauge_solve
-grid-first (n, n, 1, 1) targets; chi_potential and p_contraction_chain
-take the solver's layout, (1, 1, n, n), the same memory.  Results come
-back as (n, n, 4) tables.
+grid-first (n, n, 1, 1) targets; p_connection, chi_from_connection and
+p_contraction_chain take the solver's layout, (1, 1, n, n), the same
+memory.  Results come back as (n, n, 4) tables.
 
 The experiments run p_gauge_structures on systems.chain_quaternion.  This
 module is the boundary of the benchmark's quat-chain workload and keeps
@@ -36,7 +36,8 @@ from chirality_lab.pgauge import (
     GaugeConfig,
     GaugeStall,
     PGaugeResult,
-    chi_potential,
+    chi_from_connection,
+    p_connection,
     p_contraction_chain,
     p_gauge_solve,
 )
@@ -96,9 +97,12 @@ def zeta_potential(plan, q, precondition_tol=1e-6):
     """Stream potential of the i-line of the connection.
 
     Requires the first gauge equation (i-line divergence zero); returns
-    (zeta, the L2 norm of that divergence), as pgauge.chi_potential does.
+    (zeta, the L2 norm of that divergence), as pgauge.chi_from_connection
+    does for the connection of q.
     """
-    chi, dres = chi_potential(plan, _matrices(q), precondition_tol)
+    chi, dres = chi_from_connection(
+        plan, p_connection(plan, _matrices(q)), precondition_tol
+    )
     return chi[0, 0].imag, dres
 
 

@@ -1,5 +1,6 @@
-"""Discrete norm estimators: L^p, Lorentz L^{2,inf} and L^{2,1}, the
-homogeneous negative Sobolev norm, ball restrictions, and Morrey decay fits.
+"""Discrete norm estimators: L^p, Lorentz L^{2,inf} and L^{2,1}, ball
+restrictions and Morrey decay fits on value tables, and the L2 and
+homogeneous negative Sobolev norms read from spectra.
 
 Level sets are counted by whole cells (each grid point contributes one
 cell_measure); balls use the flat wrap-around torus metric and radii are
@@ -18,8 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from chirality_lab.hyperunitary import grid_last
-
 __all__ = [
     "Ball",
     "lp_norm",
@@ -27,7 +26,7 @@ __all__ = [
     "l2_norm",
     "lorentz_weak_l2",
     "lorentz_l21",
-    "sobolev_neg_1_2",
+    "spectral_l2",
     "spectral_neg_1_2",
     "morrey_profile",
     "MorreyFit",
@@ -138,27 +137,10 @@ def lorentz_l21(grid, f, region=None):
     return float(np.sum(star * weights) * np.sqrt(grid.cell_measure))
 
 
-def sobolev_neg_1_2(plan, f):
-    """Homogeneous negative-order norm || |k|^-1 f_hat ||, zero mode dropped.
-
-    The zero mode is the torus proxy for homogeneity; inputs must be
-    mean-zero, otherwise the value would silently depend on the dropped mode.
-    Trailing component axes are contracted as in ``pointwise_abs``, all in one
-    batched transform: the half spectrum of a real table, the full spectrum
-    of a complex one (see ``spectral_neg_1_2``).  A complex table a + ib
-    counts as the pair (a, b): for real a, b and the even weight |k|^-2 the
-    cross terms at k and -k cancel, so ||a + ib||^2 = ||a||^2 + ||b||^2.
-    """
-    f = np.asarray(f)
-    l2 = l2_norm(plan.grid, f)
-    mean = float(np.max(np.abs(np.mean(f, axis=(0, 1)))))
-    if mean > 1e-10 * max(l2, 1e-300):
-        raise ValueError(
-            f"sobolev_neg_1_2 needs a mean-zero field (|mean|={mean:.3e}); "
-            "subtract the mean first"
-        )
-    # the spectrum level wants the grid axes last
-    return spectral_neg_1_2(plan, plan.spectrum(grid_last(f)))
+def spectral_l2(plan, F):
+    """||f||_2 of f from its full spectrum F, grid axes last, by Parseval;
+    the leading axes contract."""
+    return float(np.sqrt(np.vdot(F, F).real * plan.grid.area) / plan.grid.n**2)
 
 
 def spectral_neg_1_2(plan, F):

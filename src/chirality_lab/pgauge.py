@@ -15,7 +15,7 @@ grid-first (n, n, d, d) tables that systems builds: p_gauge_solve,
 p_gauge_structures and linearization_order take them, and PGaugeResult.p
 and p_gauge_structures' chi come back so.  Each table is converted once,
 with hyperunitary.grid_last on the way in (a copy, or the same memory at
-d = 1) and grid_first on the way out (a view).  pn_apply, chi_potential,
+d = 1) and grid_first on the way out (a view).  pn_apply, p_connection,
 chi_from_connection, absorbed_residual and p_contraction_chain take the
 solver's layout.
 
@@ -88,6 +88,11 @@ connection of the returned gauge, which chi reads) and the contraction
 measurement (the B fixed point and the weak-L^{2,inf} factor) complete
 the pipeline of p_gauge_structures, which runs every chain trial of the
 experiments, on systems.chain_quaternion (d = 1) or chain_doubled data.
+The measurement takes each spectrum once: chi is one forward transform of
+the 1i-lines, whose spectra give the divergence (its norm by Parseval)
+and the curl, and one inverse of inv_lap times the curl; the absorbed
+residual takes both curls of its left side from one forward transform of
+the stacked P i G and P G, and d_z chi through the plan's d_z symbol.
 linearization_order checks the operator against its linearization at
 P = I along the Newton step's retraction.
 """
@@ -112,6 +117,7 @@ from chirality_lab.norms import (
     l2_norm,
     lorentz_weak_l2,
     pointwise_abs,
+    spectral_l2,
     spectral_neg_1_2,
 )
 
@@ -123,7 +129,6 @@ __all__ = [
     "pn_apply",
     "p_gauge_solve",
     "linearization_order",
-    "chi_potential",
     "chi_from_connection",
     "p_contraction_chain",
     "p_gauge_structures",
@@ -596,30 +601,27 @@ def linearization_order(plan, u):
 # layout: matrix axes first, grid axes last.
 
 
-def chi_potential(plan, p, precondition_tol=1e-6):
-    """Stream potential chi of the 1i-line a of the connection of the gauge
-    p, a = mean(a) + grad_perp(chi); see chi_from_connection."""
-    return chi_from_connection(plan, p_connection(plan, p), precondition_tol)
-
-
 def chi_from_connection(plan, connection, precondition_tol):
     """Stream potential chi of the 1i-line a of a connection P^-1 grad P,
     the stack (P^-1 d1 P, P^-1 d2 P), a = mean(a) + grad_perp(chi).
 
     Requires the first gauge equation (1i-line divergence zero); returns
     (chi, the L2 norm of that divergence), and raises PreconditionError
-    when it exceeds precondition_tol * ||grad P||_2^2.
+    when it exceeds precondition_tol * ||grad P||_2^2.  One forward
+    transform of the stack (a1, a2) gives the divergence, whose norm is
+    read off its spectrum, and the curl; chi = inv_lap curl takes one
+    inverse.
     """
     x, y = connection
     # P acts isometrically, so ||grad P||_2 = ||P^-1 grad P||_2
     grad_p_l2 = _l2(plan, x[0], y[0], x[1], y[1])
-    # x is the stack (a1, a2) of the 1i-lines; forward transforms in place
-    div = plan.inverse(plan.divergence(plan.forward(x.copy()))[None])[0]
-    dres = _l2(plan, div)
+    # x is the stack (a1, a2) of the 1i-lines; a copy, as forward is in place
+    a_hat = plan.forward(x.copy())
+    dres = spectral_l2(plan, plan.divergence(a_hat))
     if dres > precondition_tol * max(grad_p_l2**2, 1e-300):
         raise PreconditionError("1i-line of the connection is not divergence free", dres)
-    curl = plan.inverse(plan.curl_spectrum(plan.forward(x.copy()))[None])
-    chi_hat = plan.forward(curl)
+    chi_hat = plan.curl_spectrum(a_hat)[None]
+    del a_hat
     chi_hat *= plan.multipliers(chi_hat).inv_lap
     return plan.inverse(chi_hat, out=chi_hat)[0], dres
 
@@ -631,7 +633,10 @@ def absorbed_residual(plan, p, chi, gamma1, g_pair):
     For P = X + Y j and G = (g1, g2) the four products X g1, Y conj(g2),
     X g2 and Y conj(g1) give both P G = (X g1 - Y conj(g2), X g2 +
     Y conj(g1)) and P (i G) = (i (X g1 + Y conj(g2)), i (X g2 -
-    Y conj(g1)))."""
+    Y conj(g1))).  The left side is the curl of the stack (P i G, P G),
+    both parts in one forward and one inverse transform.  d_L chi = d_z chi
+    takes one forward and one inverse of chi through the symbol of d_z,
+    which is not Hermitian: chi enters as a complex table."""
     x, y = p
     g1, g2 = (g[..., :, None, :, :] for g in g_pair)
     xg1, yg2 = plane_matmul(x, g1), plane_matmul(y, np.conj(g2))
@@ -639,13 +644,16 @@ def absorbed_residual(plan, p, chi, gamma1, g_pair):
     pg = (xg1 - yg2)[..., 0, :, :], (xg2 + yg1)[..., 0, :, :]
     pig = (1j * (xg1 + yg2))[..., 0, :, :], (1j * (xg2 - yg1))[..., 0, :, :]
     del xg1, yg2, xg2, yg1
-    # d1 of P G minus d2 of P i G, part by part
-    lhs = [
-        plan.inverse(plan.curl_spectrum(plan.forward(np.stack((c2, c1))))[None])[0]
-        for c1, c2 in zip(pg, pig)
-    ]
-    chi_x, chi_y = plan.gradient(plan.spectrum(chi)[None])
-    dchi = 0.5 * (chi_x - 1j * chi_y)
+    # d1(P G) - d2(P i G), both parts: the curl of the stack (P i G, P G)
+    w = plan.forward(np.stack(pig + pg))
+    del pig
+    lhs = plan.curl_spectrum(w.reshape((2, 2) + w.shape[1:]))
+    del w
+    plan.inverse(lhs, out=lhs)
+    # d_z chi, in place on the spectrum of chi
+    dchi = plan.forward(chi.astype(complex))
+    dchi *= plan.multipliers(dchi).dz
+    plan.inverse(dchi, out=dchi)
     m_tot = (-1j * dchi + gamma1[0], gamma1[1])
     rhs_inner = qp_matvec(m_tot, g_pair)
     rhs = qp_matvec(p, rhs_inner)

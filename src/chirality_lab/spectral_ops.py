@@ -266,12 +266,6 @@ class SpectralPlan:
 
     # -- derivatives ------------------------------------------------------
 
-    def dx(self, f):
-        return self._apply("d1", f)
-
-    def dy(self, f):
-        return self._apply("d2", f)
-
     def grad(self, f):
         return tuple(_value_layout(self.gradient(self._transform(f))))
 
@@ -319,14 +313,6 @@ class SpectralPlan:
         so that d_zbar of it is a delta; realized by symbol division.
         """
         return self._apply("inv_dzbar", np.asarray(g, dtype=complex))
-
-    def inv_dzbar_sq(self, g):
-        """Second antiderivative under d_zbar (zero mode and Nyquist dropped).
-
-        The output T satisfies d_zbar(d_zbar T) = g - mean, so for
-        d_zbar h = g one has d_zbar T = h - mean(h).
-        """
-        return self._apply("inv_dzbar_sq", np.asarray(g, dtype=complex))
 
     # -- decompositions and helpers ---------------------------------------
 

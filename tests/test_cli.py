@@ -519,7 +519,7 @@ def test_settable_values():
                     isinstance(stmt, ast.AnnAssign) and stmt.value is not None
                     for stmt in node.body
                 )
-    assert count == 51
+    assert count == 50
 
 
 @pytest.mark.xfail(

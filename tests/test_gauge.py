@@ -16,7 +16,7 @@ from chirality_lab.pgauge import (
     MAX_INNER,
     GaugeDivergence,
     _projected_solve,
-    chi_potential,
+    chi_from_connection,
     linearization_order,
     p_connection,
     p_gauge_structures,
@@ -38,7 +38,7 @@ def pure_field(plan, rng, grad_norm, kmax=3):
     u = np.zeros((n, n, 4))
     for c in range(1, 4):
         u[..., c] = random_band_limited(plan, rng, kmax=kmax, rms=1.0)
-    gx, gy = plan.dx(u), plan.dy(u)
+    gx, gy = plan.grad(u)
     g = np.sqrt(
         np.sum(pointwise_abs(gx) ** 2 + pointwise_abs(gy) ** 2) * plan.grid.cell_measure
     )
@@ -393,7 +393,9 @@ def test_zeta_potential_after_gauge_solve(plan):
     w_t, g_t = chain_targets(plan.d_z(alpha))
     res = gauge_solve(plan, w_t, g_t)
     zeta, _ = zeta_potential(plan, res.q, precondition_tol=1e-3)
-    chi, _ = chi_potential(plan, as_pair(res.q), precondition_tol=1e-3)
+    chi, _ = chi_from_connection(
+        plan, p_connection(plan, as_pair(res.q)), precondition_tol=1e-3
+    )
     assert np.array_equal(zeta, plane(chi).imag)
     # the 1i-line a of the connection is mean(a) + grad_perp(chi), and
     # ||grad chi||_{2,1} is controlled by ||grad P||_2^2 (Wente)

@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,14 +22,15 @@ from chirality_lab.hyperunitary import (
     qp_matvec,
     random_asd,
 )
-from chirality_lab.norms import l2_norm, lorentz_weak_l2, pointwise_abs, sobolev_neg_1_2
+from chirality_lab.norms import l2_norm, lorentz_weak_l2, pointwise_abs, spectral_neg_1_2
 from chirality_lab.pgauge import (
     GaugeConfig,
     GaugeStall,
     _asd_commutators,
     _unitarity_defect,
     absorbed_residual,
-    chi_potential,
+    chi_from_connection,
+    p_connection,
     p_contraction_chain,
     p_gauge_solve,
     p_gauge_structures,
@@ -36,6 +38,7 @@ from chirality_lab.pgauge import (
 )
 from chirality_lab.spectral_ops import SpectralPlan, random_band_limited
 from chirality_lab.systems import chain_doubled, double_system, manufacture_doubled
+from test_benchmark_api import FFT_ENTRY_POINTS
 from test_field_core import as_pair
 
 
@@ -71,15 +74,14 @@ def test_entrywise_sobolev_batched_matches_entry_loop(plan):
     n = plan.grid.n
     v = rng.standard_normal((n, n, 4, 4)) + 1j * rng.standard_normal((n, n, 4, 4))
     v += rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    # the zero mode is dropped, so the means need no projection; a real
+    # entry takes the half spectrum
     total = 0.0
     for i in range(4):
         for j in range(4):
-            entry = v[..., i, j] - v[..., i, j].mean()
-            total += (
-                sobolev_neg_1_2(plan, entry.real) ** 2
-                + sobolev_neg_1_2(plan, entry.imag) ** 2
-            )
-    batched = sobolev_neg_1_2(plan, v - v.mean(axis=(0, 1)))
+            for part in (v[..., i, j].real, v[..., i, j].imag):
+                total += spectral_neg_1_2(plan, plan.spectrum(part)) ** 2
+    batched = spectral_neg_1_2(plan, plan.spectrum(grid_last(v)))
     assert batched == pytest.approx(np.sqrt(total), rel=1e-12)
 
 
@@ -264,7 +266,7 @@ def test_gamma_zero_gives_identity(plan):
 def test_chi_potential_identity(plan):
     eye = eye_field(4, plan.grid.n)
     p = (eye, np.zeros_like(eye))
-    chi, dres = chi_potential(plan, p, precondition_tol=1.0)
+    chi, dres = chi_from_connection(plan, p_connection(plan, p), precondition_tol=1.0)
     assert np.max(np.abs(chi)) == 0.0
     assert dres == 0.0
 
@@ -273,7 +275,81 @@ def test_chi_potential_precondition(plan):
     # a generic hyper-unitary field: its 1i-line connection has divergence
     p = qp_cayley_asd(smooth_asd_field(plan, np.random.default_rng(21), 2, 0.3))
     with pytest.raises(PreconditionError):
-        chi_potential(plan, p, precondition_tol=1e-10)
+        chi_from_connection(plan, p_connection(plan, p), precondition_tol=1e-10)
+
+
+def count_transforms(monkeypatch):
+    """A Counter of the numpy.fft calls from here on, by entry point."""
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in FFT_ENTRY_POINTS:
+        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+    return calls
+
+
+def assert_rel_close(out, ref, rel):
+    assert out.shape == ref.shape
+    assert np.max(np.abs(out - ref)) <= rel * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("dim", [1, 4])
+def test_chi_reads_one_spectrum_of_the_connection(plan, dim, monkeypatch):
+    # a generic hyper-unitary field, whose 1i-line has a divergence: chi
+    # and the divergence norm are the value-level composition's, from one
+    # forward transform of the 1i-lines and one inverse
+    p = qp_cayley_asd(smooth_asd_field(plan, np.random.default_rng(22), dim, 0.3))
+    connection = p_connection(plan, p)
+    a1, a2 = (grid_first(part) for part in connection[0])
+    chi_ref = plan.inv_laplacian(plan.curl(a1, a2))
+    dres_ref = l2_norm(plan.grid, plan.div(a1, a2))
+    calls = count_transforms(monkeypatch)
+    chi, dres = chi_from_connection(plan, connection, precondition_tol=np.inf)
+    assert calls == Counter(fftn=1, ifftn=1)
+    assert_rel_close(grid_first(chi), chi_ref, 1e-13)
+    assert dres == pytest.approx(dres_ref, rel=1e-13)
+
+
+@pytest.mark.parametrize("dim", [1, 4])
+def test_absorbed_residual_matches_its_value_level_composition(plan, dim, monkeypatch):
+    # generic P, chi, Gamma1 and G, so the residual is far from zero: the
+    # curls of the left side take one transform each way, d_z chi one more
+    # pair, and the value-level operators give the same numbers
+    rng = np.random.default_rng(23)
+    n = plan.grid.n
+    p = qp_cayley_asd(smooth_asd_field(plan, rng, dim, 0.3))
+    chi = smooth_asd_field(plan, rng, dim, 1.0)[0]
+    gamma1 = smooth_asd_field(plan, rng, dim, 0.2)
+    g_pair = tuple(
+        np.stack([random_band_limited(plan, rng, kmax=2) + 0j for _ in range(dim)])
+        for _ in range(2)
+    )
+    calls = count_transforms(monkeypatch)
+    res, rhs, pg = absorbed_residual(plan, p, chi, gamma1, g_pair)
+    assert calls == Counter(fftn=2, ifftn=2)
+    monkeypatch.undo()
+
+    pg_ref = qp_matvec(p, g_pair)
+    pig_ref = qp_matvec(p, (1j * g_pair[0], 1j * g_pair[1]))
+    lhs = [
+        grid_last(plan.curl(grid_first(c2), grid_first(c1)))
+        for c1, c2 in zip(pg_ref, pig_ref)
+    ]
+    dchi = grid_last(plan.d_z(grid_first(chi)))
+    inner = qp_matvec((-1j * dchi + gamma1[0], gamma1[1]), g_pair)
+    rhs_ref = tuple(2.0 * part for part in qp_matvec(p, inner))
+    res_ref = l2_norm(
+        plan.grid, *(grid_first(l - r) for l, r in zip(lhs, rhs_ref))
+    )
+    assert res == pytest.approx(res_ref, rel=1e-12) and res > 1.0
+    for out, ref in zip(pg + rhs, pg_ref + rhs_ref):
+        assert out.shape == ref.shape == (dim, n, n)
+        assert_rel_close(out, ref, 1e-13)
 
 
 def test_p_contraction_chain_zero_data_gives_nan_factor(plan):
@@ -498,7 +574,7 @@ def test_the_boundary_stays_grid_first():
 
 
 @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2, 4]))
-def test_embedded_product_matches_the_einsum_formula(seed, dim):
+def test_products_match_the_einsum_formula(seed, dim):
     # (X1 + Y1 j)(X2 + Y2 j) = (X1 X2 - Y1 conj(Y2)) + (X1 Y2 + Y1 conj(X2)) j
     rng = np.random.default_rng(seed)
     (x1, y1), (x2, y2) = (random_matrix_pair(rng, (dim, dim, 8, 8)) for _ in range(2))
